@@ -1,8 +1,10 @@
 """Command-line front end: solve, generate, verify, bench, budget sweep.
 
 Every command reads instances from disk (native JSON, or a MATPOWER
-``.m`` case), takes its randomness from an explicit ``--seed``, and
-writes machine-readable output, so runs are reproducible byte for byte.
+``.m`` case) and rejects an unreadable or invalid one with exit code 4,
+takes its randomness from an explicit ``--seed``, and writes
+machine-readable output, so runs are reproducible byte for byte.  The
+checks behind ``verify`` live in ``dcots.oracle``.
 """
 
 from __future__ import annotations
@@ -14,36 +16,22 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from dcots.cuts import VIOL_TOL, delta, make_context, separate_closed_form
-from dcots.cyclebasis import cycle_basis, incidence_matrix
 from dcots.network import (
     augment_with_cycle,
-    build_network,
     parse_matpower,
     parse_native,
     perturb_loads,
-    random_connected_network,
     relocate_generators,
     serialize_native,
+    validate,
 )
 from dcots.oracle import (
+    VERIFY_SUITES,
     SubsetSumInstance,
-    check_facets,
-    check_hull_equality,
-    check_opf_equivalence,
-    check_projection_prop4,
-    directional_gap,
-    membership_extended,
+    negative_controls,
     reduce_subset_sum,
-    reduction_ots_feasible,
-    reduction_witness_angles,
-    subset_sum_brute,
-    subset_sum_witness,
 )
 from dcots.solver import (
     CSV_HEADER,
@@ -53,14 +41,27 @@ from dcots.solver import (
     solve_ots,
 )
 
-__all__ = ["main", "load_instance", "performance_profile", "VERIFY_SUITES"]
+__all__ = ["main", "load_instance", "performance_profile", "InstanceError"]
+
+
+class InstanceError(ValueError):
+    """An instance file that cannot be read, parsed, or validated."""
 
 
 def load_instance(path: str):
-    text = Path(path).read_text()
-    if path.endswith(".m"):
-        return parse_matpower(text)
-    return parse_native(text)
+    """Parse and validate one instance file (MATPOWER if it ends in .m).
+
+    Raises InstanceError naming the file and the problem.
+    """
+    try:
+        text = Path(path).read_text()
+        net = parse_matpower(text) if path.endswith(".m") else parse_native(text)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InstanceError(f"{path}: {exc}") from exc
+    report = validate(net)
+    if not report.ok:
+        raise InstanceError(f"{path}: {'; '.join(report.problems)}")
+    return net
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -105,190 +106,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _suite_hull(seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(3):
-            w = tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3))
-            rep = check_hull_equality(w, trials=60, seed=int(rng.integers(10**6)))
-            worst = max(worst, rep.max_gap)
-    return worst <= 1e-7, f"max hull gap {worst:.3e}"
-
-
-def _suite_facets(seed):
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for n in (3, 4):
-        for _ in range(2):
-            w = tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3))
-            for mask in range(1, 1 << n):
-                subset = {a for a in range(n) if mask >> a & 1}
-                if delta(tuple(subset), w) > 0:
-                    if not check_facets(w, subset):
-                        return False, f"facet rank failed for w={w} S={sorted(subset)}"
-                    checked += 1
-    return True, f"{checked} facet certificates verified"
-
-
-def _exhaustive_best_violation(ctx):
-    best = 0.0
-    n = len(ctx.w)
-    wc = sum(ctx.w)
-    kc = ctx.k_value
-    for mask in range(1, 1 << n):
-        s = [a for a in range(n) if mask >> a & 1]
-        d = delta(s, ctx.w)
-        if d <= 0:
-            continue
-        for sign in (1.0, -1.0):
-            viol = sum(sign * ctx.g_hat[a] - ctx.w[a] * ctx.x_hat[a] for a in s) + d * kc
-            best = max(best, viol)
-    return best
-
-
-def _ring_cycle(weights):
-    n = len(weights)
-    net = build_network([(i, 0.0) for i in range(n)], [(0, 0.0, 0.0, 1.0)],
-                        [(a, a, (a + 1) % n, 1.0, weights[a]) for a in range(n)])
-    return next(iter(cycle_basis(net)))
-
-
-def _random_context(rng, cycle):
-    n = len(cycle.members)
-    w = [ln.w for ln, _ in cycle.members]
-    x = [1.0 if rng.uniform() < 0.4 else float(np.round(rng.uniform(), 4))
-         for _ in range(n)]
-    g = [float(np.round(rng.uniform(-1, 1) * w[a] * x[a], 4)) for a in range(n)]
-    f_hat = {ln.id: s * g[pos] * ln.susceptance
-             for pos, (ln, s) in enumerate(cycle.members)}
-    x_hat = {ln.id: x[pos] for pos, (ln, _) in enumerate(cycle.members)}
-    return make_context(cycle, f_hat, x_hat)
-
-
-def _suite_separation(seed):
-    rng = np.random.default_rng(seed)
-    rings = {n: _ring_cycle(tuple(np.round(rng.uniform(0.2, 3.0, size=n), 4)))
-             for n in range(2, 9)}
-    empties = 0
-    for trial in range(2000):
-        n = int(rng.integers(2, 9))
-        ctx = _random_context(rng, rings[n])
-        cuts = separate_closed_form(ctx)
-        found = max((c.violation_found for c in cuts), default=0.0)
-        best = _exhaustive_best_violation(ctx)
-        if ctx.k_value <= 0 and cuts:
-            return False, f"separator emitted under nonpositive K at trial {trial}"
-        if cuts and abs(found - best) > 1e-9:
-            return False, f"violation mismatch {found} vs {best} at trial {trial}"
-        if not cuts and best > VIOL_TOL + 1e-9:
-            return False, f"missed violation {best} at trial {trial}"
-        empties += not cuts
-    return True, f"2000 contexts, {empties} separation-free"
-
-
-def _suite_projection(seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (2, 3):
-        w = tuple(np.round(rng.uniform(0.4, 2.0, size=n), 3))
-        worst = max(worst, check_projection_prop4(w, trials=60, seed=seed + n))
-    return worst <= 1e-7, f"max projection gap {worst:.3e}"
-
-
-def _suite_equivalence(seed):
-    worst = 0.0
-    solved = 0
-    for k in range(15):
-        status, obj_gap, flow_gap, _ = check_opf_equivalence(
-            random_connected_network(seed + k, max_buses=6))
-        if status == "optimal":
-            worst = max(worst, obj_gap, flow_gap)
-            solved += 1
-        elif status != "infeasible":
-            return False, f"unexpected status {status}"
-    return worst <= 1e-6 and solved >= 5, \
-        f"{solved} dispatchable draws, worst gap {worst:.3e}"
-
-
-def _suite_reduction(seed):
-    rng = np.random.default_rng(seed)
-    for trial in range(40):
-        n = int(rng.integers(1, 6))
-        inst = SubsetSumInstance(tuple(int(v) for v in rng.integers(1, 10, size=n)),
-                                 int(rng.integers(1, 26)))
-        if reduction_ots_feasible(inst) != subset_sum_brute(inst):
-            return False, f"reduction disagreement on {inst}"
-        wit = subset_sum_witness(inst)
-        if wit is not None:
-            theta = reduction_witness_angles(inst, wit)
-            if theta is None or theta[0] != Fraction(inst.b + 1, inst.b):
-                return False, f"witness angles wrong on {inst}"
-    return True, "40 instances, feasibility iff subset sum"
-
-
-def _suite_basis(seed):
-    for k in range(30):
-        net = random_connected_network(seed + k, max_buses=10)
-        cycles = cycle_basis(net)
-        expected = len(net.lines) - len(net.buses) + 1
-        if len(cycles) != expected:
-            return False, f"basis size {len(cycles)} != {expected}"
-        mat = incidence_matrix(net)
-        row_of = {ln.id: i for i, ln in enumerate(net.lines)}
-        for cyc in cycles:
-            vec = np.zeros(len(net.buses))
-            for ln, sign in cyc.members:
-                vec += sign * mat[row_of[ln.id]]
-            if np.abs(vec).max() > 1e-12:
-                return False, "cycle is not a circulation"
-    return True, "30 multigraphs, full-rank circulation bases"
-
-
-VERIFY_SUITES = {
-    "hull": _suite_hull,
-    "facets": _suite_facets,
-    "separation": _suite_separation,
-    "projection": _suite_projection,
-    "equivalence": _suite_equivalence,
-    "reduction": _suite_reduction,
-    "basis": _suite_basis,
-}
-
-
-def _negative_controls(seed):
-    """Tampered checks that must FAIL; detecting the failure passes."""
-    controls = []
-    gap = directional_gap((1.0, 1.0, 1.0),
-                          np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]),
-                          drop=(1.0, frozenset({0, 1, 2})))
-    controls.append(("dropped-facet-row-reopens-gap", gap > 1e-6,
-                     f"gap {gap:.3e}"))
-    inside = membership_extended([0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
-                                 np.array([1.0, 1.0, 1.0]))
-    controls.append(("circulation-point-rejected", not inside,
-                     "membership said " + ("inside" if inside else "outside")))
-    feasible = reduction_ots_feasible(SubsetSumInstance((2,), 3))
-    controls.append(("unreachable-target-stays-infeasible", not feasible,
-                     "enumeration said " + ("feasible" if feasible else "infeasible")))
-    return controls
-
-
 def cmd_verify(args) -> int:
     if args.negative_controls:
-        ok_all = True
-        for name, detected, detail in _negative_controls(args.seed):
-            print(f"{'PASS' if detected else 'FAIL'} negative-control {name}: {detail}")
-            ok_all &= detected
-        return 0 if ok_all else 1
-    names = args.suites or sorted(VERIFY_SUITES)
+        checks = ((f"negative-control {name}", detected, detail)
+                  for name, detected, detail in negative_controls())
+    else:
+        checks = ((name, *VERIFY_SUITES[name](args.seed))
+                  for name in args.suites or sorted(VERIFY_SUITES))
     ok_all = True
-    for name in names:
-        ok, detail = VERIFY_SUITES[name](args.seed)
+    for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         ok_all &= ok
     return 0 if ok_all else 1
@@ -315,10 +141,8 @@ def performance_profile(times: dict[str, dict[str, float | None]]):
         best = min(solved) if solved else None
         for m in modes:
             t = times[m].get(inst)
-            if t is None or best is None:
-                ratios[m][inst] = math.inf
-            else:
-                ratios[m][inst] = max(1.0, t / best if best > 0 else 1.0)
+            ratios[m][inst] = (math.inf if t is None
+                               else max(1.0, t / best if best > 0 else 1.0))
     finite = sorted({r for per in ratios.values() for r in per.values()
                      if math.isfinite(r)} | {1.0})
     header = ["tau"] + [f"fraction_within_tau_{m}" for m in modes]
@@ -332,49 +156,43 @@ def performance_profile(times: dict[str, dict[str, float | None]]):
     return header, rows
 
 
-def _bench_one(path: str, mode: str, gap: float, time_limit: float, seed: int):
-    net = load_instance(path)
-    config = SolverConfig(rel_gap=gap, time_limit_s=time_limit,
-                          cycle_mode=mode, seed=seed)
+def _csv_text(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _bench_one(name: str, net, mode: str, gap: float, time_limit: float):
+    config = SolverConfig(rel_gap=gap, time_limit_s=time_limit, cycle_mode=mode)
     res = solve_ots(net, config)
-    return result_csv_row(res, instance=Path(path).name, mode=mode), res
+    return result_csv_row(res, instance=name, mode=mode), res
 
 
 def cmd_bench(args) -> int:
-    paths = sorted(str(p) for p in Path(args.instance_dir).iterdir()
+    paths = sorted(p for p in Path(args.instance_dir).iterdir()
                    if p.suffix in (".json", ".m"))
     if not paths:
         print("no instances found", file=sys.stderr)
         return 1
-    modes = args.modes.split(",")
-    jobs = [(p, m) for p in paths for m in modes]
-    results = {}
+    nets = [load_instance(str(p)) for p in paths]
+    modes = sorted(args.modes.split(","))
+    jobs = [(p.name, net, m, args.gap, args.time_limit)
+            for p, net in zip(paths, nets) for m in modes]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_bench_one, p, m, args.gap, args.time_limit,
-                                   args.seed): (p, m) for p, m in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+            outcomes = list(pool.map(_bench_one, *zip(*jobs)))
     else:
-        for p, m in jobs:
-            results[(p, m)] = _bench_one(p, m, args.gap, args.time_limit, args.seed)
-    rows = [results[key][0] for key in sorted(results)]
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    Path(args.out).write_text(out.getvalue())
+        outcomes = [_bench_one(*job) for job in jobs]
+    rows = [row for row, _ in outcomes]
+    Path(args.out).write_text(_csv_text(CSV_HEADER, rows))
     times: dict[str, dict[str, float | None]] = {m: {} for m in modes}
-    for (p, m), (_, res) in results.items():
-        name = Path(p).name
+    for (name, _, m, _, _), (_, res) in zip(jobs, outcomes):
         times[m][name] = (res.wall_time_s
                           if res.status == "optimal-within-gap" else None)
     header, prof_rows = performance_profile(times)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(prof_rows)
-    Path(args.profile).write_text(out.getvalue())
+    Path(args.profile).write_text(_csv_text(header, prof_rows))
     print(f"wrote {len(rows)} result rows and {len(prof_rows)} profile rows")
     return 0
 
@@ -385,17 +203,15 @@ def cmd_budget_sweep(args) -> int:
         n_values = [int(v) for v in args.n_values.split(",")]
     else:
         n_values = list(range(sum(ln.switchable for ln in net.lines) + 1))
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["N", "ip_value", "lp_value"])
+    rows = []
     for n_off in n_values:
         res = solve_ots(net, _config_from_args(args), n_off=n_off)
         ip = (f"{res.objective:.10g}" if res.objective is not None
               else "infeasible")
         z_lp = res.root_lp_values[0]
         lp = f"{z_lp:.10g}" if z_lp is not None else "infeasible"
-        writer.writerow([n_off, ip, lp])
-    text = out.getvalue()
+        rows.append([n_off, ip, lp])
+    text = _csv_text(["N", "ip_value", "lp_value"], rows)
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
@@ -466,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated solver modes")
     p.add_argument("--gap", type=float, default=0.001)
     p.add_argument("--time-limit", type=float, default=3600.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="concurrent solves")
     p.add_argument("--out", default="bench_results.csv")
     p.add_argument("--profile", default="bench_profile.csv")
@@ -494,7 +309,11 @@ def main(argv=None) -> int:
             parser.error("subset-sum requires --a and --b")
         if args.recipe != "subset-sum" and not args.base:
             parser.error(f"{args.recipe} requires --base")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InstanceError as exc:
+        print(f"dcots: {exc}", file=sys.stderr)
+        return 4  # invalid instance file
 
 
 if __name__ == "__main__":

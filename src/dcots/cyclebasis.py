@@ -27,8 +27,6 @@ __all__ = [
     "combine_cycles",
     "expand_cycle_set",
     "sample_cycles",
-    "cycles_to_doc",
-    "cycles_from_doc",
 ]
 
 
@@ -278,19 +276,3 @@ def sample_cycles(cs: CycleSet, fraction: float, seed: int) -> CycleSet:
     picked = sorted(rng.choice(len(rest), size=k, replace=False)) if k else []
     return CycleSet(tuple(basis + [rest[i] for i in picked]))
 
-
-def cycles_to_doc(cs: CycleSet) -> dict:
-    """JSON-ready document: signed 1-based line-id lists under "cycles"."""
-    return {"cycles": [c.signed_ids() for c in cs.cycles]}
-
-
-def cycles_from_doc(net: PowerNetwork, doc: dict) -> CycleSet:
-    """Rebuild a CycleSet from ``cycles_to_doc`` output against a network."""
-    by_id = {ln.id: ln for ln in net.lines}
-    cycles = []
-    for ids in doc["cycles"]:
-        members = tuple(
-            (by_id[abs(s) - 1], 1 if s > 0 else -1) for s in ids
-        )
-        cycles.append(Cycle(members))
-    return CycleSet(tuple(cycles))

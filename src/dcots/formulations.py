@@ -34,7 +34,6 @@ __all__ = [
     "build_ots_cycle",
     "cycle_cut_rows",
     "add_switching_budget",
-    "to_lp_text",
 ]
 
 
@@ -61,13 +60,7 @@ class BigMConfig:
     """
 
     theta_bound: float
-    m_line: tuple[tuple[int, float], ...]  # (line id, M) pairs
-
-    def m_for(self, line_id: int) -> float:
-        for lid, m in self.m_line:
-            if lid == line_id:
-                return m
-        raise KeyError(f"no big-M for line {line_id}")
+    m_line: dict[int, float]  # line id -> M
 
 
 @dataclass
@@ -90,8 +83,8 @@ def compute_big_m(net: PowerNetwork) -> BigMConfig:
     possible angle difference its relaxed rows must absorb.
     """
     theta = sum(ln.w for ln in net.lines)
-    pairs = tuple((ln.id, 2.0 * ln.susceptance * theta + ln.capacity) for ln in net.lines)
-    return BigMConfig(theta, pairs)
+    return BigMConfig(theta, {ln.id: 2.0 * ln.susceptance * theta + ln.capacity
+                              for ln in net.lines})
 
 
 def cycle_big_m(cycle: Cycle) -> float:
@@ -182,7 +175,7 @@ def build_ots_angle(net: PowerNetwork, bigm: BigMConfig | None = None) -> MilpMo
                          theta_bound=bigm.theta_bound)
     _balance_rows(lp, net, vmap)
     for ln in net.lines:
-        m = bigm.m_for(ln.id)
+        m = bigm.m_line[ln.id]
         fcol, xcol = vmap.flow[ln.id], vmap.x[ln.id]
         ohm = [(fcol, 1.0), (vmap.theta[ln.from_bus], -ln.susceptance),
                (vmap.theta[ln.to_bus], ln.susceptance)]
@@ -244,24 +237,3 @@ def add_switching_budget(model: MilpModel, n_off: int) -> MilpModel:
     lp.add_row(coeffs, ">=", float(len(model.net.lines) - n_off))
     return replace(model, lp=lp)
 
-
-def to_lp_text(lp: LinearProgram, integer_cols=()) -> str:
-    """Render a program in CPLEX LP text format for external inspection."""
-    name = lambda j: f"x{j}"  # noqa: E731
-    obj_terms = " + ".join(f"{c:.17g} {name(j)}" for j, c in enumerate(lp.obj) if c != 0.0)
-    parts = ["Minimize", " obj: " + (obj_terms.replace("+ -", "- ") or "0 " + name(0))]
-    parts.append("Subject To")
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        terms = " + ".join(f"{v:.17g} {name(c)}" for c, v in coeffs).replace("+ -", "- ")
-        op = {"<=": "<=", ">=": ">=", "==": "="}[sense]
-        parts.append(f" r{i}: {terms} {op} {rhs:.17g}")
-    parts.append("Bounds")
-    for j, (lo, hi) in enumerate(zip(lp.lo, lp.hi)):
-        lo_s = f"{lo:.17g}" if lo != -float("inf") else "-inf"
-        hi_s = f"{hi:.17g}" if hi != float("inf") else "+inf"
-        parts.append(f" {lo_s} <= {name(j)} <= {hi_s}")
-    if integer_cols:
-        parts.append("General")
-        parts.append(" " + " ".join(name(j) for j in integer_cols))
-    parts.append("End")
-    return "\n".join(parts) + "\n"

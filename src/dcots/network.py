@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import networkx as nx
@@ -122,21 +123,6 @@ class PowerNetwork:
     buses: tuple[Bus, ...]
     generators: tuple[Generator, ...]
     lines: tuple[Line, ...]
-
-    def bus_ids(self) -> list[int]:
-        return [b.id for b in self.buses]
-
-    def line_by_id(self, line_id: int) -> Line:
-        for ln in self.lines:
-            if ln.id == line_id:
-                return ln
-        raise KeyError(f"no line with id {line_id}")
-
-    def bus_by_id(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus with id {bus_id}")
 
     def graph(self) -> nx.MultiGraph:
         """Undirected multigraph with edges keyed by line id."""
@@ -374,6 +360,10 @@ def parse_matpower(text: str) -> PowerNetwork:
 # ---------------------------------------------------------------------------
 # validation
 
+def _duplicates(ids) -> list[int]:
+    return sorted(i for i, k in Counter(ids).items() if k > 1)
+
+
 def validate(net: PowerNetwork) -> ValidationReport:
     """Check structural soundness of a network.
 
@@ -390,17 +380,13 @@ def validate(net: PowerNetwork) -> ValidationReport:
     problems: list[str] = []
     if not (net.base_mva > 0 and math.isfinite(net.base_mva)):
         problems.append(f"base_mva not positive/finite: {net.base_mva}")
-    bus_ids = [b.id for b in net.buses]
-    if len(set(bus_ids)) != len(bus_ids):
-        dup = sorted({i for i in bus_ids if bus_ids.count(i) > 1})
+    if dup := _duplicates(b.id for b in net.buses):
         problems.append(f"duplicate bus ids: {dup}")
-    id_set = set(bus_ids)
+    id_set = {b.id for b in net.buses}
     for b in net.buses:
         if not math.isfinite(b.load):
             problems.append(f"bus {b.id}: non-finite load")
-    line_ids = [ln.id for ln in net.lines]
-    if len(set(line_ids)) != len(line_ids):
-        dup = sorted({i for i in line_ids if line_ids.count(i) > 1})
+    if dup := _duplicates(ln.id for ln in net.lines):
         problems.append(f"duplicate line ids: {dup}")
     for ln in net.lines:
         if ln.from_bus not in id_set or ln.to_bus not in id_set:
@@ -414,9 +400,7 @@ def validate(net: PowerNetwork) -> ValidationReport:
         if not (ln.capacity > 0 and math.isfinite(ln.capacity)):
             problems.append(f"line {ln.id}: capacity must be positive, "
                             f"got {ln.capacity}")
-    gen_buses = [g.bus for g in net.generators]
-    if len(set(gen_buses)) != len(gen_buses):
-        dup = sorted({i for i in gen_buses if gen_buses.count(i) > 1})
+    if dup := _duplicates(g.bus for g in net.generators):
         problems.append(f"more than one generator at bus(es) {dup}")
     for g in net.generators:
         if g.bus not in id_set:

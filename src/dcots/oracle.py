@@ -7,6 +7,10 @@ instances comes from enumerating topologies outright.  The cycle
 relaxation S_C is handled in normalized coordinates g_a =
 sigma_a f_a / B_a, where capacities become the weights w_a and the
 all-closed flow-sum condition reads sum(g) = 0.
+
+The last section turns each headline claim into one seeded routine that
+returns the figures it is judged by; the acceptance tests run them at
+full size and ``dcots verify`` (``VERIFY_SUITES``) at smaller counts.
 """
 
 from __future__ import annotations
@@ -18,11 +22,17 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from dcots.cuts import delta
-from dcots.cyclebasis import cycle_basis
+from dcots.cuts import (
+    VIOL_TOL,
+    delta,
+    make_context,
+    separate_all,
+    separate_closed_form,
+)
+from dcots.cyclebasis import cycle_basis, incidence_matrix
 from dcots.formulations import build_opf_angle, build_opf_cycle
 from dcots.lp import LinearProgram
-from dcots.network import PowerNetwork, build_network
+from dcots.network import PowerNetwork, build_network, random_connected_network
 from dcots.solver import recover_angles
 
 __all__ = [
@@ -45,6 +55,15 @@ __all__ = [
     "dispatch_lp",
     "brute_force_ots",
     "check_opf_equivalence",
+    "hull_gap",
+    "projection_gap",
+    "facet_certificates",
+    "separation_agreement",
+    "cuts_under_nonpositive_k",
+    "dispatch_agreement",
+    "reduction_agreement",
+    "VERIFY_SUITES",
+    "negative_controls",
 ]
 
 _FLOW_TOL = 1e-8
@@ -523,6 +542,22 @@ def reduction_witness_angles(inst: SubsetSumInstance, subset):
     return theta
 
 
+def _component_roots(net: PowerNetwork, lines) -> dict[int, int]:
+    """Union-find: each bus id mapped to one representative bus of its
+    component under the given lines."""
+    comp = {b.id: b.id for b in net.buses}
+
+    def find(u):
+        while comp[u] != u:
+            comp[u] = comp[comp[u]]
+            u = comp[u]
+        return u
+
+    for ln in lines:
+        comp[find(ln.from_bus)] = find(ln.to_bus)
+    return {b: find(b) for b in comp}
+
+
 def fixed_injection_feasible(net: PowerNetwork, active_ids) -> bool:
     """Exact feasibility of one topology when every injection is fixed.
 
@@ -535,19 +570,10 @@ def fixed_injection_feasible(net: PowerNetwork, active_ids) -> bool:
             raise ValueError("injections are not fixed")
         inj[g.bus] += g.p_min
     active = [ln for ln in net.lines if ln.id in active_ids]
-    comp = {b.id: b.id for b in net.buses}
-
-    def find(u):
-        while comp[u] != u:
-            comp[u] = comp[comp[u]]
-            u = comp[u]
-        return u
-
-    for ln in active:
-        comp[find(ln.from_bus)] = find(ln.to_bus)
+    root = _component_roots(net, active)
     groups: dict[int, list[int]] = {}
     for b in net.buses:
-        groups.setdefault(find(b.id), []).append(b.id)
+        groups.setdefault(root[b.id], []).append(b.id)
     scale = max(1.0, max(abs(v) for v in inj.values()) if inj else 1.0)
     for members in groups.values():
         total = sum(inj[b] for b in members)
@@ -580,31 +606,17 @@ def reduction_ots_feasible(inst: SubsetSumInstance) -> bool:
     A half-open middle path is a dangling active line carrying zero
     flow, so every topology is flow-equivalent to a choice of fully
     closed paths plus the two corridor lines; each such class is
-    checked exactly.
+    checked exactly on the network reduce_subset_sum builds.
     """
     n = len(inst.a)
+    net = reduce_subset_sum(inst)
+    # term i's path is lines 2i and 2i + 1, then the corridor and the direct line
+    corridor, direct = 2 * n, 2 * n + 1
     for mask in range(1 << n):
-        kept = [i for i in range(n) if mask >> i & 1]
-        for direct_on in (True, False):
-            for corridor_on in (True, False):
-                buses = [(i, 0.0) for i in range(n + 2)] + [(n + 2, 2.0)]
-                gens = [(0, 2.0, 2.0, 1.0)]
-                lines = []
-                for i in kept:
-                    ai = inst.a[i]
-                    cap = ai / inst.b
-                    lines.append((len(lines), 0, i + 1, 2.0 * ai, cap))
-                    lines.append((len(lines), i + 1, n + 1, 2.0 * ai, cap))
-                if corridor_on:
-                    lines.append((len(lines), n + 1, n + 2, 1.0, 1.0))
-                if direct_on:
-                    lines.append((len(lines), 0, n + 2, inst.b / (inst.b + 1), 1.0))
-                if not lines:
-                    continue
-                sub = build_network(buses=buses, generators=gens, lines=lines,
-                                    base_mva=1.0)
-                if fixed_injection_feasible(sub, {ln.id for ln in sub.lines}):
-                    return True
+        paths = {lid for i in range(n) if mask >> i & 1 for lid in (2 * i, 2 * i + 1)}
+        for extra in ({direct, corridor}, {direct}, {corridor}, set()):
+            if fixed_injection_feasible(net, paths | extra):
+                return True
     return False
 
 
@@ -655,29 +667,19 @@ def dispatch_lp(net: PowerNetwork, active_ids):
 
 
 def _component_screen(net: PowerNetwork, active_ids) -> bool:
-    comp = {b.id: b.id for b in net.buses}
-
-    def find(u):
-        while comp[u] != u:
-            comp[u] = comp[comp[u]]
-            u = comp[u]
-        return u
-
-    for ln in net.lines:
-        if ln.id in active_ids:
-            comp[find(ln.from_bus)] = find(ln.to_bus)
+    root = _component_roots(net, [ln for ln in net.lines if ln.id in active_ids])
     load: dict[int, float] = {}
     pmin: dict[int, float] = {}
     pmax: dict[int, float] = {}
     for b in net.buses:
-        root = find(b.id)
-        load[root] = load.get(root, 0.0) + b.load
-        pmin.setdefault(root, 0.0)
-        pmax.setdefault(root, 0.0)
+        r = root[b.id]
+        load[r] = load.get(r, 0.0) + b.load
+        pmin.setdefault(r, 0.0)
+        pmax.setdefault(r, 0.0)
     for g in net.generators:
-        root = find(g.bus)
-        pmin[root] += g.p_min
-        pmax[root] += g.p_max
+        r = root[g.bus]
+        pmin[r] += g.p_min
+        pmax[r] += g.p_max
     return all(pmin[r] - 1e-9 <= load[r] <= pmax[r] + 1e-9 for r in load)
 
 
@@ -728,3 +730,243 @@ def check_opf_equivalence(net: PowerNetwork):
     flow_gap = max(abs(ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus])
                        - f_c[ln.id]) for ln in net.lines)
     return "optimal", abs(obj_a - obj_c), flow_gap, obj_a
+
+
+# ---------------------------------------------------------------------------
+# claim checks: one routine per claim, run by the acceptance tests at
+# full size and by ``dcots verify`` (VERIFY_SUITES) at smaller counts
+
+
+def _worst_over_weights(rng, sizes, draws, gap_of) -> float:
+    worst = 0.0
+    for n in sizes:
+        for _ in range(draws):
+            w = tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3))
+            worst = max(worst, gap_of(w, int(rng.integers(10**6))))
+    return worst
+
+
+def hull_gap(rng, sizes, draws: int, trials: int) -> float:
+    """Worst hull-equality gap, ``trials`` objectives per weight vector."""
+    return _worst_over_weights(rng, sizes, draws, lambda w, seed: check_hull_equality(
+        w, trials=trials, seed=seed).max_gap)
+
+
+def projection_gap(rng, sizes, draws: int, trials: int) -> float:
+    """Worst extended-formulation projection gap, drawn as in hull_gap."""
+    return _worst_over_weights(rng, sizes, draws, lambda w, seed: check_projection_prop4(
+        w, trials=trials, seed=seed))
+
+
+def facet_certificates(rng, sizes, draws: int):
+    """Facet-certify every heavy subset of unit and ``draws`` random weights
+    per cycle size: (subsets certified, first failing (w, subset) or None)."""
+    certified = 0
+    for n in sizes:
+        weight_vectors = [tuple([1.0] * n)] + [
+            tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3)) for _ in range(draws)]
+        for w in weight_vectors:
+            for subset in _positive_delta_subsets(w):
+                if not check_facets(w, subset):
+                    return certified, (w, subset)
+                certified += 1
+    return certified, None
+
+
+def _ring_cycle(weights):
+    n = len(weights)
+    net = build_network([(i, 0.0) for i in range(n)], [(0, 0.0, 0.0, 1.0)],
+                        [(a, a, (a + 1) % n, 1.0, weights[a]) for a in range(n)])
+    return next(iter(cycle_basis(net)))
+
+
+def _context_on_ring(rng, n):
+    """A separation context with |g| <= w x on a fresh n-line ring."""
+    cycle = _ring_cycle(np.round(rng.uniform(0.2, 3.0, size=n), 4))
+    x = [1.0 if rng.uniform() < 0.4 else float(np.round(rng.uniform(), 4))
+         for _ in range(n)]
+    u = np.round(rng.uniform(-1, 1, size=n), 4)
+    f_hat, x_hat = {}, {}
+    for pos, (ln, s) in enumerate(cycle.members):
+        f_hat[ln.id] = s * float(u[pos]) * ln.w * x[pos] * ln.susceptance
+        x_hat[ln.id] = x[pos]
+    return make_context(cycle, f_hat, x_hat)
+
+
+def _exhaustive_best_violation(ctx) -> float:
+    """Largest violation over every heavy subset and both sides, or 0."""
+    n = len(ctx.w)
+    w, g, x = np.array(ctx.w), np.array(ctx.g_hat), np.array(ctx.x_hat)
+    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    d = 2.0 * member @ w - w.sum()
+    heavy = d > 0.0
+    if not heavy.any():
+        return 0.0
+    base = member @ (-w * x) + d * ctx.k_value
+    return max(0.0, (member @ g + base)[heavy].max(),
+               (member @ (-g) + base)[heavy].max())
+
+
+def separation_agreement(rng, contexts: int, max_len: int):
+    """Closed-form vs exhaustive separation on rings of 2..max_len lines:
+    (contexts cut, disagreements), a disagreement being a cut that is not
+    the exhaustive best or no cut where the best exceeds the tolerance."""
+    emitted = disagreements = 0
+    for _ in range(contexts):
+        ctx = _context_on_ring(rng, int(rng.integers(2, max_len + 1)))
+        cuts = separate_closed_form(ctx)
+        best = _exhaustive_best_violation(ctx)
+        if cuts:
+            emitted += 1
+            disagreements += abs(max(c.violation_found for c in cuts) - best) > 1e-9
+        else:
+            disagreements += best > VIOL_TOL + 1e-9
+    return emitted, disagreements
+
+
+def cuts_under_nonpositive_k(rng, contexts: int, max_len: int) -> int:
+    """Random ring contexts, with one line opened outright wherever K_C
+    is positive; counts those with K_C <= 0 that either separator cuts."""
+    exceptions = 0
+    for _ in range(contexts):
+        n = int(rng.integers(2, max_len + 1))
+        ctx = _context_on_ring(rng, n)
+        if ctx.k_value > 0.0:
+            # open one line completely; K_C drops to at most zero
+            victim = int(rng.integers(n))
+            f_hat = {ln.id: 0.0 if pos == victim else ctx.g_hat[pos] * s * ln.susceptance
+                     for pos, (ln, s) in enumerate(ctx.cycle.members)}
+            x_hat = {ln.id: 0.0 if pos == victim else ctx.x_hat[pos]
+                     for pos, (ln, _) in enumerate(ctx.cycle.members)}
+            ctx = make_context(ctx.cycle, f_hat, x_hat)
+        if ctx.k_value <= 0.0 and (separate_closed_form(ctx) or separate_all(ctx)):
+            exceptions += 1
+    return exceptions
+
+
+def dispatch_agreement(first_seed: int, networks: int, max_buses: int,
+                       attempts: int):
+    """Angle vs cycle dispatch on the first ``networks`` dispatchable random
+    networks among ``attempts`` seeds from first_seed on: (dispatchable,
+    worst objective gap over 1 + |objective|, worst flow gap, mismatches)."""
+    solved = mismatches = 0
+    worst_obj = worst_flow = 0.0
+    for seed in range(first_seed, first_seed + attempts):
+        if solved == networks:
+            break
+        status, obj_gap, flow_gap, obj = check_opf_equivalence(
+            random_connected_network(seed, max_buses=max_buses))
+        if status == "optimal":
+            solved += 1
+            worst_obj = max(worst_obj, obj_gap / (1.0 + abs(obj)))
+            worst_flow = max(worst_flow, flow_gap)
+        elif status != "infeasible":
+            mismatches += 1
+    return solved, worst_obj, worst_flow, mismatches
+
+
+def reduction_agreement(rng, instances: int, max_terms: int):
+    """Reduction feasibility vs subset sum on 1..max_terms terms in 1..9,
+    targets 1..25: (disagreements, exact witnesses, inexact witnesses); a
+    witness is exact when it gives the source bus angle (b + 1) / b."""
+    disagreements = exact = inexact = 0
+    for _ in range(instances):
+        n = int(rng.integers(1, max_terms + 1))
+        inst = SubsetSumInstance(tuple(int(v) for v in rng.integers(1, 10, size=n)),
+                                 int(rng.integers(1, 26)))
+        if reduction_ots_feasible(inst) != subset_sum_brute(inst):
+            disagreements += 1
+            continue
+        wit = subset_sum_witness(inst)
+        if wit is not None:
+            theta = reduction_witness_angles(inst, wit)
+            if theta is not None and theta[0] == Fraction(inst.b + 1, inst.b):
+                exact += 1
+            else:
+                inexact += 1
+    return disagreements, exact, inexact
+
+
+def _verify_hull(seed):
+    worst = hull_gap(np.random.default_rng(seed), (2, 3, 4), draws=3, trials=60)
+    return worst <= 1e-7, f"max hull gap {worst:.3e}"
+
+
+def _verify_facets(seed):
+    certified, failed = facet_certificates(np.random.default_rng(seed), (3, 4), draws=2)
+    return failed is None, (f"{certified} facet certificates verified" if failed is None
+                            else f"facet rank failed for (w, S) = {failed}")
+
+
+def _verify_separation(seed):
+    rng = np.random.default_rng(seed)
+    emitted, disagreements = separation_agreement(rng, 2000, max_len=8)
+    exceptions = cuts_under_nonpositive_k(rng, 2000, max_len=8)
+    return disagreements == 0 and exceptions == 0, (
+        f"2000 contexts, {emitted} violated, {disagreements} disagreements; "
+        f"2000 opened cycles, {exceptions} cut under nonpositive K")
+
+
+def _verify_projection(seed):
+    worst = projection_gap(np.random.default_rng(seed), (2, 3), draws=1, trials=60)
+    return worst <= 1e-7, f"max projection gap {worst:.3e}"
+
+
+def _verify_equivalence(seed):
+    solved, worst_obj, worst_flow, mismatches = dispatch_agreement(
+        seed, networks=10, max_buses=6, attempts=40)
+    ok = solved == 10 and mismatches == 0 and max(worst_obj, worst_flow) <= 1e-6
+    return ok, (f"{solved} dispatchable draws, {mismatches} status mismatches, "
+                f"worst gaps {worst_obj:.3e} objective, {worst_flow:.3e} flow")
+
+
+def _verify_reduction(seed):
+    disagreements, exact, inexact = reduction_agreement(
+        np.random.default_rng(seed), 40, max_terms=5)
+    return disagreements == 0 and inexact == 0, (
+        f"40 instances, {disagreements} disagreements, "
+        f"{exact} exact witnesses, {inexact} inexact")
+
+
+def _verify_basis(seed):
+    for k in range(30):
+        net = random_connected_network(seed + k, max_buses=10)
+        cycles = cycle_basis(net)
+        expected = len(net.lines) - len(net.buses) + 1
+        if len(cycles) != expected:
+            return False, f"basis size {len(cycles)} != {expected}"
+        mat = incidence_matrix(net)
+        row_of = {ln.id: i for i, ln in enumerate(net.lines)}
+        for cyc in cycles:
+            vec = sum(sign * mat[row_of[ln.id]] for ln, sign in cyc.members)
+            if np.abs(vec).max() > 1e-12:
+                return False, "cycle is not a circulation"
+    return True, "30 multigraphs, full-rank circulation bases"
+
+
+# name -> check(seed) returning (passed, detail)
+VERIFY_SUITES = {
+    "hull": _verify_hull,
+    "facets": _verify_facets,
+    "separation": _verify_separation,
+    "projection": _verify_projection,
+    "equivalence": _verify_equivalence,
+    "reduction": _verify_reduction,
+    "basis": _verify_basis,
+}
+
+
+def negative_controls():
+    """Tampered checks that must FAIL, as (name, failure detected, detail)."""
+    gap = directional_gap((1.0, 1.0, 1.0), np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]),
+                          drop=(1.0, frozenset({0, 1, 2})))
+    inside = membership_extended([0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
+                                 np.array([1.0, 1.0, 1.0]))
+    feasible = reduction_ots_feasible(SubsetSumInstance((2,), 3))
+    return [
+        ("dropped-facet-row-reopens-gap", gap > 1e-6, f"gap {gap:.3e}"),
+        ("circulation-point-rejected", not inside,
+         "membership said " + ("inside" if inside else "outside")),
+        ("unreachable-target-stays-infeasible", not feasible,
+         "enumeration said " + ("feasible" if feasible else "infeasible")),
+    ]

@@ -15,22 +15,22 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from dcots.cuts import VIOL_TOL, delta, make_context, separate_all, separate_closed_form
 from dcots.cyclebasis import cycle_basis, incidence_matrix, lu_partial_pivot
 from dcots.formulations import build_ots_angle
 from dcots.lp import solve as lp_solve
-from dcots.network import PowerNetwork, build_network, random_connected_network
+from dcots.network import PowerNetwork, build_network
 from dcots.oracle import (
     SubsetSumInstance,
     brute_force_ots,
-    check_facets,
-    check_hull_equality,
-    check_opf_equivalence,
-    check_projection_prop4,
-    reduction_ots_feasible,
+    cuts_under_nonpositive_k,
+    dispatch_agreement,
+    facet_certificates,
+    hull_gap,
+    projection_gap,
+    reduce_subset_sum,
+    reduction_agreement,
     reduction_witness_angles,
-    subset_sum_brute,
-    subset_sum_witness,
+    separation_agreement,
 )
 from dcots.solver import SolverConfig, repair_connected, solve_ots
 
@@ -43,27 +43,6 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 # ---------------------------------------------------------------------------
 # shared instance recipes
-
-
-def ring_cycle(weights):
-    n = len(weights)
-    net = build_network([(i, 0.0) for i in range(n)], [(0, 0.0, 0.0, 1.0)],
-                        [(a, a, (a + 1) % n, 1.0, weights[a]) for a in range(n)])
-    return next(iter(cycle_basis(net)))
-
-
-def context_on_ring(rng, n):
-    """A separation context with |g| <= w x, fresh weights every call."""
-    w = np.round(rng.uniform(0.2, 3.0, size=n), 4)
-    cycle = ring_cycle(tuple(w))
-    x = [1.0 if rng.uniform() < 0.4 else float(np.round(rng.uniform(), 4))
-         for _ in range(n)]
-    u = np.round(rng.uniform(-1, 1, size=n), 4)
-    f_hat, x_hat = {}, {}
-    for pos, (ln, s) in enumerate(cycle.members):
-        f_hat[ln.id] = s * float(u[pos]) * ln.w * x[pos] * ln.susceptance
-        x_hat[ln.id] = x[pos]
-    return make_context(cycle, f_hat, x_hat)
 
 
 def switching_prone_network(seed: int) -> PowerNetwork:
@@ -116,13 +95,7 @@ def ground_truth_runs():
 
 def test_criterion_01_convex_hull_equality():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for _ in range(20):
-            w = tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3))
-            rep = check_hull_equality(w, trials=200, seed=int(rng.integers(10**6)))
-            worst = max(worst, rep.max_gap)
+    worst = hull_gap(np.random.default_rng(101), (2, 3, 4, 5), draws=20, trials=200)
     elapsed = time.perf_counter() - t0
     report(1, "convex-hull equality", worst <= 1e-7 and elapsed < 60.0,
            f"max gap {worst:.3e} over 80 weight vectors, {elapsed:.1f}s")
@@ -130,55 +103,18 @@ def test_criterion_01_convex_hull_equality():
 
 def test_criterion_02_facets_certified():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(102)
-    certified = 0
-    for n in (3, 4, 5):
-        weight_vectors = [tuple([1.0] * n)] + [
-            tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3)) for _ in range(5)]
-        for w in weight_vectors:
-            for mask in range(1, 1 << n):
-                subset = {a for a in range(n) if mask >> a & 1}
-                if delta(tuple(subset), w) > 0:
-                    assert check_facets(w, subset), f"w={w} S={sorted(subset)}"
-                    certified += 1
+    certified, failed = facet_certificates(np.random.default_rng(102), (3, 4, 5),
+                                           draws=5)
+    assert failed is None, f"w={failed[0]} S={sorted(failed[1])}"
     elapsed = time.perf_counter() - t0
     report(2, "facet ranks", elapsed < 30.0,
            f"{certified} heavy subsets certified at rank 2|C|-1, {elapsed:.1f}s")
 
 
-def exhaustive_best_violation(ctx):
-    n = len(ctx.w)
-    w = np.array(ctx.w)
-    g = np.array(ctx.g_hat)
-    x = np.array(ctx.x_hat)
-    masks = np.arange(1, 1 << n)
-    member = (masks[:, None] >> np.arange(n)) & 1
-    d = 2.0 * member @ w - w.sum()
-    heavy = d > 0.0
-    if not heavy.any():
-        return 0.0
-    base = member @ (-w * x) + d * ctx.k_value
-    best_right = (member @ g + base)[heavy].max()
-    best_left = (member @ (-g) + base)[heavy].max()
-    return max(0.0, best_right, best_left)
-
-
 def test_criterion_03_separation_matches_enumeration():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(103)
-    disagreements = 0
-    emitted = 0
-    for _ in range(10_000):
-        ctx = context_on_ring(rng, int(rng.integers(2, 11)))
-        cuts = separate_closed_form(ctx)
-        best = exhaustive_best_violation(ctx)
-        if cuts:
-            emitted += 1
-            found = max(c.violation_found for c in cuts)
-            if abs(found - best) > 1e-9:
-                disagreements += 1
-        elif best > VIOL_TOL + 1e-9:
-            disagreements += 1
+    emitted, disagreements = separation_agreement(np.random.default_rng(103),
+                                                  10_000, max_len=10)
     elapsed = time.perf_counter() - t0
     report(3, "closed-form separation optimality",
            disagreements == 0 and elapsed < 60.0,
@@ -187,76 +123,31 @@ def test_criterion_03_separation_matches_enumeration():
 
 
 def test_criterion_04_no_cut_when_cycle_is_far_from_closed():
-    rng = np.random.default_rng(104)
-    exceptions = 0
-    for _ in range(10_000):
-        n = int(rng.integers(2, 11))
-        ctx = context_on_ring(rng, n)
-        if ctx.k_value > 0.0:
-            # open one line completely; K_C drops to at most zero
-            x_hat = {ln.id: ctx.x_hat[pos] for pos, (ln, _) in
-                     enumerate(ctx.cycle.members)}
-            f_hat = {ln.id: ctx.g_hat[pos] * s * ln.susceptance
-                     for pos, (ln, s) in enumerate(ctx.cycle.members)}
-            victim = ctx.cycle.members[int(rng.integers(n))][0]
-            x_hat[victim.id] = 0.0
-            f_hat[victim.id] = 0.0
-            ctx = make_context(ctx.cycle, f_hat, x_hat)
-        if ctx.k_value > 0.0:
-            continue
-        if separate_closed_form(ctx) or separate_all(ctx):
-            exceptions += 1
+    exceptions = cuts_under_nonpositive_k(np.random.default_rng(104), 10_000,
+                                          max_len=10)
     report(4, "empty separation under nonpositive K",
            exceptions == 0, f"10000 contexts, {exceptions} exceptions")
 
 
 def test_criterion_05_extended_formulation_projects_exactly():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(3):
-            w = tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3))
-            worst = max(worst, check_projection_prop4(
-                w, trials=200, seed=int(rng.integers(10**6))))
+    worst = projection_gap(np.random.default_rng(105), (2, 3, 4), draws=3, trials=200)
     report(5, "extended-formulation projection", worst <= 1e-7,
            f"max objective gap {worst:.3e}")
 
 
 def test_criterion_06_angle_and_cycle_dispatch_agree():
-    solved = 0
-    worst_rel = 0.0
-    seed = 0
-    while solved < 50:
-        seed += 1
-        assert seed < 500, "could not find 50 dispatchable draws"
-        status, obj_gap, flow_gap, obj = check_opf_equivalence(
-            random_connected_network(seed, max_buses=8))
-        if status != "optimal":
-            continue
-        solved += 1
-        worst_rel = max(worst_rel, obj_gap / (1.0 + abs(obj)))
-        assert flow_gap <= 1e-6
+    solved, worst_rel, worst_flow, mismatches = dispatch_agreement(
+        1, networks=50, max_buses=8, attempts=499)
+    assert solved == 50, "could not find 50 dispatchable draws"
+    assert worst_flow <= 1e-6 and mismatches == 0
     report(6, "angle vs cycle dispatch", worst_rel <= 1e-6,
            f"50 networks, worst relative objective gap {worst_rel:.3e}")
 
 
 def test_criterion_07_hardness_reduction_feasibility():
-    rng = np.random.default_rng(107)
-    disagreements = 0
-    yes_checked = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        inst = SubsetSumInstance(
-            tuple(int(v) for v in rng.integers(1, 10, size=n)),
-            int(rng.integers(1, 26)))
-        if reduction_ots_feasible(inst) != subset_sum_brute(inst):
-            disagreements += 1
-            continue
-        wit = subset_sum_witness(inst)
-        if wit is not None:
-            theta = reduction_witness_angles(inst, wit)
-            assert theta is not None and theta[0] == Fraction(inst.b + 1, inst.b)
-            yes_checked += 1
+    disagreements, yes_checked, inexact = reduction_agreement(
+        np.random.default_rng(107), 200, max_terms=8)
+    assert inexact == 0
     canonical = reduction_witness_angles(SubsetSumInstance((1, 2), 3), (0, 1))
     exact = canonical == {0: Fraction(4, 3), 1: Fraction(7, 6),
                           2: Fraction(7, 6), 3: Fraction(1), 4: Fraction(0)}
@@ -338,8 +229,6 @@ def test_criterion_10_incumbents_connected_and_trees_untouched(ground_truth_runs
 
 
 def test_criterion_11_budget_sweep_recovers_feasibility():
-    from dcots.oracle import reduce_subset_sum
-
     net = reduce_subset_sum(SubsetSumInstance((1, 2), 2))
     values = []
     for n_off in range(len(net.lines) + 1):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from dcots.cli import load_instance, main, performance_profile
-from dcots.network import random_connected_network, serialize_native
+from dcots.network import build_network, random_connected_network, serialize_native
 from dcots.solver import CSV_HEADER
 
 
@@ -76,6 +76,47 @@ def test_gen_usage_errors(tmp_path, capsys):
         main(["gen", "perturb"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_duplicate_line_id_is_rejected_not_solved(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(serialize_native(build_network(
+        [(0, 0.0), (1, 0.0), (2, 1.0)], [(0, 0.0, 2.0, 1.0)],
+        [(0, 0, 1, 1.0, 1.0), (0, 1, 2, 1.0, 1.0), (1, 0, 2, 1.0, 1.0)])))
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dup.json" in captured.err and "duplicate line ids: [0]" in captured.err
+
+
+def test_disconnected_network_is_rejected_in_basic_mode(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text(serialize_native(build_network(
+        [(0, 0.0), (1, 0.5), (2, 0.0), (3, 0.5)],
+        [(0, 0.0, 1.0, 1.0), (2, 0.0, 1.0, 1.0)],
+        [(0, 0, 1, 1.0, 1.0), (1, 2, 3, 1.0, 1.0)])))
+    assert main(["solve", str(path), "--mode", "basic"]) == 4
+    err = capsys.readouterr().err
+    assert "split.json" in err and "not connected (2 components)" in err
+
+
+def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
+    doc = json.loads(serialize_native(random_connected_network(1, max_buses=4)))
+    del doc["lines"]
+    inst_dir = tmp_path / "insts"
+    inst_dir.mkdir()
+    path = inst_dir / "nolines.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", str(path)], ["gen", "perturb", "--base", str(path)],
+                 ["bench", str(inst_dir), "--out", str(tmp_path / "r.csv"),
+                  "--profile", str(tmp_path / "p.csv")],
+                 ["budget-sweep", str(path)]):
+        assert main(argv) == 4, argv[0]
+        captured = capsys.readouterr()
+        assert "nolines.json" in captured.err
+        assert "document: missing keys ['lines']" in captured.err
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):

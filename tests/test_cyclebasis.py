@@ -10,8 +10,6 @@ from dcots.cyclebasis import (
     combine_cycles,
     cycle_basis,
     cycle_of_chord,
-    cycles_from_doc,
-    cycles_to_doc,
     expand_cycle_set,
     incidence_matrix,
     lu_partial_pivot,
@@ -210,12 +208,3 @@ def test_sample_cycles():
     assert len(basis_only) == 2
     assert sample_cycles(expanded, 0.5, seed=3) == sample_cycles(expanded, 0.5, seed=3)
 
-
-def test_cycle_doc_round_trip():
-    net = diamond()
-    cs = expand_cycle_set(cycle_basis(net))
-    doc = cycles_to_doc(cs)
-    assert all(all(s != 0 for s in ids) for ids in doc["cycles"])
-    back = cycles_from_doc(net, doc)
-    for orig, rebuilt in zip(cs.cycles, back.cycles):
-        assert orig.members == rebuilt.members

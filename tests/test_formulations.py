@@ -11,7 +11,6 @@ from dcots.formulations import (
     compute_big_m,
     cycle_big_m,
     cycle_cut_rows,
-    to_lp_text,
 )
 from dcots.lp import solve
 from dcots.network import build_network
@@ -111,7 +110,7 @@ def test_big_m_constants_on_triangle():
     bigm = compute_big_m(net)
     assert bigm.theta_bound == pytest.approx(3.0)
     for ln in net.lines:
-        assert bigm.m_for(ln.id) == pytest.approx(7.0)
+        assert bigm.m_line[ln.id] == pytest.approx(7.0)
     (cyc,) = cycle_basis(net)
     assert cycle_big_m(cyc) == pytest.approx(3.0)
 
@@ -119,7 +118,7 @@ def test_big_m_constants_on_triangle():
 def test_big_m_missing_line_raises():
     bigm = compute_big_m(triangle())
     with pytest.raises(KeyError):
-        bigm.m_for(99)
+        bigm.m_line[99]
 
 
 def test_ots_angle_shape_and_bounds():
@@ -243,13 +242,3 @@ def test_budget_zero_forces_all_closed():
         lp.set_bounds(col, 1.0, 1.0)
     assert solve(lp).status == "infeasible"
 
-
-def test_lp_text_round_structure():
-    net = triangle()
-    model = build_ots_angle(net)
-    text = to_lp_text(model.lp, model.integer_cols)
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Bounds" in text and "End" in text
-    assert "General" in text
-    plain = to_lp_text(build_opf_angle(net)[0])
-    assert "General" not in plain
