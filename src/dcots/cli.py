@@ -314,6 +314,10 @@ def main(argv=None) -> int:
     except InstanceError as exc:
         print(f"dcots: {exc}", file=sys.stderr)
         return 4  # invalid instance file
+    except ValueError as exc:
+        if args.command != "gen":
+            raise
+        parser.error(f"{args.recipe}: {exc}")  # a request the recipe cannot meet
 
 
 if __name__ == "__main__":

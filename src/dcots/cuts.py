@@ -34,7 +34,6 @@ __all__ = [
     "separate_all",
     "inequality_row",
     "violation",
-    "log_line",
 ]
 
 VIOL_TOL = 1e-6
@@ -181,11 +180,3 @@ def violation(ineq: CycleInequality, f_hat: Mapping[int, float],
         else:
             lhs += d * x_hat[ln.id]
     return lhs - d * (len(ineq.cycle.members) - 1.0)
-
-
-def log_line(ineq: CycleInequality) -> str:
-    """One-line audit record of an emitted cut."""
-    ids = ",".join(str(i) for i in sorted(ineq.subset))
-    cyc = ",".join(str(i) for i in ineq.cycle.signed_ids())
-    return (f"cycle=[{cyc}] side={ineq.side} S={{{ids}}} "
-            f"delta={ineq.delta:.9g} viol={ineq.violation_found:.9g}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from dcots.network import Line, PowerNetwork
@@ -53,10 +52,6 @@ class Cycle:
     def weight(self) -> float:
         """Total capacity/susceptance weight of the cycle."""
         return sum(ln.w for ln, _ in self.members)
-
-    def signed_ids(self) -> list[int]:
-        """Signed 1-based line ids (1-based so orientation survives id 0)."""
-        return [s * (ln.id + 1) for ln, s in self.members]
 
 
 @dataclass(frozen=True)
@@ -219,18 +214,26 @@ def cycle_of_chord(net: PowerNetwork, tree_line_ids, chord: Line) -> Cycle:
     through the unique tree path.
     """
     tree_ids = set(tree_line_ids)
-    g = nx.MultiGraph()
-    g.add_nodes_from(b.id for b in net.buses)
+    adj: dict[int, list[Line]] = {}
     for ln in net.lines:
         if ln.id in tree_ids:
-            g.add_edge(ln.from_bus, ln.to_bus, key=ln.id, line=ln)
-    path = nx.shortest_path(g, chord.to_bus, chord.from_bus)
+            adj.setdefault(ln.from_bus, []).append(ln)
+            adj.setdefault(ln.to_bus, []).append(ln)
+    # parent links of the tree holding the chord, rooted at its from bus
+    parent: dict[int, Line | None] = {chord.from_bus: None}
+    stack = [chord.from_bus]
+    while stack and chord.to_bus not in parent:
+        u = stack.pop()
+        for ln in adj.get(u, ()):
+            v = ln.to_bus if ln.from_bus == u else ln.from_bus
+            if v not in parent:
+                parent[v] = ln
+                stack.append(v)
     members = [(chord, 1)]
-    for u, v in zip(path, path[1:]):
-        data = g.get_edge_data(u, v)
-        (key,) = data.keys()  # forest: one edge per adjacent pair
-        ln = data[key]["line"]
+    u = chord.to_bus
+    while (ln := parent[u]) is not None:
         members.append((ln, 1 if ln.from_bus == u else -1))
+        u = ln.to_bus if ln.from_bus == u else ln.from_bus
     return Cycle(tuple(members), generation=0)
 
 

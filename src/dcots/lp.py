@@ -9,9 +9,7 @@ fixed instance: pivot choices break ties by variable index.
 
 Rows are stored as ``(coeffs, sense, rhs)`` with sparse ``(col, coef)``
 coefficient lists and sense one of ``"<="``, ``">="``, ``"=="``.  Each row
-gets a slack variable internally; ``duals`` in a solution is the marginal
-value of its right-hand side (non-positive for ``<=`` rows, non-negative
-for ``>=`` rows at an optimum).
+gets a slack variable internally.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "SimplexError",
     "solve",
     "add_rows",
-    "dual_objective",
 ]
 
 FEAS_TOL = 1e-7
@@ -107,7 +104,6 @@ class LpSolution:
     status: str                      # 'optimal' | 'infeasible' | 'unbounded'
     obj: float | None
     x: np.ndarray | None             # structural variable values
-    duals: np.ndarray | None         # one marginal per row
     basis: Basis | None
     iterations: int
 
@@ -123,23 +119,6 @@ def add_rows(lp: LinearProgram, rows) -> LinearProgram:
     for coeffs, sense, rhs in rows:
         out.add_row(coeffs, sense, rhs)
     return out
-
-
-def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
-    """Dual bound implied by a solution's multipliers and bound activity."""
-    eng = _Engine(lp)
-    y = sol.duals
-    d = np.concatenate([eng.c[:eng.n], eng.c[eng.n:]])
-    d[:eng.n] -= y @ eng.a
-    d[eng.n:] -= y
-    total = float(y @ eng.b)
-    stat = np.array(sol.basis.stat)
-    for j in np.nonzero(stat != _BASIC)[0]:
-        if stat[j] == _LOWER and np.isfinite(eng.lo[j]):
-            total += d[j] * eng.lo[j]
-        elif stat[j] == _UPPER and np.isfinite(eng.hi[j]):
-            total += d[j] * eng.hi[j]
-    return total
 
 
 class _Engine:
@@ -461,12 +440,11 @@ class _Engine:
 
 def _finish(eng: _Engine, status: str) -> LpSolution:
     if status != "optimal":
-        return LpSolution(status, None, None, None, None, eng.iterations)
+        return LpSolution(status, None, None, None, eng.iterations)
     x = eng.xfull()
-    y = eng.duals_for(eng.c)
     basis = Basis(tuple(int(v) for v in eng.basic), tuple(int(v) for v in eng.stat))
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
-                      y.copy(), basis, eng.iterations)
+                      basis, eng.iterations)
 
 
 def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
@@ -480,7 +458,7 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     Returns
     -------
     LpSolution
-        With status 'optimal' (x, duals, basis filled), 'infeasible', or
+        With status 'optimal' (x and basis filled), 'infeasible', or
         'unbounded'.
     """
     if warm is not None:

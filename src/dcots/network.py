@@ -14,7 +14,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -28,6 +27,7 @@ __all__ = [
     "parse_matpower",
     "serialize_native",
     "validate",
+    "union_find",
     "perturb_loads",
     "augment_with_cycle",
     "relocate_generators",
@@ -124,14 +124,6 @@ class PowerNetwork:
     generators: tuple[Generator, ...]
     lines: tuple[Line, ...]
 
-    def graph(self) -> nx.MultiGraph:
-        """Undirected multigraph with edges keyed by line id."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(b.id for b in self.buses)
-        for ln in self.lines:
-            g.add_edge(ln.from_bus, ln.to_bus, key=ln.id)
-        return g
-
     def total_load(self) -> float:
         return sum(b.load for b in self.buses)
 
@@ -186,12 +178,20 @@ _LINE_KEYS = {"id", "from", "to", "susceptance_pu", "capacity_mw", "switchable"}
 
 
 def _check_keys(obj: dict, wanted: set, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected an object, got {type(obj).__name__}")
     missing = wanted - obj.keys()
     extra = obj.keys() - wanted
     if missing:
         raise ValueError(f"{what}: missing keys {sorted(missing)}")
     if extra:
         raise ValueError(f"{what}: unknown keys {sorted(extra)}")
+
+
+def _list_at(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise ValueError(f"{key}: expected a list, got {type(doc[key]).__name__}")
+    return doc[key]
 
 
 def parse_native(doc: str | dict) -> PowerNetwork:
@@ -210,8 +210,8 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     Raises
     ------
     ValueError
-        On missing/unknown keys or non-numeric fields, naming the
-        offending element.
+        On a value of the wrong JSON type, missing/unknown keys or
+        non-numeric fields, naming the offending element.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -220,11 +220,11 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     if not (base > 0 and math.isfinite(base)):
         raise ValueError(f"base_mva must be positive and finite, got {doc['base_mva']!r}")
     buses = []
-    for i, b in enumerate(doc["buses"]):
+    for i, b in enumerate(_list_at(doc, "buses")):
         _check_keys(b, _BUS_KEYS, f"buses[{i}]")
         buses.append(Bus(int(b["id"]), float(b["load_mw"]) / base, float(b["load_mw"])))
     gens = []
-    for i, g in enumerate(doc["generators"]):
+    for i, g in enumerate(_list_at(doc, "generators")):
         _check_keys(g, _GEN_KEYS, f"generators[{i}]")
         gens.append(Generator(
             int(g["bus"]),
@@ -233,7 +233,7 @@ def parse_native(doc: str | dict) -> PowerNetwork:
             float(g["pmin_mw"]), float(g["pmax_mw"]), float(g["cost_per_mwh"]),
         ))
     lines = []
-    for i, ln in enumerate(doc["lines"]):
+    for i, ln in enumerate(_list_at(doc, "lines")):
         _check_keys(ln, _LINE_KEYS, f"lines[{i}]")
         lines.append(Line(
             int(ln["id"]), int(ln["from"]), int(ln["to"]),
@@ -358,7 +358,39 @@ def parse_matpower(text: str) -> PowerNetwork:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# graph helpers and validation
+
+
+def union_find(bus_ids):
+    """Disjoint sets over ``bus_ids`` as a ``(find, union)`` pair.
+
+    ``union(u, v)`` merges the two components and returns False when they
+    were already one; each component's root is its smallest id.
+    """
+    parent = {b: b for b in bus_ids}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[max(ru, rv)] = min(ru, rv)
+        return True
+
+    return find, union
+
+
+def _neighbours(net: PowerNetwork) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {b.id: set() for b in net.buses}
+    for ln in net.lines:
+        adj.setdefault(ln.from_bus, set()).add(ln.to_bus)
+        adj.setdefault(ln.to_bus, set()).add(ln.from_bus)
+    return adj
 
 def _duplicates(ids) -> list[int]:
     return sorted(i for i, k in Counter(ids).items() if k > 1)
@@ -409,8 +441,10 @@ def validate(net: PowerNetwork) -> ValidationReport:
             problems.append(f"generator at bus {g.bus}: "
                             f"need 0 <= p_min <= p_max, got [{g.p_min}, {g.p_max}]")
     if net.buses and not problems:
-        if not nx.is_connected(net.graph()):
-            k = nx.number_connected_components(net.graph())
+        find, union = union_find(id_set)
+        for ln in net.lines:
+            union(ln.from_bus, ln.to_bus)
+        if (k := len({find(b) for b in id_set})) > 1:
             problems.append(f"network is not connected ({k} components)")
     return ValidationReport(not problems, tuple(problems))
 
@@ -437,48 +471,36 @@ def augment_with_cycle(net: PowerNetwork, cycle_len: int, n_lines: int,
     """Add lines that each close a cycle of ``cycle_len`` lines.
 
     Each new line joins the endpoints of a simple path of ``cycle_len - 1``
-    existing lines (found by seeded random walks, with an exhaustive
-    search as fallback), gets capacity equal to 30% of the smallest
-    existing capacity, susceptance copied from a uniformly chosen existing
-    line, and the next free id.
+    existing lines, found by up to 5000 seeded random walks; it gets
+    capacity equal to 30% of the smallest existing capacity, susceptance
+    copied from a uniformly chosen existing line, and the next free id.
 
     Raises
     ------
     ValueError
-        If no cycle of the requested length can be closed.
+        If ``cycle_len`` is below 2, or if no walk finds a path of the
+        requested length (the search is not exhaustive, so a closable
+        cycle that the walks miss is also reported this way).
     """
     if cycle_len < 2:
         raise ValueError("cycle_len must be at least 2")
     rng = np.random.default_rng(seed)
     cur = net
     for _ in range(n_lines):
-        g = cur.graph()
-        pair = None
+        adj = _neighbours(cur)
+        nodes = sorted(adj)
         for _attempt in range(5000):
-            nodes = sorted(g.nodes)
-            start = nodes[rng.integers(len(nodes))]
-            path = [start]
-            ok = True
-            for _step in range(cycle_len - 1):
-                nbrs = sorted(v for v in g.neighbors(path[-1]) if v not in path)
+            path = [nodes[rng.integers(len(nodes))]]
+            while len(path) < cycle_len:
+                nbrs = sorted(v for v in adj[path[-1]] if v not in path)
                 if not nbrs:
-                    ok = False
-                    break
+                    break  # dead end: start a new walk
                 path.append(nbrs[rng.integers(len(nbrs))])
-            if ok:
-                pair = (path[0], path[-1])
-                break
-        if pair is None:
-            # exhaustive fallback so absence of a closable cycle is a real error
-            candidates = set()
-            for u in sorted(g.nodes):
-                for p in nx.all_simple_paths(g, u, sorted(g.nodes), cutoff=cycle_len - 1):
-                    if len(p) == cycle_len and p[0] < p[-1]:
-                        candidates.add((p[0], p[-1]))
-            if not candidates:
-                raise ValueError(f"no cycle of length {cycle_len} can be closed")
-            cand = sorted(candidates)
-            pair = cand[rng.integers(len(cand))]
+            else:
+                break  # the walk reached cycle_len buses
+        else:
+            raise ValueError(f"no cycle of length {cycle_len} found in 5000 random walks")
+        pair = (path[0], path[-1])
         cap_mw = 0.30 * min(ln.capacity_mw for ln in cur.lines)
         donor = cur.lines[rng.integers(len(cur.lines))]
         new = Line(max(ln.id for ln in cur.lines) + 1, pair[0], pair[1],
@@ -532,10 +554,10 @@ def relocate_generators(net: PowerNetwork, seed: int) -> PowerNetwork:
     rule is preserved.
     """
     rng = np.random.default_rng(seed)
-    g = net.graph()
+    adj = _neighbours(net)
     positions = [gen.bus for gen in net.generators]
     for i, gen in enumerate(net.generators):
-        options = [gen.bus] + sorted(set(g.neighbors(gen.bus)))
+        options = [gen.bus] + sorted(adj[gen.bus])
         others = set(positions[:i] + positions[i + 1:])
         for _attempt in range(1000):
             pick = options[rng.integers(len(options))]

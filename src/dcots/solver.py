@@ -37,7 +37,7 @@ from dcots.formulations import (
     cycle_cut_rows,
 )
 from dcots.lp import add_rows, solve
-from dcots.network import PowerNetwork
+from dcots.network import PowerNetwork, union_find
 
 __all__ = [
     "KVL_TOL",
@@ -152,27 +152,8 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     return strengthened, z_lp, sol.obj, n_cuts
 
 
-def _union_find(bus_ids):
-    parent = {b: b for b in bus_ids}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[max(ru, rv)] = min(ru, rv)
-        return True
-
-    return find, union
-
-
 def _forest_and_chords(net: PowerNetwork, x):
-    find, union = _union_find([b.id for b in net.buses])
+    find, union = union_find(b.id for b in net.buses)
     tree, chords = [], []
     for ln in net.lines:
         if x[ln.id] < 0.5:
@@ -237,7 +218,7 @@ def repair_connected(net: PowerNetwork, x, f, p):
     whenever it joins two components; no cycle among active lines is
     created, so flow consistency and the objective are untouched.
     """
-    find, union = _union_find([b.id for b in net.buses])
+    find, union = union_find(b.id for b in net.buses)
     for ln in net.lines:
         if x[ln.id] >= 0.5:
             union(ln.from_bus, ln.to_bus)

@@ -250,7 +250,10 @@ def enumerate_line_cycles(net):
         by_pair.setdefault(frozenset((ln.from_bus, ln.to_bus)), []).append(ln)
     pos = {ln.id: i for i, ln in enumerate(net.lines)}
     vectors = []
-    for nodes in nx.simple_cycles(net.graph()):
+    g = nx.MultiGraph()
+    g.add_nodes_from(b.id for b in net.buses)
+    g.add_edges_from((ln.from_bus, ln.to_bus) for ln in net.lines)
+    for nodes in nx.simple_cycles(g):
         k = len(nodes)
         hops = [(nodes[i], nodes[(i + 1) % k]) for i in range(k)]
         if k == 2:

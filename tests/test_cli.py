@@ -78,6 +78,20 @@ def test_gen_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_requests_a_recipe_cannot_meet_are_usage_errors(tmp_path, capsys):
+    base = write_instance(tmp_path, "base.json", 3, max_buses=4)
+    for argv, says in ((["subset-sum", "--a", "0,2", "--b", "3"], "must be positive"),
+                       (["subset-sum", "--a", "x", "--b", "3"], "'x'"),
+                       (["add-cycle", "--base", base, "--cycle-len", "1"], "at least 2"),
+                       (["add-cycle", "--base", base, "--cycle-len", "9"], "length 9")):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dcots") and says in err, argv
+        assert "Traceback" not in err
+
+
 def test_duplicate_line_id_is_rejected_not_solved(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(serialize_native(build_network(
@@ -117,6 +131,12 @@ def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
         assert "document: missing keys ['lines']" in captured.err
         assert "Traceback" not in captured.err
     assert not (tmp_path / "r.csv").exists()
+    for bad, says in (([1], "document: expected an object, got list"),
+                      ({**doc, "lines": [], "buses": [1]}, "buses[0]: expected an object, got int"),
+                      ({**doc, "lines": [], "buses": {"id": 1}}, "buses: expected a list, got dict")):
+        path.write_text(json.dumps(bad))
+        assert main(["solve", str(path)]) == 4, bad
+        assert says in capsys.readouterr().err
 
 
 def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):

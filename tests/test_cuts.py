@@ -6,7 +6,6 @@ from dcots.cuts import (
     delta,
     inequality_row,
     k_value,
-    log_line,
     make_context,
     separate_all,
     separate_closed_form,
@@ -276,11 +275,3 @@ def test_cuts_hold_at_integral_switch_patterns():
                               for ln, s in members} for sgn in (-1.0, 0.0, 1.0)]
             for f in flow_sets:
                 assert violation(cut, f, x) <= 1e-9
-
-
-def test_log_line_mentions_side_and_subset():
-    net = ring((1.0, 1.0, 1.0))
-    ctx, _, _ = ctx_from_g(net, (0.5, 0.5, -0.5), (1.0, 1.0, 1.0))
-    (cut,) = separate_closed_form(ctx)
-    line = log_line(cut)
-    assert "side=right" in line and "S={0,1,2}" in line and "viol=0.5" in line

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dcots.lp import LinearProgram, add_rows, dual_objective, solve
+from dcots.lp import LinearProgram, add_rows, solve
 
 INF = float("inf")
 
@@ -148,20 +148,6 @@ def test_random_lps_match_reference():
         elif ref.status == 3:
             assert sol.status == "unbounded"
     assert checked >= 20  # the sample must actually exercise optimal solves
-
-
-def test_weak_duality_on_random_optimal_solves():
-    rng = np.random.default_rng(7)
-    seen = 0
-    for _ in range(60):
-        lp = _random_lp(rng)
-        sol = solve(lp)
-        if sol.status != "optimal":
-            continue
-        seen += 1
-        gap = abs(sol.obj - dual_objective(lp, sol))
-        assert gap <= 1e-7 * (1.0 + abs(sol.obj))
-    assert seen >= 15
 
 
 def test_add_rows_warm_resolve_matches_cold():

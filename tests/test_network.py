@@ -200,7 +200,7 @@ def test_augment_triangle_closes_triangle():
     assert new.capacity == pytest.approx(0.3)
     assert new.susceptance in {ln.susceptance for ln in triangle().lines}
     # endpoints admit a two-line path in the original triangle
-    g = triangle().graph()
+    g = nx.MultiGraph((ln.from_bus, ln.to_bus) for ln in triangle().lines)
     paths = [p for p in nx.all_simple_paths(g, new.from_bus, new.to_bus, cutoff=2)
              if len(p) == 3]
     assert paths

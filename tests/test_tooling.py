@@ -1,12 +1,22 @@
 """The benchmark's traced mode wraps dcots attributes by name
 (``perfbench/layers.py``); a rename on the solve path must fail here
-rather than in ``perfbench/run.py --trace 1``."""
+rather than in ``perfbench/run.py --trace 1``.  The declared dependencies
+must cover what ``src/dcots`` imports, and importing the command line must
+not load networkx, which only the tests use."""
 
+import ast
 import importlib
+import os
+import re
 import runpy
+import subprocess
+import sys
+import tomllib
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+SRC = ROOT / "src"
 
 
 def test_every_traced_attribute_resolves():
@@ -14,3 +24,30 @@ def test_every_traced_attribute_resolves():
     missing = [f"dcots.{module}.{attr}" for module, attr, _, _ in wraps
                if not hasattr(importlib.import_module(f"dcots.{module}"), attr)]
     assert wraps and missing == []
+
+
+def _top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                for dep in project["dependencies"]}
+    imported = {name for path in sorted((SRC / "dcots").glob("*.py"))
+                for name in _top_level_imports(path)}
+    third_party = imported - set(sys.stdlib_module_names) - {"dcots"}
+    assert third_party and third_party <= declared, sorted(third_party - declared)
+
+
+def test_the_cli_does_not_load_networkx():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dcots.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
