@@ -77,7 +77,7 @@ _EXIT_BY_STATUS = {"optimal-within-gap": 0, "infeasible": 2,
 
 def cmd_solve(args) -> int:
     net = load_instance(args.instance)
-    res = solve_ots(net, _config_from_args(args), n_off=args.max_off)
+    res = solve_ots(net, args.config, n_off=args.max_off)
     doc = result_to_doc(res, instance=Path(args.instance).name, mode=args.mode)
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
@@ -164,10 +164,9 @@ def _csv_text(header, rows) -> str:
     return out.getvalue()
 
 
-def _bench_one(name: str, net, mode: str, gap: float, time_limit: float):
-    config = SolverConfig(rel_gap=gap, time_limit_s=time_limit, cycle_mode=mode)
+def _bench_one(name: str, net, config: SolverConfig):
     res = solve_ots(net, config)
-    return result_csv_row(res, instance=name, mode=mode), res
+    return result_csv_row(res, instance=name, mode=config.cycle_mode), res
 
 
 def cmd_bench(args) -> int:
@@ -177,9 +176,7 @@ def cmd_bench(args) -> int:
         print("no instances found", file=sys.stderr)
         return 1
     nets = [load_instance(str(p)) for p in paths]
-    modes = sorted(args.modes.split(","))
-    jobs = [(p.name, net, m, args.gap, args.time_limit)
-            for p, net in zip(paths, nets) for m in modes]
+    jobs = [(p.name, net, config) for p, net in zip(paths, nets) for config in args.configs]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_bench_one, *zip(*jobs)))
@@ -187,10 +184,10 @@ def cmd_bench(args) -> int:
         outcomes = [_bench_one(*job) for job in jobs]
     rows = [row for row, _ in outcomes]
     Path(args.out).write_text(_csv_text(CSV_HEADER, rows))
-    times: dict[str, dict[str, float | None]] = {m: {} for m in modes}
-    for (name, _, m, _, _), (_, res) in zip(jobs, outcomes):
-        times[m][name] = (res.wall_time_s
-                          if res.status == "optimal-within-gap" else None)
+    times: dict[str, dict[str, float | None]] = {c.cycle_mode: {} for c in args.configs}
+    for (name, _, config), (_, res) in zip(jobs, outcomes):
+        times[config.cycle_mode][name] = (res.wall_time_s
+                                          if res.status == "optimal-within-gap" else None)
     header, prof_rows = performance_profile(times)
     Path(args.profile).write_text(_csv_text(header, prof_rows))
     print(f"wrote {len(rows)} result rows and {len(prof_rows)} profile rows")
@@ -199,13 +196,10 @@ def cmd_bench(args) -> int:
 
 def cmd_budget_sweep(args) -> int:
     net = load_instance(args.instance)
-    if args.n_values:
-        n_values = [int(v) for v in args.n_values.split(",")]
-    else:
-        n_values = list(range(sum(ln.switchable for ln in net.lines) + 1))
+    n_values = args.n_values or range(sum(ln.switchable for ln in net.lines) + 1)
     rows = []
     for n_off in n_values:
-        res = solve_ots(net, _config_from_args(args), n_off=n_off)
+        res = solve_ots(net, args.config, n_off=n_off)
         ip = (f"{res.objective:.10g}" if res.objective is not None
               else "infeasible")
         z_lp = res.root_lp_values[0]
@@ -220,6 +214,14 @@ def cmd_budget_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_solver_flags(p):
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget-sweep", help="resolve under a range of budgets")
     p.add_argument("instance")
     _add_solver_flags(p)
-    p.add_argument("--n-values", default=None,
+    p.add_argument("--n-values", type=_int_list, default=None,
                    help="comma-separated budgets (default 0..#switchable)")
     p.add_argument("--out", default=None, help="write the CSV here")
     p.set_defaults(func=cmd_budget_sweep)
@@ -309,6 +311,14 @@ def main(argv=None) -> int:
             parser.error("subset-sum requires --a and --b")
         if args.recipe != "subset-sum" and not args.base:
             parser.error(f"{args.recipe} requires --base")
+    try:
+        if args.command in ("solve", "budget-sweep"):
+            args.config = _config_from_args(args)
+        elif args.command == "bench":
+            args.configs = [SolverConfig(rel_gap=args.gap, time_limit_s=args.time_limit,
+                                         cycle_mode=m) for m in sorted(args.modes.split(","))]
+    except ValueError as exc:
+        parser.error(str(exc))  # a solver setting out of range
     try:
         return args.func(args)
     except InstanceError as exc:

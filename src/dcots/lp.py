@@ -8,8 +8,13 @@ the old basis is still dual feasible.  Everything is deterministic for a
 fixed instance: pivot choices break ties by variable index.
 
 Rows are stored as ``(coeffs, sense, rhs)`` with sparse ``(col, coef)``
-coefficient lists and sense one of ``"<="``, ``">="``, ``"=="``.  Each row
-gets a slack variable internally.
+coefficient lists and sense one of ``"<="``, ``">="``, ``"=="``.  The
+solver appends one slack per row as an explicit identity block and works
+on the dense ``m x (n+m)`` matrix ``[A | I]``: row i reads
+``A_i x + s_i = rhs_i``, with the slack ``s_i`` (variable ``n + i``)
+bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]``
+for ``==``.  Structurals and slacks are then the same kind of variable,
+and a ``Basis`` indexes them in that order.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ REFACTOR_EVERY = 100
 
 _LOWER, _UPPER, _FREE, _BASIC = 0, 1, 2, 3
 _INF = float("inf")
+_SLACK_BOUNDS = {"<=": (0.0, _INF), ">=": (-_INF, 0.0), "==": (0.0, 0.0)}
 
 
 class SimplexError(RuntimeError):
@@ -122,99 +128,68 @@ def add_rows(lp: LinearProgram, rows) -> LinearProgram:
 
 
 class _Engine:
-    """Dense simplex state for one LinearProgram."""
+    """Dense simplex state for one LinearProgram over ``[A | I]``."""
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.n_cols, lp.n_rows
         self.n, self.m = n, m
         self.N = n + m
-        self.a = np.zeros((m, n))
-        self.b = np.zeros(m)
-        lo = list(lp.lo) + [0.0] * m
-        hi = list(lp.hi) + [0.0] * m
-        for i, (coeffs, sense, rhs) in enumerate(lp.rows):
+        self.a = np.zeros((m, self.N))
+        for i, (coeffs, _, _) in enumerate(lp.rows):
             for c, v in coeffs:
                 self.a[i, c] += v
-            self.b[i] = rhs
-            if sense == "<=":
-                lo[n + i], hi[n + i] = 0.0, _INF
-            elif sense == ">=":
-                lo[n + i], hi[n + i] = -_INF, 0.0
-            else:
-                lo[n + i], hi[n + i] = 0.0, 0.0
-        self.lo = np.array(lo)
-        self.hi = np.array(hi)
+        self.a[np.arange(m), np.arange(n, self.N)] = 1.0
+        self.b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+        slack = np.array([_SLACK_BOUNDS[sense] for _, sense, _ in lp.rows]).reshape(m, 2)
+        self.lo = np.concatenate([lp.lo, slack[:, 0]])
+        self.hi = np.concatenate([lp.hi, slack[:, 1]])
         self.fixed = (self.lo == self.hi)
-        self.c = np.concatenate([np.array(lp.obj, dtype=float), np.zeros(m)])
-        self.basic = np.zeros(m, dtype=np.int64)
-        self.stat = np.zeros(self.N, dtype=np.int64)
-        self.binv = np.eye(m)
+        # where a nonbasic variable rests: a finite lower bound, else a
+        # finite upper bound, else free at zero
+        self.natural = np.where(np.isfinite(self.lo), _LOWER,
+                                np.where(np.isfinite(self.hi), _UPPER, _FREE))
+        self.c = np.concatenate([lp.obj, np.zeros(m)])
         self.iterations = 0
-        self.pivots_since_refactor = 0
         self.degenerate_run = 0
         self.bland = False
 
     # -- basis management ---------------------------------------------------
 
-    def col(self, j: int) -> np.ndarray:
-        if j < self.n:
-            return self.a[:, j]
-        e = np.zeros(self.m)
-        e[j - self.n] = 1.0
-        return e
-
     def slack_start(self) -> None:
-        self.basic = np.arange(self.n, self.N, dtype=np.int64)
-        self.stat[:] = _BASIC
-        for j in range(self.n):
-            if np.isfinite(self.lo[j]):
-                self.stat[j] = _LOWER
-            elif np.isfinite(self.hi[j]):
-                self.stat[j] = _UPPER
-            else:
-                self.stat[j] = _FREE
+        """Cold start: every slack basic, every structural at rest."""
+        self.basic = np.arange(self.n, self.N)
+        self.stat = self.natural.copy()
+        self.stat[self.n:] = _BASIC
         self.binv = np.eye(self.m)
         self.pivots_since_refactor = 0
+        self.iterations = 0  # a cold fallback after a failed warm start counts afresh
+        self.degenerate_run = 0
+        self.bland = False
 
     def install(self, basis: Basis) -> bool:
-        """Adopt a warm basis, padding appended rows with their slacks."""
-        basic = list(basis.basic)
-        stat = list(basis.stat)
-        if len(stat) < self.N:
-            extra = self.N - len(stat)
-            first_new = self.n + (self.m - extra)
-            if len(stat) != first_new:
-                return False
-            basic += list(range(first_new, self.N))
-            stat += [_BASIC] * extra
-        if len(basic) != self.m or len(stat) != self.N:
+        """Adopt a warm basis, padding appended rows with their slacks.
+
+        A basis is rejected unless its statuses mark exactly its basic
+        variables as basic; nonbasic statuses that the current bounds no
+        longer allow move to where the variable rests.
+        """
+        pad = self.N - len(basis.stat)
+        if pad < 0 or len(basis.basic) + pad != self.m:
             return False
-        if len(set(basic)) != len(basic):
+        basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
+        stat = np.array([*basis.stat, *[_BASIC] * pad], dtype=np.int64)
+        if not np.array_equal(np.sort(basic), np.flatnonzero(stat == _BASIC)):
             return False
-        self.basic = np.array(basic, dtype=np.int64)
-        self.stat = np.array(stat, dtype=np.int64)
-        # normalize nonbasic statuses against the current bounds
-        for j in range(self.N):
-            s = self.stat[j]
-            if s == _BASIC:
-                continue
-            if s == _LOWER and not np.isfinite(self.lo[j]):
-                self.stat[j] = _UPPER if np.isfinite(self.hi[j]) else _FREE
-            elif s == _UPPER and not np.isfinite(self.hi[j]):
-                self.stat[j] = _LOWER if np.isfinite(self.lo[j]) else _FREE
-            elif s == _FREE and np.isfinite(self.lo[j]):
-                self.stat[j] = _LOWER
-            elif s == _FREE and np.isfinite(self.hi[j]):
-                self.stat[j] = _UPPER
+        lo_ok, hi_ok = np.isfinite(self.lo), np.isfinite(self.hi)
+        allowed = (stat == _BASIC) | ((stat == _LOWER) & lo_ok) \
+            | ((stat == _UPPER) & hi_ok) | ((stat == _FREE) & ~lo_ok & ~hi_ok)
+        self.basic = basic
+        self.stat = np.where(allowed, stat, self.natural)
         return self.refactor()
 
     def refactor(self) -> bool:
-        if self.m == 0:
-            self.binv = np.zeros((0, 0))
-            return True
-        bmat = np.column_stack([self.col(j) for j in self.basic])
         try:
-            self.binv = np.linalg.inv(bmat)
+            self.binv = np.linalg.inv(self.a[:, self.basic])
         except np.linalg.LinAlgError:
             return False
         if not np.all(np.isfinite(self.binv)):
@@ -225,23 +200,12 @@ class _Engine:
     # -- values and prices --------------------------------------------------
 
     def xfull(self) -> np.ndarray:
-        x = np.zeros(self.N)
-        nb_lower = self.stat == _LOWER
-        nb_upper = self.stat == _UPPER
-        x[nb_lower] = self.lo[nb_lower]
-        x[nb_upper] = self.hi[nb_upper]
-        rhs = self.b - self.a @ x[:self.n] - x[self.n:]
-        x[self.basic] = self.binv @ rhs
+        x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
+        x[self.basic] = self.binv @ (self.b - self.a @ x)
         return x
 
-    def duals_for(self, cost: np.ndarray) -> np.ndarray:
-        return cost[self.basic] @ self.binv
-
-    def reduced(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = cost.copy()
-        d[:self.n] -= y @ self.a
-        d[self.n:] -= y
-        return d
+    def reduced(self, cost: np.ndarray) -> np.ndarray:
+        return cost - cost[self.basic] @ self.binv @ self.a
 
     def infeasibility(self, x: np.ndarray) -> np.ndarray:
         xb = x[self.basic]
@@ -255,22 +219,20 @@ class _Engine:
         if abs(piv) < 10 * PIVOT_TOL:
             if not self.refactor():
                 raise SimplexError("singular basis during pivot")
-            w = self.binv @ self.col(j)
+            w = self.binv @ self.a[:, j]
             piv = w[r]
             if abs(piv) < 10 * PIVOT_TOL:
                 raise SimplexError("pivot element vanished")
-        old = int(self.basic[r])
-        self.stat[old] = leave_stat
+        self.stat[self.basic[r]] = leave_stat
         self.basic[r] = j
         self.stat[j] = _BASIC
-        self.binv[r] /= piv
-        rest = np.arange(self.m) != r
-        self.binv[rest] -= np.outer(w[rest], self.binv[r])
+        row = self.binv[r] / piv
+        self.binv -= np.outer(w, row)
+        self.binv[r] = row
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             if not self.refactor():
                 raise SimplexError("singular basis at refactorization")
-
     def note_step(self, t: float) -> None:
         self.iterations += 1
         if t <= FEAS_TOL:
@@ -302,13 +264,12 @@ class _Engine:
                 above = xb > self.hi[self.basic] + FEAS_TOL
                 cost[self.basic[below]] = -1.0
                 cost[self.basic[above]] = 1.0
-            y = self.duals_for(cost)
-            d = self.reduced(cost, y)
+            d = self.reduced(cost)
             j = self.price(d)
             if j < 0:
                 return "optimal" if feasible else "infeasible"
             delta = 1.0 if (self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)) else -1.0
-            w = self.binv @ self.col(j)
+            w = self.binv @ self.a[:, j]
             t, r, leave_stat = self.ratio(j, delta, w, x)
             if t == _INF:
                 if not feasible:
@@ -406,9 +367,8 @@ class _Engine:
             r = int(np.argmax(viol))
             leaving = int(self.basic[r])
             going_up = x[leaving] < self.lo[leaving]
-            alpha = np.concatenate([self.binv[r] @ self.a, self.binv[r]])
-            y = self.duals_for(self.c)
-            d = self.reduced(self.c, y)
+            alpha = self.binv[r] @ self.a
+            d = self.reduced(self.c)
             at_lower = (self.stat == _LOWER) & ~self.fixed
             at_upper = (self.stat == _UPPER) & ~self.fixed
             free = self.stat == _FREE
@@ -425,13 +385,12 @@ class _Engine:
             rmin = float(np.min(ratios))
             ties = cand[ratios <= rmin + OPT_TOL]
             jcol = int(ties[np.argmax(np.abs(alpha[ties]))])
-            w = self.binv @ self.col(jcol)
+            w = self.binv @ self.a[:, jcol]
             self.iterations += 1
             self.pivot(r, jcol, w, _LOWER if going_up else _UPPER)
 
     def dual_feasible(self) -> bool:
-        y = self.duals_for(self.c)
-        d = self.reduced(self.c, y)
+        d = self.reduced(self.c)
         bad = ((self.stat == _LOWER) & ~self.fixed & (d < -10 * OPT_TOL)) \
             | ((self.stat == _UPPER) & ~self.fixed & (d > 10 * OPT_TOL)) \
             | ((self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL))
@@ -442,7 +401,7 @@ def _finish(eng: _Engine, status: str) -> LpSolution:
     if status != "optimal":
         return LpSolution(status, None, None, None, eng.iterations)
     x = eng.xfull()
-    basis = Basis(tuple(int(v) for v in eng.basic), tuple(int(v) for v in eng.stat))
+    basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()))
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
                       basis, eng.iterations)
 
@@ -453,7 +412,9 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     A warm basis that is dual feasible but primal infeasible (the state
     after appending cutting planes or tightening bounds) is repaired with
     the dual simplex; anything else goes through the primal phases.  A
-    stalled or numerically broken warm path falls back to a cold solve.
+    basis that does not fit the program (its length, or statuses that
+    disagree with its basic list) is ignored, and a stalled or numerically
+    broken warm path falls back to a cold solve on the same engine.
 
     Returns
     -------
@@ -461,23 +422,18 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
         With status 'optimal' (x and basis filled), 'infeasible', or
         'unbounded'.
     """
-    if warm is not None:
-        eng = _Engine(lp)
-        if eng.install(warm):
-            try:
-                x = eng.xfull()
-                primal_ok = bool(np.all(eng.infeasibility(x) <= FEAS_TOL))
-                if not primal_ok and eng.dual_feasible():
-                    status = eng.dual()
-                    if status == "optimal":
-                        return _finish(eng, eng.primal())
-                    if status == "infeasible":
-                        return _finish(eng, "infeasible")
-                    # stalled: fall through to the cold start below
-                else:
-                    return _finish(eng, eng.primal())
-            except SimplexError:
-                pass
     eng = _Engine(lp)
+    if warm is not None and eng.install(warm):
+        try:
+            if np.all(eng.infeasibility(eng.xfull()) <= FEAS_TOL) or not eng.dual_feasible():
+                return _finish(eng, eng.primal())
+            status = eng.dual()
+            if status == "optimal":
+                return _finish(eng, eng.primal())
+            if status == "infeasible":
+                return _finish(eng, "infeasible")
+            # stalled: fall through to the cold start below
+        except SimplexError:
+            pass
     eng.slack_start()
     return _finish(eng, eng.primal())

@@ -290,17 +290,21 @@ def parse_matpower(text: str) -> PowerNetwork:
     """Parse the supported subset of a MATPOWER case file.
 
     Reads ``mpc.baseMVA``, ``mpc.bus`` (BUS_I, PD), ``mpc.gen`` (GEN_BUS,
-    PMAX, PMIN), ``mpc.branch`` (F_BUS, T_BUS, BR_X, RATE_A, BR_STATUS)
-    and, when present, linear ``mpc.gencost`` rows.  Susceptance is 1/BR_X,
-    capacities are RATE_A / baseMVA, out-of-service branches are dropped,
-    and every kept branch is switchable.  Line ids are assigned 0.. in file
-    order of the kept branches.
+    GEN_STATUS, PMAX, PMIN), ``mpc.branch`` (F_BUS, T_BUS, BR_X, RATE_A,
+    TAP, SHIFT, BR_STATUS) and, when present, linear ``mpc.gencost`` rows.
+    Out-of-service generators (GEN_STATUS <= 0) are dropped with their
+    gencost rows, and out-of-service branches are dropped.  Susceptance is
+    1/BR_X, or 1/(BR_X * TAP) for a transformer with TAP != 0, as in
+    MATPOWER's ``makeBdc``; capacities are RATE_A / baseMVA, and every kept
+    branch is switchable.  Line ids are assigned 0.. in file order of the
+    kept branches.
 
     Raises
     ------
     ValueError
-        On missing tables, non-positive reactance, zero RATE_A, duplicate
-        generator buses, or genuinely quadratic cost rows.
+        On missing tables, non-positive reactance, zero RATE_A, a nonzero
+        phase shift (SHIFT), two in-service generators at one bus, or
+        genuinely quadratic cost rows.
     """
     text = re.sub(r"%.*", "", text)
     base_m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
@@ -316,24 +320,25 @@ def parse_matpower(text: str) -> PowerNetwork:
 
     buses = [Bus(int(r[0]), r[2] / base, r[2]) for r in bus_rows]
 
-    costs = []
+    in_service = [i for i, r in enumerate(gen_rows) if r[7] > 0]
+    costs = dict.fromkeys(in_service, 0.0)
     if cost_rows is not None:
         if len(cost_rows) < len(gen_rows):
             raise ValueError("gencost has fewer rows than gen")
-        for i, r in enumerate(cost_rows):
+        for i in [*in_service, *range(len(gen_rows), len(cost_rows))]:
+            r = cost_rows[i]
             model, ncost = int(r[0]), int(r[3])
             if model != 2:
                 raise ValueError(f"gencost[{i}]: only polynomial cost (MODEL=2) supported")
             coeffs = r[4:4 + ncost]  # highest degree first
             if any(abs(c) > 0 for c in coeffs[:-2]):
                 raise ValueError(f"gencost[{i}]: cost is not linear")
-            costs.append(coeffs[-2] if ncost >= 2 else 0.0)
-    else:
-        costs = [0.0] * len(gen_rows)
+            costs[i] = coeffs[-2] if ncost >= 2 else 0.0
 
     gens = []
     seen_gen_bus = set()
-    for i, r in enumerate(gen_rows):
+    for i in in_service:
+        r = gen_rows[i]
         gbus, pmax, pmin = int(r[0]), r[8], r[9]
         if gbus in seen_gen_bus:
             raise ValueError(f"gen[{i}]: second generator at bus {gbus}")
@@ -344,14 +349,18 @@ def parse_matpower(text: str) -> PowerNetwork:
     lines = []
     lid = 0
     for i, r in enumerate(branch_rows):
-        fbus, tbus, x, rate_a, status = int(r[0]), int(r[1]), r[3], r[5], int(r[10])
+        fbus, tbus, x, rate_a = int(r[0]), int(r[1]), r[3], r[5]
+        tap, shift, status = r[8], r[9], int(r[10])
         if status == 0:
             continue
         if x <= 0:
             raise ValueError(f"branch[{i}]: BR_X must be positive, got {x}")
         if rate_a == 0:
             raise ValueError(f"branch[{i}]: RATE_A of 0 (unlimited) is not supported")
-        lines.append(Line(lid, fbus, tbus, 1.0 / x, rate_a / base, rate_a, True))
+        if shift != 0:
+            raise ValueError(f"branch[{i}]: phase shift SHIFT={shift} is not supported")
+        lines.append(Line(lid, fbus, tbus, 1.0 / (x * tap if tap != 0 else x),
+                          rate_a / base, rate_a, True))
         lid += 1
 
     return PowerNetwork(base, tuple(buses), tuple(gens), tuple(lines))

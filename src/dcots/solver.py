@@ -83,6 +83,8 @@ class SolverConfig:
             raise ValueError(f"cycle_mode must be one of {_MODES}")
         if self.rel_gap < 0 or self.strengthen_rounds < 0:
             raise ValueError("rel_gap and strengthen_rounds must be nonnegative")
+        if not 0.0 <= self.sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must lie in [0, 1]")
 
 
 @dataclass
@@ -313,12 +315,12 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             lazy_rounds += 1
             if lazy_rounds > 10 * max(1, len(model.net.lines)):
                 raise RuntimeError("lazy cycle rows failed to converge")
+            rows = cycle_cut_rows(cyc, vmap)
             if cyc.edge_ids not in lazy_pool:
                 lazy_pool.add(cyc.edge_ids)
-                rows = cycle_cut_rows(cyc, vmap)
                 base_lp = add_rows(base_lp, rows)
                 cuts += len(rows)
-            lp = add_rows(lp, cycle_cut_rows(cyc, vmap))
+            lp = add_rows(lp, rows)
             warm = sol.basis
         if timed_out() and heap:
             status = "feasible-time-limit" if incumbent is not None else "infeasible-unknown"

@@ -211,3 +211,22 @@ def test_csv_schema_is_stable():
     assert CSV_HEADER == ["instance", "mode", "status", "objective", "bound",
                           "gap", "nodes", "cuts", "z_LP", "z_LP_cuts",
                           "wall_time_s"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["solve", "{net}", "--gap", "-1"], "nonnegative"),
+    (["solve", "{net}", "--rounds", "-2"], "nonnegative"),
+    (["solve", "{net}", "--sample", "nan"], "sample_fraction"),
+    (["budget-sweep", "{net}", "--gap", "-1"], "nonnegative"),
+    (["budget-sweep", "{net}", "--n-values", "x"], "comma-separated integers"),
+    (["bench", "{dir}", "--modes", "bogus"], "cycle_mode must be one of"),
+    (["bench", "{dir}", "--gap", "-1"], "nonnegative"),
+])
+def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
+    net = write_instance(tmp_path, "net.json", 1, max_buses=4)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(net=net, dir=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dcots") and says in err
+    assert "Traceback" not in err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dcots.lp import LinearProgram, add_rows, solve
+from dcots.lp import Basis, LinearProgram, add_rows, solve
 
 INF = float("inf")
 
@@ -229,3 +229,66 @@ def test_degenerate_transport_problem():
     assert sol.status == "optimal"
     ref = _scipy_reference(lp)
     assert sol.obj == pytest.approx(ref.fun)
+
+
+def _box_lp():
+    """minimize -u - v subject to u + v <= 6, u and v in [0, 4]."""
+    lp = LinearProgram()
+    u = lp.add_col(cost=-1.0, lo=0.0, hi=4.0)
+    v = lp.add_col(cost=-1.0, lo=0.0, hi=4.0)
+    lp.add_row([(u, 1.0), (v, 1.0)], "<=", 6.0)
+    return lp
+
+
+def _assert_warm_matches_cold(lp, basis):
+    warm = solve(lp, warm=basis)
+    cold = solve(lp)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.obj == pytest.approx(cold.obj, abs=1e-9)
+    return warm
+
+
+def test_inconsistent_warm_basis_falls_back_to_cold():
+    # the statuses mark column 1 basic, but the basic list does not hold it
+    sol = _assert_warm_matches_cold(_box_lp(), Basis((0,), (3, 3, 0)))
+    assert sol.status == "optimal"
+    assert sol.obj == pytest.approx(-6.0)
+
+
+def test_warm_start_after_a_free_column_gets_finite_bounds():
+    lp = LinearProgram()
+    u = lp.add_col(cost=-1.0, lo=0.0, hi=3.0)
+    z = lp.add_col(cost=0.0)
+    lp.add_row([(u, 1.0), (z, 1.0)], "<=", 4.0)
+    first = solve(lp)
+    assert first.basis.stat == (1, 2, 3)  # z is nonbasic and free at zero
+    boxed = lp.copy()
+    boxed.set_bounds(z, 2.0, 5.0)
+    assert _assert_warm_matches_cold(boxed, first.basis).obj == pytest.approx(-2.0)
+
+
+def test_warm_start_after_a_bound_is_made_infinite():
+    lp = LinearProgram()
+    u = lp.add_col(cost=1.0, lo=0.0, hi=4.0)
+    v = lp.add_col(cost=-2.0, lo=0.0, hi=4.0)
+    lp.add_row([(u, 1.0), (v, 1.0)], "<=", 6.0)
+    first = solve(lp)
+    assert first.basis.stat == (0, 1, 3)  # u at its lower bound, v at its upper
+    no_upper = lp.copy()
+    no_upper.set_bounds(v, 0.0, INF)
+    assert _assert_warm_matches_cold(no_upper, first.basis).obj == pytest.approx(-12.0)
+    for lo, hi in ((-INF, 4.0), (-INF, INF)):
+        no_lower = lp.copy()
+        no_lower.set_bounds(u, lo, hi)
+        assert _assert_warm_matches_cold(no_lower, first.basis).status == "unbounded"
+
+
+def test_warm_basis_from_a_larger_lp_is_not_used():
+    lp = _box_lp()
+    bigger = add_rows(lp, [([(0, 1.0)], "<=", 1.5), ([(1, 1.0)], ">=", 0.5)])
+    big = solve(bigger)
+    assert big.status == "optimal"
+    sol = _assert_warm_matches_cold(lp, big.basis)
+    assert sol.obj == pytest.approx(-6.0)
+    assert sol.iterations == solve(lp).iterations  # solved cold

@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from dcots.cli import main
 from dcots.network import (
     augment_with_cycle,
     build_network,
@@ -140,6 +141,33 @@ def test_parse_matpower_rejects_quadratic_cost():
     text = MATPOWER_2BUS.replace("2 0 0 2 40 0;", "2 0 0 3 1 40 0;")
     with pytest.raises(ValueError, match="not linear"):
         parse_matpower(text)
+
+
+def test_parse_matpower_drops_out_of_service_generators_with_their_costs():
+    text = MATPOWER_2BUS.replace(
+        "    1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;",
+        "    1 0 0 0 0 1 100 0 500 0 0 0 0 0 0 0 0 0 0 0 0;\n"
+        "    1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;",
+    ).replace("    2 0 0 2 40 0;", "    2 0 0 3 1 7 0;\n    2 0 0 2 40 0;")
+    (gen,) = parse_matpower(text).generators
+    assert gen.bus == 1 and gen.p_max == 2.0
+    assert gen.cost == 40.0 * 100.0
+
+
+def test_parse_matpower_divides_reactance_by_tap():
+    text = MATPOWER_2BUS.replace("0.1 0 100 0 0 0 0 1", "0.1 0 100 0 0 1.25 0 1")
+    (ln,) = parse_matpower(text).lines
+    assert ln.susceptance == pytest.approx(1.0 / (0.1 * 1.25))
+
+
+def test_parse_matpower_rejects_phase_shift(tmp_path, capsys):
+    text = MATPOWER_2BUS.replace("0.1 0 100 0 0 0 0 1", "0.1 0 100 0 0 0 -2.5 1")
+    with pytest.raises(ValueError, match=r"branch\[0\]: phase shift SHIFT=-2.5"):
+        parse_matpower(text)
+    path = tmp_path / "shifted.m"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 4
+    assert "SHIFT" in capsys.readouterr().err
 
 
 def test_validate_accepts_triangle():
