@@ -3,20 +3,16 @@ Cycle bases of meshed grids
 ===========================
 
 Every meshed network hides a small set of fundamental cycles: one per
-chord outside a spanning tree.  The basis is read off an LU
-factorization of the line-by-bus incidence matrix, whose lower factor
-stays in {0, +-1} because the matrix is totally unimodular.
+chord outside a spanning tree.  The tree is grown by union-find over the
+lines in order; each line that closes a loop is a chord, and the tree
+path between its ends closes its cycle.
 """
 
 import numpy as np
 
-from dcots.cyclebasis import (
-    cycle_basis,
-    expand_cycle_set,
-    incidence_matrix,
-    lu_partial_pivot,
-)
+from dcots.cyclebasis import cycle_basis, expand_cycle_set, spanning_forest
 from dcots.network import build_network
+from dcots.oracle import incidence_matrix
 
 # A 5-bus grid with two parallel lines between buses 1 and 2, so the
 # graph is a proper multigraph.
@@ -33,13 +29,9 @@ net = build_network(
     ],
 )
 
-mat = incidence_matrix(net)
-print("incidence matrix (rows = lines, +1 leaving, -1 entering):")
-print(mat)
-
-# The factorization pivots rows only; L and its inverse are integral.
-perm, lmat, linv, u = lu_partial_pivot(mat)
-print("L entries:", sorted(set(np.unique(lmat))))
+tree, chords = spanning_forest(net, net.lines)
+print("tree lines: ", [ln.id for ln in tree])
+print("chord lines:", [ln.id for ln in chords])
 
 basis = cycle_basis(net)
 print(f"cycles: {len(basis)} = lines({len(net.lines)}) - buses(5) + 1")
@@ -49,6 +41,9 @@ for c in basis:
 
 # Each cycle is a circulation: its signed line vector is orthogonal to
 # every bus, i.e. the incidence matrix maps it to zero.
+mat = incidence_matrix(net)
+print("incidence matrix (rows = lines, +1 leaving, -1 entering):")
+print(mat)
 pos = {ln.id: i for i, ln in enumerate(net.lines)}
 for c in basis:
     vec = np.zeros(len(net.lines))

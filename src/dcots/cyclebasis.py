@@ -1,10 +1,10 @@
 """Cycle space of a network.
 
-The signed incidence matrix of a connected multigraph has rank n - 1, so
-eliminating it with exact integer row operations leaves m - n + 1 zero
-rows; the row operations that produced each zero row are a signed cycle.
-This module builds that basis, combines cycles into longer ones, and
-orients raw edge sets into traversable cycles.
+A spanning tree of a connected multigraph leaves m - n + 1 chords, and
+each chord closes exactly one cycle through the tree; these fundamental
+cycles form a basis of the cycle space.  This module builds that basis,
+combines cycles into longer ones, and orients raw edge sets into
+traversable cycles.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dcots.network import Line, PowerNetwork
+from dcots.network import Line, PowerNetwork, union_find
 
 __all__ = [
     "Cycle",
     "CycleSet",
-    "incidence_matrix",
-    "lu_partial_pivot",
+    "spanning_forest",
     "cycle_basis",
     "cycle_of_chord",
     "combine_cycles",
@@ -74,74 +73,6 @@ class CycleSet:
         return {c.edge_ids for c in self.cycles}
 
 
-def incidence_matrix(net: PowerNetwork) -> np.ndarray:
-    """Signed line-bus incidence matrix.
-
-    One row per line (in line order), one column per bus (in bus order);
-    +1 at the from bus and -1 at the to bus.
-    """
-    pos = {b.id: j for j, b in enumerate(net.buses)}
-    a = np.zeros((len(net.lines), len(net.buses)), dtype=np.int64)
-    for i, ln in enumerate(net.lines):
-        a[i, pos[ln.from_bus]] = 1
-        a[i, pos[ln.to_bus]] = -1
-    return a
-
-
-def lu_partial_pivot(a: np.ndarray):
-    """Exact integer LU factorization with partial pivoting.
-
-    Parameters
-    ----------
-    a : (m, n) integer array
-        An incidence-like matrix: every pivot met during elimination must
-        be +-1, which keeps all arithmetic exact.
-
-    Returns
-    -------
-    perm : (m,) int array
-        Row permutation; row i of the permuted matrix is ``a[perm[i]]``.
-    lmat : (m, m) int array
-        Unit lower triangular; ``a[perm] == lmat @ u``.
-    linv : (m, m) int array
-        Exact inverse of ``lmat``, accumulated during elimination.
-    u : (m, n) int array
-        The eliminated matrix; its rows past the rank are zero.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    m, n = a.shape
-    w = a.copy()
-    acc = np.eye(m, dtype=np.int64)   # row ops so far: acc @ a == w
-    lmat = np.eye(m, dtype=np.int64)
-    perm = np.arange(m)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        sub = w[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[np.argmax(np.abs(sub[nz]))])
-        if p != r:
-            w[[r, p]] = w[[p, r]]
-            acc[[r, p]] = acc[[p, r]]
-            perm[[r, p]] = perm[[p, r]]
-            lmat[[r, p], :r] = lmat[[p, r], :r]
-        piv = w[r, c]
-        if piv not in (1, -1):
-            raise ValueError(f"pivot {piv} at ({r}, {c}); matrix is not incidence-like")
-        for i in range(r + 1, m):
-            if w[i, c] != 0:
-                mu = w[i, c] * piv  # exact: piv is +-1
-                w[i] -= mu * w[r]
-                acc[i] -= mu * acc[r]
-                lmat[i, r] = mu
-        r += 1
-    linv = acc[:, perm]
-    return perm, lmat, linv, w
-
-
 def _orient_cycle(edges: list[Line]) -> tuple[tuple[Line, int], ...] | None:
     """Order an unsigned edge set into one simple cycle, or None."""
     deg = Counter()
@@ -172,38 +103,40 @@ def _orient_cycle(edges: list[Line]) -> tuple[tuple[Line, int], ...] | None:
     return tuple(members)
 
 
-def cycle_basis(net: PowerNetwork) -> CycleSet:
-    """Cycle basis of the network, one cycle per independent loop.
+def spanning_forest(net: PowerNetwork, lines) -> tuple[list[Line], list[Line]]:
+    """Split ``lines`` into a spanning forest and its chords.
 
-    Eliminates the incidence matrix with exact integer arithmetic; the
-    accumulated row operations behind each of the |L| - |B| + 1 zero rows
-    are the signed incidence vector of one simple cycle, which is then
-    walked into traversal order.  Trees produce the empty set.
+    Runs union-find over ``lines`` in the order given: a line that joins
+    two components goes to the tree, a line that closes a loop is a chord.
+    """
+    _, union = union_find(b.id for b in net.buses)
+    tree, chords = [], []
+    for ln in lines:
+        (tree if union(ln.from_bus, ln.to_bus) else chords).append(ln)
+    return tree, chords
+
+
+def cycle_basis(net: PowerNetwork) -> CycleSet:
+    """Fundamental cycle basis of the network, one cycle per chord.
+
+    Each chord of the spanning forest of the lines, in line order, closes
+    one cycle through the tree; the cycle is walked from its lowest line
+    id.  Trees produce the empty set.
 
     Raises
     ------
     ValueError
-        If the network is disconnected (rank below |B| - 1).
+        If the network is disconnected (the forest has fewer than
+        |B| - 1 lines).
     """
-    m, n = len(net.lines), len(net.buses)
-    if m == 0:
-        return CycleSet()
-    a = incidence_matrix(net)
-    perm, lmat, linv, u = lu_partial_pivot(a)
-    rank = int(np.sum(np.any(u != 0, axis=1)))
-    if rank != n - 1:
-        raise ValueError(f"incidence rank {rank} != |B| - 1; network disconnected?")
-    ops = linv[:, np.argsort(perm)][rank:]  # accumulated row ops, original line order
-    cycles = []
-    for row in ops:
-        if not np.all(np.isin(row, (-1, 0, 1))):
-            raise AssertionError(f"cycle row has entries outside 0, +-1: {row}")
-        edges = [net.lines[i] for i in np.nonzero(row)[0]]
-        members = _orient_cycle(edges)
-        if members is None:
-            raise AssertionError("eliminated row is not a single simple cycle")
-        cycles.append(Cycle(members, generation=0))
-    return CycleSet(tuple(cycles))
+    tree, chords = spanning_forest(net, net.lines)
+    if len(tree) < len(net.buses) - 1:
+        raise ValueError(f"spanning forest has {len(tree)} lines < |B| - 1; "
+                         "network disconnected")
+    tree_ids = [ln.id for ln in tree]
+    return CycleSet(tuple(
+        Cycle(_orient_cycle([ln for ln, _ in cycle_of_chord(net, tree_ids, ch).members]))
+        for ch in chords))
 
 
 def cycle_of_chord(net: PowerNetwork, tree_line_ids, chord: Line) -> Cycle:

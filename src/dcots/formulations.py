@@ -113,11 +113,11 @@ def _base_columns(lp: LinearProgram, net: PowerNetwork, with_theta: bool,
 
 
 def _balance_rows(lp: LinearProgram, net: PowerNetwork, vmap: VariableMap) -> None:
-    gen_at = {g.bus: i for i, g in enumerate(net.generators)}
+    gens_at: dict[int, list[int]] = {}
+    for i, g in enumerate(net.generators):
+        gens_at.setdefault(g.bus, []).append(i)
     for b in net.buses:
-        coeffs = []
-        if b.id in gen_at:
-            coeffs.append((vmap.pg[gen_at[b.id]], 1.0))
+        coeffs = [(vmap.pg[i], 1.0) for i in gens_at.get(b.id, ())]
         for ln in net.lines:
             if ln.from_bus == b.id:
                 coeffs.append((vmap.flow[ln.id], -1.0))

@@ -286,6 +286,11 @@ def _matpower_matrix(text: str, name: str) -> list[list[float]] | None:
     return rows
 
 
+def _need_columns(name: str, i: int, row: list[float], need: int) -> None:
+    if len(row) < need:
+        raise ValueError(f"{name}[{i}]: needs at least {need} columns, got {len(row)}")
+
+
 def parse_matpower(text: str) -> PowerNetwork:
     """Parse the supported subset of a MATPOWER case file.
 
@@ -302,9 +307,9 @@ def parse_matpower(text: str) -> PowerNetwork:
     Raises
     ------
     ValueError
-        On missing tables, non-positive reactance, zero RATE_A, a nonzero
-        phase shift (SHIFT), two in-service generators at one bus, or
-        genuinely quadratic cost rows.
+        On missing tables, a row with too few columns (bus 3, gen 10,
+        branch 11, gencost 4 + NCOST), non-positive reactance, zero RATE_A,
+        a nonzero phase shift (SHIFT), or genuinely quadratic cost rows.
     """
     text = re.sub(r"%.*", "", text)
     base_m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
@@ -318,6 +323,10 @@ def parse_matpower(text: str) -> PowerNetwork:
         raise ValueError("missing one of mpc.bus / mpc.gen / mpc.branch")
     cost_rows = _matpower_matrix(text, "gencost")
 
+    for name, rows, need in (("bus", bus_rows, 3), ("gen", gen_rows, 10),
+                             ("branch", branch_rows, 11)):
+        for i, r in enumerate(rows):
+            _need_columns(name, i, r, need)
     buses = [Bus(int(r[0]), r[2] / base, r[2]) for r in bus_rows]
 
     in_service = [i for i, r in enumerate(gen_rows) if r[7] > 0]
@@ -327,7 +336,9 @@ def parse_matpower(text: str) -> PowerNetwork:
             raise ValueError("gencost has fewer rows than gen")
         for i in [*in_service, *range(len(gen_rows), len(cost_rows))]:
             r = cost_rows[i]
+            _need_columns("gencost", i, r, 4)
             model, ncost = int(r[0]), int(r[3])
+            _need_columns("gencost", i, r, 4 + ncost)
             if model != 2:
                 raise ValueError(f"gencost[{i}]: only polynomial cost (MODEL=2) supported")
             coeffs = r[4:4 + ncost]  # highest degree first
@@ -336,13 +347,9 @@ def parse_matpower(text: str) -> PowerNetwork:
             costs[i] = coeffs[-2] if ncost >= 2 else 0.0
 
     gens = []
-    seen_gen_bus = set()
     for i in in_service:
         r = gen_rows[i]
         gbus, pmax, pmin = int(r[0]), r[8], r[9]
-        if gbus in seen_gen_bus:
-            raise ValueError(f"gen[{i}]: second generator at bus {gbus}")
-        seen_gen_bus.add(gbus)
         gens.append(Generator(gbus, pmin / base, pmax / base, costs[i] * base,
                               pmin, pmax, costs[i]))
 
@@ -409,8 +416,8 @@ def validate(net: PowerNetwork) -> ValidationReport:
     """Check structural soundness of a network.
 
     Verifies unique ids, existing endpoints, no self-loops, positive
-    susceptances and capacities, generator bus references, at most one
-    generator per bus, ordered generator bounds, and connectivity.
+    susceptances and capacities, generator bus references, ordered
+    generator bounds, and connectivity.
 
     Returns
     -------
@@ -441,8 +448,6 @@ def validate(net: PowerNetwork) -> ValidationReport:
         if not (ln.capacity > 0 and math.isfinite(ln.capacity)):
             problems.append(f"line {ln.id}: capacity must be positive, "
                             f"got {ln.capacity}")
-    if dup := _duplicates(g.bus for g in net.generators):
-        problems.append(f"more than one generator at bus(es) {dup}")
     for g in net.generators:
         if g.bus not in id_set:
             problems.append(f"generator at unknown bus {g.bus}")
@@ -559,8 +564,8 @@ def relocate_generators(net: PowerNetwork, seed: int) -> PowerNetwork:
 
     Generators are processed in list order; each picks uniformly from
     {stay} union neighboring buses and re-draws while the pick collides
-    with another generator's current position, so the one-generator-per-bus
-    rule is preserved.
+    with another generator's current position, so generators stay on
+    distinct buses.
     """
     rng = np.random.default_rng(seed)
     adj = _neighbours(net)

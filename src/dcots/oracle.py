@@ -30,7 +30,7 @@ from dcots.cuts import (
     separate_all,
     separate_closed_form,
 )
-from dcots.cyclebasis import cycle_basis, incidence_matrix
+from dcots.cyclebasis import cycle_basis
 from dcots.formulations import build_opf_angle, build_opf_cycle
 from dcots.lp import LinearProgram
 from dcots.network import PowerNetwork, build_network, random_connected_network
@@ -40,6 +40,7 @@ __all__ = [
     "HullCheckReport",
     "SubsetSumInstance",
     "solve_lp_reference",
+    "incidence_matrix",
     "exact_rank",
     "hull_rows",
     "enumerate_S_C_vertices",
@@ -97,12 +98,27 @@ def solve_lp_reference(lp: LinearProgram):
     return status, (res.fun if res.status == 0 else None), res.x
 
 
-def exact_rank(rows) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+def incidence_matrix(net: PowerNetwork) -> np.ndarray:
+    """Signed line-bus incidence matrix.
+
+    One row per line (in line order), one column per bus (in bus order);
+    +1 at the from bus and -1 at the to bus.
+    """
+    pos = {b.id: j for j, b in enumerate(net.buses)}
+    a = np.zeros((len(net.lines), len(net.buses)), dtype=np.int64)
+    for i, ln in enumerate(net.lines):
+        a[i, pos[ln.from_bus]] = 1
+        a[i, pos[ln.to_bus]] = -1
+    return a
+
+
+def _gauss_jordan(mat, n_cols: int) -> int:
+    """Reduce a list of Fraction rows in place to reduced row echelon form,
+    pivoting only in the first ``n_cols`` columns; returns the rank."""
     rank = 0
-    n_cols = len(mat[0]) if mat else 0
     for col in range(n_cols):
+        if rank == len(mat):
+            break
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -114,9 +130,13 @@ def exact_rank(rows) -> int:
                 factor = mat[r][col]
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
-        if rank == len(mat):
-            break
     return rank
+
+
+def exact_rank(rows) -> int:
+    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    return _gauss_jordan(mat, len(mat[0]) if mat else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +507,8 @@ def subset_sum_witness(inst: SubsetSumInstance) -> tuple[int, ...] | None:
 def _exact_solve(a_rows, rhs):
     mat = [[Fraction(v) for v in row] + [Fraction(r)]
            for row, r in zip(a_rows, rhs)]
-    n = len(mat)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if mat[r][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    if _gauss_jordan(mat, len(mat)) < len(mat):
+        raise ValueError("singular system")
     return [row[-1] for row in mat]
 
 

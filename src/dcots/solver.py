@@ -28,6 +28,7 @@ from dcots.cyclebasis import (
     cycle_of_chord,
     expand_cycle_set,
     sample_cycles,
+    spanning_forest,
 )
 from dcots.formulations import (
     MilpModel,
@@ -154,16 +155,6 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     return strengthened, z_lp, sol.obj, n_cuts
 
 
-def _forest_and_chords(net: PowerNetwork, x):
-    find, union = union_find(b.id for b in net.buses)
-    tree, chords = [], []
-    for ln in net.lines:
-        if x[ln.id] < 0.5:
-            continue
-        (tree if union(ln.from_bus, ln.to_bus) else chords).append(ln)
-    return tree, chords
-
-
 def _forest_angles(net: PowerNetwork, tree, f):
     adj: dict[int, list] = {b.id: [] for b in net.buses}
     for ln in tree:
@@ -192,7 +183,7 @@ def lazy_kvl_check(net: PowerNetwork, x, f, kvl_tol: float = KVL_TOL) -> Cycle |
     angle-versus-flow residual, or None when every residual is within
     ``kvl_tol``.
     """
-    tree, chords = _forest_and_chords(net, x)
+    tree, chords = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
     if not chords:
         return None
     theta = _forest_angles(net, tree, f)
@@ -209,7 +200,7 @@ def lazy_kvl_check(net: PowerNetwork, x, f, kvl_tol: float = KVL_TOL) -> Cycle |
 def recover_angles(net: PowerNetwork, x, f):
     """Angles consistent with the active flows, zero at each component's
     lowest-indexed bus; valid once lazy_kvl_check finds nothing."""
-    tree, _ = _forest_and_chords(net, x)
+    tree, _ = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
     return _forest_angles(net, tree, f)
 
 

@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from dcots.cyclebasis import cycle_basis, incidence_matrix, lu_partial_pivot
+from dcots.cyclebasis import cycle_basis
 from dcots.formulations import build_ots_angle
 from dcots.lp import solve as lp_solve
 from dcots.network import PowerNetwork, build_network
@@ -291,8 +291,6 @@ def test_criterion_12_cycle_basis_counts_and_spans():
                             [(0, 0.0, 1.0, 1.0)], lines)
         basis = cycle_basis(net)
         assert len(basis) == len(net.lines) - n + 1
-        _, lmat, _, _ = lu_partial_pivot(incidence_matrix(net))
-        assert set(np.unique(lmat)) <= {-1, 0, 1}
         pos = {ln.id: i for i, ln in enumerate(net.lines)}
         mat = np.array([[dict((l.id, s) for l, s in c.members).get(ln.id, 0.0)
                          for ln in net.lines] for c in basis])
@@ -303,5 +301,4 @@ def test_criterion_12_cycle_basis_counts_and_spans():
             cycles_spanned += 1
         graphs += 1
     report(12, "cycle basis span", graphs == 100,
-           f"{graphs} multigraphs, {cycles_spanned} enumerated cycles spanned, "
-           "all LU lower-factor entries in {0,+-1}")
+           f"{graphs} multigraphs, {cycles_spanned} enumerated cycles spanned")

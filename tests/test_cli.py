@@ -137,6 +137,14 @@ def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         assert main(["solve", str(path)]) == 4, bad
         assert says in capsys.readouterr().err
+    short = tmp_path / "short.m"  # gen rows that stop at PMAX
+    short.write_text("mpc.baseMVA = 100;\nmpc.bus = [1 3 0; 2 1 50];\n"
+                     "mpc.gen = [1 0 0 0 0 1 100 1 200];\n"
+                     "mpc.branch = [1 2 0 0.1 0 100 0 0 0 0 1];\n")
+    assert main(["solve", str(short)]) == 4
+    err = capsys.readouterr().err
+    assert "short.m: gen[0]: needs at least 10 columns, got 9" in err
+    assert "Traceback" not in err
 
 
 def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):

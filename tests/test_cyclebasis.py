@@ -1,4 +1,4 @@
-"""Tests for incidence, exact LU, cycle basis, and cycle combination."""
+"""Tests for the spanning forest, cycle basis, and cycle combination."""
 
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ from dcots.cyclebasis import (
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
-    incidence_matrix,
-    lu_partial_pivot,
     sample_cycles,
+    spanning_forest,
 )
 from dcots.network import build_network
+from dcots.oracle import incidence_matrix
+from dcots.solver import lazy_kvl_check
 
 
 def triangle():
@@ -48,21 +49,6 @@ def signed_vector(cycle, n_lines, line_pos):
 def test_incidence_triangle():
     a = incidence_matrix(triangle())
     assert a.tolist() == [[1, -1, 0], [0, 1, -1], [1, 0, -1]]
-
-
-def test_lu_factorization_identities():
-    a = incidence_matrix(triangle())
-    perm, lmat, linv, u = lu_partial_pivot(a)
-    assert np.array_equal(a[perm], lmat @ u)
-    assert np.array_equal(lmat @ linv, np.eye(3, dtype=np.int64))
-    assert np.all(np.isin(lmat, (-1, 0, 1)))
-    # rank 2: spanning tree rows survive, the third is eliminated
-    assert u[2].tolist() == [0, 0, 0]
-
-
-def test_lu_rejects_non_unit_pivot():
-    with pytest.raises(ValueError, match="pivot"):
-        lu_partial_pivot(np.array([[2, 1], [1, 1]]))
 
 
 def test_cycle_basis_triangle():
@@ -208,3 +194,51 @@ def test_sample_cycles():
     assert len(basis_only) == 2
     assert sample_cycles(expanded, 0.5, seed=3) == sample_cycles(expanded, 0.5, seed=3)
 
+
+def grid_with_diagonals(rows=3, cols=4):
+    """A rows x cols grid, one down-right diagonal per cell, lines listed
+    diagonals first so that the forest is not simply the grid's rows."""
+    bus = lambda r, c: r * cols + c  # noqa: E731
+    pairs = [(bus(r, c), bus(r + 1, c + 1)) for r in range(rows - 1) for c in range(cols - 1)]
+    pairs += [(bus(r, c), bus(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(bus(r, c), bus(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return build_network(
+        buses=[(i, 0.0) for i in range(rows * cols)],
+        generators=[(0, 0.0, 1.0, 1.0)],
+        lines=[(i, u, v, 1.0 + i / 10, 1.0) for i, (u, v) in enumerate(pairs)],
+    )
+
+
+def test_fundamental_basis_on_a_grid_with_diagonals():
+    net = grid_with_diagonals()
+    tree, chords = spanning_forest(net, net.lines)
+    assert len(tree) == len(net.buses) - 1
+    assert len(tree) + len(chords) == len(net.lines)
+    tree_ids = {ln.id for ln in tree}
+    basis = cycle_basis(net).cycles
+    assert len(basis) == len(chords) == 23 - 12 + 1
+    outside = [c.edge_ids - tree_ids for c in basis]
+    assert all(len(ids) == 1 for ids in outside)
+    # one cycle per chord, in line order
+    assert [min(ids) for ids in outside] == [ln.id for ln in chords]
+    assert [ln.id for ln in chords] == sorted(ln.id for ln in chords)
+
+
+def test_lazy_kvl_check_uses_the_forest_of_the_active_lines():
+    net = grid_with_diagonals()
+    off = {0, 4, 13, 20}
+    x = {ln.id: 0.0 if ln.id in off else 1.0 for ln in net.lines}
+    active = [ln for ln in net.lines if ln.id not in off]
+    tree, chords = spanning_forest(net, active)
+    assert len(tree) == len(net.buses) - 1
+    # flows from one set of bus angles, then one chord's flow off by a unit:
+    # only the cycle that chord closes is violated
+    theta = {b.id: float(b.id % 5) for b in net.buses}
+    f = {ln.id: ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus])
+         for ln in net.lines}
+    assert lazy_kvl_check(net, x, f) is None
+    bad = chords[1]
+    f[bad.id] += 1.0
+    cyc = lazy_kvl_check(net, x, f)
+    assert cyc == cycle_of_chord(net, [ln.id for ln in tree], bad)
+    assert cyc.edge_ids - {ln.id for ln in tree} == {bad.id}

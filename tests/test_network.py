@@ -170,6 +170,34 @@ def test_parse_matpower_rejects_phase_shift(tmp_path, capsys):
     assert "SHIFT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, says", [
+    ("    2  1  150  0 0 0 1 1 0 230 1 1.1 0.9;", "    2  1;",
+     r"bus\[1\]: needs at least 3 columns, got 2"),
+    ("1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;", "1 0 0 0 0 1 100 1 200;",
+     r"gen\[0\]: needs at least 10 columns, got 9"),
+    ("1 2 0.01 0.1 0 100 0 0 0 0 1 -360 360;", "1 2 0.01 0.1 0 100 0 0 0 0;",
+     r"branch\[0\]: needs at least 11 columns, got 10"),
+    ("2 0 0 2 40 0;", "2 0 0;", r"gencost\[0\]: needs at least 4 columns, got 3"),
+    ("2 0 0 2 40 0;", "2 0 0 2 40;", r"gencost\[0\]: needs at least 6 columns, got 5"),
+], ids=["bus", "gen", "branch", "gencost", "gencost-ncost"])
+def test_parse_matpower_rejects_short_rows(old, new, says):
+    assert old in MATPOWER_2BUS
+    with pytest.raises(ValueError, match=says):
+        parse_matpower(MATPOWER_2BUS.replace(old, new))
+
+
+def test_parse_matpower_keeps_two_generators_at_one_bus():
+    text = MATPOWER_2BUS.replace(
+        "    1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;",
+        "    1 0 0 0 0 1 100 1 100 0 0 0 0 0 0 0 0 0 0 0 0;\n"
+        "    1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;",
+    ).replace("    2 0 0 2 40 0;", "    2 0 0 2 20 0;\n    2 0 0 2 40 0;")
+    net = parse_matpower(text)
+    assert [(g.bus, g.p_max, g.cost) for g in net.generators] == [(1, 1.0, 2000.0),
+                                                                  (1, 2.0, 4000.0)]
+    assert validate(net).ok
+
+
 def test_validate_accepts_triangle():
     report = validate(triangle())
     assert report.ok
@@ -191,7 +219,6 @@ def test_validate_flags_problems():
     assert "capacity" in joined
     assert "endpoint" in joined
     assert "self-loop" in joined
-    assert "more than one generator" in joined
     assert "unknown bus 9" in joined
 
 

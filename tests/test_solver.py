@@ -20,6 +20,7 @@ from dcots.solver import (
     strengthen_root,
 )
 from dcots.network import build_network
+from dcots.oracle import brute_force_ots
 
 
 def triangle(direct_cap=1.0, switchable=True):
@@ -92,6 +93,22 @@ def test_switching_beats_all_closed_dispatch():
     # line lets the cheap unit carry the whole load over the path
     assert res.objective == pytest.approx(1.0, abs=1e-6)
     assert res.x[2] == 0.0
+
+
+def test_two_generators_at_one_bus_reach_the_enumerated_optimum():
+    # bus 0 holds a cheap small unit and a dearer large one
+    net = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, 1.0)],
+        generators=[(0, 0.0, 0.5, 1.0), (0, 0.0, 2.0, 3.0), (1, 0.0, 2.0, 10.0)],
+        lines=[(0, 0, 1, 1.0, 1.0), (1, 1, 2, 1.0, 1.0), (2, 0, 2, 1.0, 0.4)],
+    )
+    want, _ = brute_force_ots(net)
+    assert want == pytest.approx(2.0, abs=1e-9)  # 0.5 * 1 + 0.5 * 3, direct line open
+    for mode in ("default", "basic", "more"):
+        res = solve_ots(net, SolverConfig(cycle_mode=mode))
+        assert res.status == "optimal-within-gap", mode
+        assert res.objective == pytest.approx(want, abs=1e-6), mode
+        assert res.p[0] == pytest.approx(0.5, abs=1e-6), mode
 
 
 def test_non_switchable_instance_is_single_node():

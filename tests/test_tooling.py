@@ -1,8 +1,8 @@
 """The benchmark's traced mode wraps dcots attributes by name
 (``perfbench/layers.py``); a rename on the solve path must fail here
 rather than in ``perfbench/run.py --trace 1``.  The declared dependencies
-must cover what ``src/dcots`` imports, and importing the command line must
-not load networkx, which only the tests use."""
+must cover what ``src/dcots`` imports, importing the command line must not
+load networkx, which only the tests use, and every demo must run."""
 
 import ast
 import importlib
@@ -14,9 +14,12 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
 SRC = ROOT / "src"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_traced_attribute_resolves():
@@ -44,10 +47,20 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party and third_party <= declared, sorted(third_party - declared)
 
 
-def test_the_cli_does_not_load_networkx():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _env_with_src():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
+def test_the_cli_does_not_load_networkx():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dcots.cli; print('networkx' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=_env_with_src(), capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    done = subprocess.run([sys.executable, str(demo)], env=_env_with_src(), cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
