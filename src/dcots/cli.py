@@ -2,9 +2,10 @@
 
 Every command reads instances from disk (native JSON, or a MATPOWER
 ``.m`` case) and rejects an unreadable or invalid one with exit code 4,
-takes its randomness from an explicit ``--seed``, and writes
-machine-readable output, so runs are reproducible byte for byte.  The
-checks behind ``verify`` live in ``dcots.oracle``.
+and writes machine-readable output.  The solver is deterministic, and
+``gen`` and ``verify`` take their randomness from an explicit ``--seed``,
+so runs are reproducible byte for byte.  The checks behind ``verify``
+live in ``dcots.oracle``.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ def load_instance(path: str):
 
 def _config_from_args(args) -> SolverConfig:
     return SolverConfig(rel_gap=args.gap, time_limit_s=args.time_limit,
-                        strengthen_rounds=args.rounds, cycle_mode=args.mode,
-                        expansion_k=args.expansion_k,
-                        sample_fraction=args.sample, seed=args.seed)
+                        strengthen_rounds=args.rounds, cycle_mode=args.mode)
 
 
 _EXIT_BY_STATUS = {"optimal-within-gap": 0, "infeasible": 2,
@@ -233,11 +232,6 @@ def _add_solver_flags(p):
                    help="wall-clock limit in seconds")
     p.add_argument("--rounds", type=int, default=5,
                    help="root separation rounds")
-    p.add_argument("--expansion-k", type=int, default=2,
-                   help="cycle-set expansion depth for --mode more")
-    p.add_argument("--sample", type=float, default=1.0,
-                   help="fraction of expanded cycles kept for --mode more")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

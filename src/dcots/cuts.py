@@ -65,9 +65,6 @@ class CycleInequality:
     delta: float
     violation_found: float
 
-    def key(self):
-        return (self.cycle.edge_ids, self.side, self.subset)
-
 
 def delta(subset: Sequence[int], w: Sequence[float]) -> float:
     """Excess weight 2 w(S) - w(C) of a subset within its cycle."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from dcots.network import Line, PowerNetwork, union_find
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "cycle_of_chord",
     "combine_cycles",
     "expand_cycle_set",
-    "sample_cycles",
 ]
 
 
@@ -33,12 +30,10 @@ class Cycle:
     """An ordered, sign-oriented closed walk of distinct lines.
 
     ``members`` lists (line, sign) along the traversal: sign +1 means the
-    line is crossed from its from_bus to its to_bus.  ``generation`` is 0
-    for basis cycles and grows by one per combination step.
+    line is crossed from its from_bus to its to_bus.
     """
 
     members: tuple[tuple[Line, int], ...]
-    generation: int = 0
 
     def __len__(self) -> int:
         return len(self.members)
@@ -133,10 +128,50 @@ def cycle_basis(net: PowerNetwork) -> CycleSet:
     if len(tree) < len(net.buses) - 1:
         raise ValueError(f"spanning forest has {len(tree)} lines < |B| - 1; "
                          "network disconnected")
-    tree_ids = [ln.id for ln in tree]
+    parent = _tree_parents(net, tree)
     return CycleSet(tuple(
-        Cycle(_orient_cycle([ln for ln, _ in cycle_of_chord(net, tree_ids, ch).members]))
+        Cycle(_orient_cycle([ln for ln, _ in _chord_walk(parent, ch)]))
         for ch in chords))
+
+
+def _tree_parents(net: PowerNetwork, tree) -> dict[int, Line | None]:
+    """Parent line of every bus in the forest ``tree``, found breadth first
+    from each tree's first bus (its root, whose parent is None)."""
+    adj: dict[int, list[Line]] = {b.id: [] for b in net.buses}
+    for ln in tree:
+        adj[ln.from_bus].append(ln)
+        adj[ln.to_bus].append(ln)
+    parent: dict[int, Line | None] = {}
+    for root in adj:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for u in order:
+            for ln in adj[u]:
+                v = ln.to_bus if ln.from_bus == u else ln.from_bus
+                if v not in parent:
+                    parent[v] = ln
+                    order.append(v)
+    return parent
+
+
+def _climb(parent, bus: int) -> list[tuple[Line, int]]:
+    """The (line, sign) steps from ``bus`` up to the root of its tree."""
+    steps = []
+    while (ln := parent[bus]) is not None:
+        steps.append((ln, 1 if ln.from_bus == bus else -1))
+        bus = ln.to_bus if ln.from_bus == bus else ln.from_bus
+    return steps
+
+
+def _chord_walk(parent, chord: Line) -> list[tuple[Line, int]]:
+    """The chord forward, then the tree path from its to bus back to its from bus."""
+    up, down = _climb(parent, chord.to_bus), _climb(parent, chord.from_bus)
+    while up and down and up[-1][0] is down[-1][0]:  # above the common ancestor
+        up.pop()
+        down.pop()
+    return [(chord, 1)] + up + [(ln, -s) for ln, s in reversed(down)]
 
 
 def cycle_of_chord(net: PowerNetwork, tree_line_ids, chord: Line) -> Cycle:
@@ -147,27 +182,8 @@ def cycle_of_chord(net: PowerNetwork, tree_line_ids, chord: Line) -> Cycle:
     through the unique tree path.
     """
     tree_ids = set(tree_line_ids)
-    adj: dict[int, list[Line]] = {}
-    for ln in net.lines:
-        if ln.id in tree_ids:
-            adj.setdefault(ln.from_bus, []).append(ln)
-            adj.setdefault(ln.to_bus, []).append(ln)
-    # parent links of the tree holding the chord, rooted at its from bus
-    parent: dict[int, Line | None] = {chord.from_bus: None}
-    stack = [chord.from_bus]
-    while stack and chord.to_bus not in parent:
-        u = stack.pop()
-        for ln in adj.get(u, ()):
-            v = ln.to_bus if ln.from_bus == u else ln.from_bus
-            if v not in parent:
-                parent[v] = ln
-                stack.append(v)
-    members = [(chord, 1)]
-    u = chord.to_bus
-    while (ln := parent[u]) is not None:
-        members.append((ln, 1 if ln.from_bus == u else -1))
-        u = ln.to_bus if ln.from_bus == u else ln.from_bus
-    return Cycle(tuple(members), generation=0)
+    tree = [ln for ln in net.lines if ln.id in tree_ids]
+    return Cycle(tuple(_chord_walk(_tree_parents(net, tree), chord)))
 
 
 def combine_cycles(c1: Cycle, c2: Cycle) -> Cycle | None:
@@ -185,7 +201,7 @@ def combine_cycles(c1: Cycle, c2: Cycle) -> Cycle | None:
     members = _orient_cycle([pool[i] for i in sorted(keep)])
     if members is None:
         return None
-    return Cycle(members, generation=max(c1.generation, c2.generation) + 1)
+    return Cycle(members)
 
 
 def expand_cycle_set(cs: CycleSet) -> CycleSet:
@@ -199,16 +215,4 @@ def expand_cycle_set(cs: CycleSet) -> CycleSet:
                 seen.add(c.edge_ids)
                 out.append(c)
     return CycleSet(tuple(out))
-
-
-def sample_cycles(cs: CycleSet, fraction: float, seed: int) -> CycleSet:
-    """Keep every basis cycle and a seeded sample of the combined ones."""
-    if fraction >= 1.0:
-        return cs
-    basis = [c for c in cs.cycles if c.generation == 0]
-    rest = [c for c in cs.cycles if c.generation > 0]
-    k = int(round(max(fraction, 0.0) * len(rest)))
-    rng = np.random.default_rng(seed)
-    picked = sorted(rng.choice(len(rest), size=k, replace=False)) if k else []
-    return CycleSet(tuple(basis + [rest[i] for i in picked]))
 

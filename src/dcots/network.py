@@ -560,25 +560,25 @@ def random_connected_network(seed: int, n_buses: int | None = None,
 
 
 def relocate_generators(net: PowerNetwork, seed: int) -> PowerNetwork:
-    """Move each generator to its own bus or a uniformly chosen neighbor.
+    """Move the generators of each bus to that bus or a uniformly chosen neighbor.
 
-    Generators are processed in list order; each picks uniformly from
-    {stay} union neighboring buses and re-draws while the pick collides
-    with another generator's current position, so generators stay on
-    distinct buses.
+    Generators that share a bus move as one unit.  Units are processed in
+    order of their first generator; each picks uniformly from {stay} union
+    neighboring buses and re-draws while the pick collides with another
+    unit's current position, so units stay on distinct buses.
     """
     rng = np.random.default_rng(seed)
     adj = _neighbours(net)
-    positions = [gen.bus for gen in net.generators]
-    for i, gen in enumerate(net.generators):
-        options = [gen.bus] + sorted(adj[gen.bus])
-        others = set(positions[:i] + positions[i + 1:])
+    positions = {gen.bus: gen.bus for gen in net.generators}  # unit -> bus
+    for unit in positions:
+        options = [unit] + sorted(adj[unit])
+        others = {pos for u, pos in positions.items() if u != unit}
         for _attempt in range(1000):
             pick = options[rng.integers(len(options))]
             if pick not in others:
-                positions[i] = pick
+                positions[unit] = pick
                 break
         else:
-            raise ValueError(f"no free bus for generator at {gen.bus}")
-    gens = tuple(replace(gen, bus=positions[i]) for i, gen in enumerate(net.generators))
+            raise ValueError(f"no free bus for generators at {unit}")
+    gens = tuple(replace(gen, bus=positions[gen.bus]) for gen in net.generators)
     return replace(net, generators=gens)

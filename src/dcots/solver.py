@@ -10,8 +10,9 @@ the search continues.  Incumbents are post-processed into a connected
 active topology with recovered angles.
 
 Cycle selection modes: ``default`` adds no root cuts, ``basic``
-separates over a cycle basis, ``more`` over the basis expanded by
-pairwise symmetric differences and optionally sampled.
+separates over a cycle basis, ``more`` over the basis expanded twice by
+pairwise symmetric differences.  Each round separates every cycle in
+closed form, so it adds at most one cut per side per cycle.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
-from dcots.cuts import VIOL_TOL, inequality_row, make_context, separate_all
+from dcots.cuts import VIOL_TOL, inequality_row, make_context, separate_closed_form
+from dcots.cuts import separate_all  # unused here; perfbench/layers.py wraps it by name
 from dcots.cyclebasis import (
     Cycle,
     CycleSet,
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
-    sample_cycles,
     spanning_forest,
 )
 from dcots.formulations import (
@@ -74,18 +76,18 @@ class SolverConfig:
     time_limit_s: float = 3600.0
     strengthen_rounds: int = 5
     cycle_mode: str = "default"
-    expansion_k: int = 2
-    sample_fraction: float = 1.0
-    seed: int = 0
     use_cycle_formulation: bool = False
+    # a constant, not a field: perfbench/run.py and baseline.py read it
+    expansion_k: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.cycle_mode not in _MODES:
             raise ValueError(f"cycle_mode must be one of {_MODES}")
-        if self.rel_gap < 0 or self.strengthen_rounds < 0:
+        # written as `not x >= 0` so that NaN is rejected too
+        if not (self.rel_gap >= 0 and self.strengthen_rounds >= 0):
             raise ValueError("rel_gap and strengthen_rounds must be nonnegative")
-        if not 0.0 <= self.sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must lie in [0, 1]")
+        if not self.time_limit_s >= 0:
+            raise ValueError("time_limit_s must be nonnegative")
 
 
 @dataclass
@@ -119,6 +121,10 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
                     viol_tol: float = VIOL_TOL):
     """Add separated cycle inequalities to the root until none violate.
 
+    Each round adds the closed-form most violated cut per side of every
+    cycle; a row already in the LP holds within the LP's feasibility
+    tolerance, below ``viol_tol``, so it is never separated again.
+
     Returns (model, z_LP, z_LP_cuts, cuts_added) where z_LP is the
     plain relaxation value and z_LP_cuts the value after the last
     round.  Raises RootRelaxationError when any root solve is not
@@ -131,19 +137,14 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         raise RootRelaxationError(sol.status)
     z_lp = sol.obj
     n_cuts = 0
-    pool = set()
     for _ in range(rounds):
         if len(cycles) == 0:
             break
         f_hat = {lid: sol.x[col] for lid, col in model.vmap.flow.items()}
         x_hat = {lid: sol.x[col] for lid, col in model.vmap.x.items()}
-        new_rows = []
-        for cyc in cycles:
-            for cut in separate_all(make_context(cyc, f_hat, x_hat), viol_tol):
-                if cut.key() in pool:
-                    continue
-                pool.add(cut.key())
-                new_rows.append(inequality_row(cut, model.vmap))
+        new_rows = [inequality_row(cut, model.vmap) for cyc in cycles
+                    for cut in separate_closed_form(make_context(cyc, f_hat, x_hat),
+                                                    viol_tol)]
         if not new_rows:
             break
         lp = add_rows(lp, new_rows)
@@ -348,7 +349,6 @@ def _cycles_for_mode(net: PowerNetwork, config: SolverConfig) -> CycleSet:
     if config.cycle_mode == "more":
         for _ in range(config.expansion_k):
             cs = expand_cycle_set(cs)
-        cs = sample_cycles(cs, config.sample_fraction, config.seed)
     return cs
 
 

@@ -82,7 +82,7 @@ def ground_truth_runs():
         root_fractional = (root.status == "optimal" and
                            any(abs(root.x[c] - round(root.x[c])) > 1e-6
                                for c in model.integer_cols))
-        results = {mode: solve_ots(net, SolverConfig(cycle_mode=mode, seed=seed))
+        results = {mode: solve_ots(net, SolverConfig(cycle_mode=mode))
                    for mode in ("default", "basic", "more")}
         runs.append({"seed": seed, "net": net, "bf_obj": bf_obj,
                      "root_fractional": root_fractional, "results": results})
@@ -218,7 +218,7 @@ def test_criterion_10_incumbents_connected_and_trees_untouched(ground_truth_runs
         n_tree = len(net.buses) - 1
         tree = PowerNetwork(net.base_mva, net.buses, net.generators,
                             net.lines[:n_tree])
-        res = solve_ots(tree, SolverConfig(seed=seed))
+        res = solve_ots(tree, SolverConfig())
         if res.status != "optimal-within-gap":
             continue
         trees_checked += 1

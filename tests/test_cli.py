@@ -224,11 +224,15 @@ def test_csv_schema_is_stable():
 @pytest.mark.parametrize("argv, says", [
     (["solve", "{net}", "--gap", "-1"], "nonnegative"),
     (["solve", "{net}", "--rounds", "-2"], "nonnegative"),
-    (["solve", "{net}", "--sample", "nan"], "sample_fraction"),
+    (["solve", "{net}", "--gap", "nan"], "rel_gap and strengthen_rounds"),
     (["budget-sweep", "{net}", "--gap", "-1"], "nonnegative"),
     (["budget-sweep", "{net}", "--n-values", "x"], "comma-separated integers"),
     (["bench", "{dir}", "--modes", "bogus"], "cycle_mode must be one of"),
     (["bench", "{dir}", "--gap", "-1"], "nonnegative"),
+    (["solve", "{net}", "--time-limit", "nan"], "time_limit_s"),
+    (["solve", "{net}", "--time-limit", "-1"], "time_limit_s"),
+    (["budget-sweep", "{net}", "--time-limit", "nan"], "time_limit_s"),
+    (["bench", "{dir}", "--time-limit", "nan"], "time_limit_s"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

@@ -202,8 +202,8 @@ def test_separate_all_contains_closed_form():
     nonempty = 0
     for _ in range(200):
         ctx, _, _ = _random_context(rng)
-        closed = {c.key() for c in separate_closed_form(ctx)}
-        grown = {c.key() for c in separate_all(ctx)}
+        closed = {(c.side, c.subset) for c in separate_closed_form(ctx)}
+        grown = {(c.side, c.subset) for c in separate_all(ctx)}
         assert closed <= grown
         nonempty += bool(closed)
     assert nonempty >= 20

@@ -11,7 +11,6 @@ from dcots.cyclebasis import (
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
-    sample_cycles,
     spanning_forest,
 )
 from dcots.network import build_network
@@ -55,7 +54,6 @@ def test_cycle_basis_triangle():
     (cyc,) = cycle_basis(triangle()).cycles
     assert len(cyc) == 3
     assert cyc.edge_ids == {0, 1, 2}
-    assert cyc.generation == 0
     # signed incidence of the cycle annihilates the incidence matrix
     net = triangle()
     pos = {ln.id: i for i, ln in enumerate(net.lines)}
@@ -136,7 +134,6 @@ def test_combine_cycles_diamond():
     basis = cycle_basis(diamond()).cycles
     combined = combine_cycles(basis[0], basis[1])
     assert combined is not None
-    assert combined.generation == 1
     assert combined.edge_ids == (basis[0].edge_ids ^ basis[1].edge_ids)
     assert len(combined) == len(basis[0].edge_ids ^ basis[1].edge_ids)
 
@@ -184,15 +181,6 @@ def test_expand_cycle_set_diamond():
     assert sizes == [3, 3, 4]
     # idempotent on this graph: no further new cycles
     assert len(expand_cycle_set(expanded)) == 3
-
-
-def test_sample_cycles():
-    expanded = expand_cycle_set(cycle_basis(diamond()))
-    assert sample_cycles(expanded, 1.0, seed=0) == expanded
-    basis_only = sample_cycles(expanded, 0.0, seed=0)
-    assert all(c.generation == 0 for c in basis_only)
-    assert len(basis_only) == 2
-    assert sample_cycles(expanded, 0.5, seed=3) == sample_cycles(expanded, 0.5, seed=3)
 
 
 def grid_with_diagonals(rows=3, cols=4):

@@ -313,3 +313,27 @@ def test_relocate_generators_keeps_buses_distinct():
         out = relocate_generators(net, seed=seed)
         spots = [g.bus for g in out.generators]
         assert len(set(spots)) == len(spots)
+
+
+def test_relocate_generators_moves_a_shared_bus_as_one_unit():
+    path = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, 1.0)],
+        generators=[(0, 0.0, 1.0, 1.0), (0, 0.0, 1.0, 2.0)],
+        lines=[(0, 0, 1, 1.0, 1.0), (1, 1, 2, 1.0, 1.0)],
+    )
+    spots = {seed: [g.bus for g in relocate_generators(path, seed=seed).generators]
+             for seed in range(20)}
+    assert all(a == b and a in {0, 1} for a, b in spots.values())
+    assert {a for a, _ in spots.values()} == {0, 1}
+
+
+def test_relocate_generators_three_at_one_bus_of_two():
+    pair = build_network(
+        buses=[(0, 0.0), (1, 1.0)],
+        generators=[(0, 0.0, 1.0, 1.0), (0, 0.0, 1.0, 2.0), (0, 0.0, 1.0, 3.0)],
+        lines=[(0, 0, 1, 1.0, 1.0)],
+    )
+    for seed in range(10):
+        out = relocate_generators(pair, seed=seed)
+        assert len({g.bus for g in out.generators}) == 1
+        assert [g.cost for g in out.generators] == [g.cost for g in pair.generators]

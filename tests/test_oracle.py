@@ -215,7 +215,7 @@ def test_brute_force_matches_branch_and_cut():
     for seed in range(8):
         net = random_net(seed)
         obj_bf, x_bf = brute_force_ots(net)
-        res = solve_ots(net, SolverConfig(rel_gap=0.0, seed=seed))
+        res = solve_ots(net, SolverConfig(rel_gap=0.0))
         if obj_bf is None:
             assert res.status == "infeasible"
             continue

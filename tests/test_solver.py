@@ -5,6 +5,7 @@ import pytest
 
 from dcots.cyclebasis import CycleSet, cycle_basis
 from dcots.formulations import build_ots_angle
+from dcots.lp import add_rows
 from dcots.solver import (
     CSV_HEADER,
     RootRelaxationError,
@@ -19,7 +20,7 @@ from dcots.solver import (
     solve_ots,
     strengthen_root,
 )
-from dcots.network import build_network
+from dcots.network import build_network, random_connected_network
 from dcots.oracle import brute_force_ots
 
 
@@ -219,6 +220,40 @@ def test_strengthen_root_infeasible_propagates():
         strengthen_root(build_ots_angle(net), CycleSet(), 5)
 
 
+def _triangle_with_three_violated_subsets():
+    # at the root LP of this draw one basis triangle has three violated
+    # subsets, so an exhaustive separator would add three of its cuts
+    return random_connected_network(375, max_buses=10, max_extra_lines=4)
+
+
+def test_each_root_round_adds_at_most_two_cuts_per_cycle(monkeypatch):
+    added = []
+    monkeypatch.setattr("dcots.solver.add_rows",
+                        lambda lp, rows: added.append(len(rows)) or add_rows(lp, rows))
+    net = _triangle_with_three_violated_subsets()
+    basis = cycle_basis(net)
+    rounds = 0
+    for cycles in [basis, *(CycleSet((c,)) for c in basis)]:
+        added.clear()
+        strengthen_root(build_ots_angle(net), cycles, 5)
+        assert all(n <= 2 * len(cycles) for n in added), (len(cycles), added)
+        rounds += len(added)
+    assert rounds > 0
+
+
+@pytest.mark.parametrize("mode", ["basic", "more"])
+def test_root_cuts_do_not_use_the_exhaustive_separator(monkeypatch, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("separate_all called on the solve path")
+
+    monkeypatch.setattr("dcots.solver.separate_all", refuse)
+    net = _triangle_with_three_violated_subsets()
+    res = solve_ots(net, SolverConfig(cycle_mode=mode, rel_gap=0.0))
+    bf_obj, _ = brute_force_ots(net)
+    assert res.status == "optimal-within-gap" and res.cuts_added > 0
+    assert res.objective == pytest.approx(bf_obj, abs=1e-6, rel=1e-6)
+
+
 def test_root_value_chain_on_random_instances():
     for seed in range(12):
         net = _random_instance(seed)
@@ -235,7 +270,7 @@ def test_modes_agree_on_random_instances():
     statuses = {"optimal-within-gap": 0, "infeasible": 0}
     for seed in range(10, 22):
         net = _random_instance(seed)
-        results = {mode: solve_ots(net, SolverConfig(cycle_mode=mode, seed=1))
+        results = {mode: solve_ots(net, SolverConfig(cycle_mode=mode))
                    for mode in ("default", "basic", "more")}
         st = {r.status for r in results.values()}
         assert len(st) == 1, f"seed {seed}: {st}"
@@ -271,7 +306,7 @@ def test_incumbents_satisfy_feasibility_invariants():
 
 def test_determinism_across_repeat_solves():
     net = _random_instance(7)
-    cfg = SolverConfig(cycle_mode="more", seed=3)
+    cfg = SolverConfig(cycle_mode="more")
     r1 = solve_ots(net, cfg)
     r2 = solve_ots(net, cfg)
     assert r1.status == r2.status

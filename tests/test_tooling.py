@@ -2,19 +2,23 @@
 (``perfbench/layers.py``); a rename on the solve path must fail here
 rather than in ``perfbench/run.py --trace 1``.  The declared dependencies
 must cover what ``src/dcots`` imports, importing the command line must not
-load networkx, which only the tests use, and every demo must run."""
+load networkx, which only the tests use, every demo must run, and every
+command line that README shows must parse."""
 
 import ast
 import importlib
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
 
 import pytest
+
+from dcots.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
@@ -64,3 +68,21 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=_env_with_src(), cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.splitlines():
+            if line.startswith("dcots "):
+                yield shlex.split(line, comments=True)[1:]
+
+
+def test_every_readme_command_parses():
+    commands = list(_readme_commands())
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    with pytest.raises(SystemExit):  # a flag the parser lacks is caught
+        parser.parse_args(["solve", "grid.json", "--seed", "1"])
