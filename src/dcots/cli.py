@@ -71,7 +71,8 @@ def _config_from_args(args) -> SolverConfig:
 
 
 _EXIT_BY_STATUS = {"optimal-within-gap": 0, "infeasible": 2,
-                   "feasible-time-limit": 3, "infeasible-unknown": 3}
+                   "feasible-time-limit": 3, "infeasible-unknown": 3,
+                   "numerical-error": 5, "lazy-rows-stalled": 5}
 
 
 def cmd_solve(args) -> int:

@@ -129,9 +129,18 @@ def cycle_basis(net: PowerNetwork) -> CycleSet:
         raise ValueError(f"spanning forest has {len(tree)} lines < |B| - 1; "
                          "network disconnected")
     parent = _tree_parents(net, tree)
-    return CycleSet(tuple(
-        Cycle(_orient_cycle([ln for ln, _ in _chord_walk(parent, ch)]))
-        for ch in chords))
+    return CycleSet(tuple(Cycle(_from_lowest(_chord_walk(parent, ch))) for ch in chords))
+
+
+def _from_lowest(walk: list[tuple[Line, int]]) -> tuple[tuple[Line, int], ...]:
+    """Rotate an oriented closed walk to start at its lowest line id,
+    reversed if need be so that line is crossed forward; this is the order
+    ``_orient_cycle`` gives the same lines."""
+    i = min(range(len(walk)), key=lambda k: walk[k][0].id)
+    walk = walk[i:] + walk[:i]
+    if walk[0][1] == -1:
+        walk = [(ln, -s) for ln, s in walk[:1] + walk[:0:-1]]
+    return tuple(walk)
 
 
 def _tree_parents(net: PowerNetwork, tree) -> dict[int, Line | None]:

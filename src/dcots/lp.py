@@ -15,11 +15,22 @@ on the dense ``m x (n+m)`` matrix ``[A | I]``: row i reads
 bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]``
 for ``==``.  Structurals and slacks are then the same kind of variable,
 and a ``Basis`` indexes them in that order.
+
+The dense matrix, right-hand side and slack bounds are built once per row
+set and shared, read-only, by every ``LinearProgram.copy()``: a bound
+change leaves them alone, and appended rows extend a copy of the matrix
+instead of refilling it from the sparse rows.  A ``Basis`` keeps the
+inverse of its basic columns the first time it is installed, together
+with the matrix it was computed against, so a second install against the
+same matrix (the sibling node of a branch) starts from a copy of it
+instead of inverting again.  Both are the same arithmetic as building and
+inverting afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +59,35 @@ class SimplexError(RuntimeError):
     """Raised when the iteration limit or numerical trouble is hit."""
 
 
+class _Dense(NamedTuple):
+    """``[A | I]``, right-hand side and slack bounds of one row set;
+    read-only, as every copy of the program and every engine shares them."""
+
+    n: int
+    rows: list          # the row tuples the arrays were built from
+    a: np.ndarray
+    b: np.ndarray
+    slack: np.ndarray   # m x 2: lower and upper bound of each slack
+
+
+def _build_dense(n: int, rows, prev: _Dense | None) -> _Dense:
+    """The dense form of ``rows``, copying the rows of ``prev`` (built
+    over a prefix of ``rows``) instead of filling them again."""
+    m, k = len(rows), (0 if prev is None else len(prev.rows))
+    a = np.zeros((m, n + m))
+    if k:
+        a[:k, :n] = prev.a[:, :n]
+    for i in range(k, m):
+        for c, v in rows[i][0]:
+            a[i, c] += v
+    a[np.arange(m), np.arange(n, n + m)] = 1.0
+    b = np.array([rhs for _, _, rhs in rows], dtype=float)
+    slack = np.array([_SLACK_BOUNDS[sense] for _, sense, _ in rows]).reshape(m, 2)
+    for arr in (a, b, slack):
+        arr.flags.writeable = False
+    return _Dense(n, list(rows), a, b, slack)
+
+
 @dataclass
 class LinearProgram:
     """Minimize ``obj @ x`` subject to rows and variable bounds."""
@@ -56,6 +96,8 @@ class LinearProgram:
     lo: list[float] = field(default_factory=list)
     hi: list[float] = field(default_factory=list)
     rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = field(default_factory=list)
+    # the dense form of ``rows`` (or of a prefix of them), shared with copies
+    _dense: _Dense | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_cols(self) -> int:
@@ -89,8 +131,21 @@ class LinearProgram:
         self.lo[col] = float(lo)
         self.hi[col] = float(hi)
 
+    def dense(self) -> _Dense:
+        """The dense form of the current rows, built at most once per row
+        set: kept while the columns and rows stay as they were, extended
+        when rows were appended, rebuilt after any other change."""
+        d = self._dense
+        if d is not None and (d.n != self.n_cols or self.rows[:len(d.rows)] != d.rows):
+            d = None
+        if d is None or len(d.rows) != len(self.rows):
+            d = self._dense = _build_dense(self.n_cols, self.rows, d)
+        return d
+
     def copy(self) -> "LinearProgram":
-        return LinearProgram(list(self.obj), list(self.lo), list(self.hi), list(self.rows))
+        """An independent program that shares this one's dense form."""
+        return LinearProgram(list(self.obj), list(self.lo), list(self.hi), list(self.rows),
+                             _dense=self.dense())
 
 
 @dataclass(frozen=True)
@@ -99,10 +154,13 @@ class Basis:
 
     Variable indices cover structurals then one slack per row; statuses
     are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
+    The first install stores the inverse of the basic columns beside the
+    matrix it came from; equality ignores it.
     """
 
     basic: tuple[int, ...]
     stat: tuple[int, ...]
+    _factor: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -131,18 +189,13 @@ class _Engine:
     """Dense simplex state for one LinearProgram over ``[A | I]``."""
 
     def __init__(self, lp: LinearProgram):
+        d = lp.dense()
         n, m = lp.n_cols, lp.n_rows
         self.n, self.m = n, m
         self.N = n + m
-        self.a = np.zeros((m, self.N))
-        for i, (coeffs, _, _) in enumerate(lp.rows):
-            for c, v in coeffs:
-                self.a[i, c] += v
-        self.a[np.arange(m), np.arange(n, self.N)] = 1.0
-        self.b = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
-        slack = np.array([_SLACK_BOUNDS[sense] for _, sense, _ in lp.rows]).reshape(m, 2)
-        self.lo = np.concatenate([lp.lo, slack[:, 0]])
-        self.hi = np.concatenate([lp.hi, slack[:, 1]])
+        self.a, self.b = d.a, d.b  # shared and read-only
+        self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
+        self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
         self.fixed = (self.lo == self.hi)
         # where a nonbasic variable rests: a finite lower bound, else a
         # finite upper bound, else free at zero
@@ -171,7 +224,9 @@ class _Engine:
 
         A basis is rejected unless its statuses mark exactly its basic
         variables as basic; nonbasic statuses that the current bounds no
-        longer allow move to where the variable rests.
+        longer allow move to where the variable rests.  The inverse of the
+        basic columns is a copy of the one the basis stored against this
+        matrix, else it is computed and stored.
         """
         pad = self.N - len(basis.stat)
         if pad < 0 or len(basis.basic) + pad != self.m:
@@ -185,7 +240,16 @@ class _Engine:
             | ((stat == _UPPER) & hi_ok) | ((stat == _FREE) & ~lo_ok & ~hi_ok)
         self.basic = basic
         self.stat = np.where(allowed, stat, self.natural)
-        return self.refactor()
+        # the padded basic list is a function of the basis and the matrix
+        # shape, so an inverse stored against this very matrix fits it
+        if basis._factor and basis._factor[0] is self.a:
+            self.binv = basis._factor[1].copy()
+            self.pivots_since_refactor = 0
+            return True
+        if not self.refactor():
+            return False
+        basis._factor[:] = (self.a, self.binv.copy())
+        return True
 
     def refactor(self) -> bool:
         try:

@@ -39,7 +39,7 @@ from dcots.formulations import (
     build_ots_cycle,
     cycle_cut_rows,
 )
-from dcots.lp import add_rows, solve
+from dcots.lp import SimplexError, add_rows, solve
 from dcots.network import PowerNetwork, union_find
 
 __all__ = [
@@ -118,12 +118,13 @@ class RootRelaxationError(RuntimeError):
 
 
 def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
-                    viol_tol: float = VIOL_TOL):
+                    viol_tol: float = VIOL_TOL, deadline: float | None = None):
     """Add separated cycle inequalities to the root until none violate.
 
     Each round adds the closed-form most violated cut per side of every
     cycle; a row already in the LP holds within the LP's feasibility
-    tolerance, below ``viol_tol``, so it is never separated again.
+    tolerance, below ``viol_tol``, so it is never separated again.  No
+    round starts once ``time.monotonic()`` is past ``deadline``.
 
     Returns (model, z_LP, z_LP_cuts, cuts_added) where z_LP is the
     plain relaxation value and z_LP_cuts the value after the last
@@ -138,7 +139,7 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     z_lp = sol.obj
     n_cuts = 0
     for _ in range(rounds):
-        if len(cycles) == 0:
+        if len(cycles) == 0 or (deadline is not None and time.monotonic() > deadline):
             break
         f_hat = {lid: sol.x[col] for lid, col in model.vmap.flow.items()}
         x_hat = {lid: sol.x[col] for lid, col in model.vmap.x.items()}
@@ -236,7 +237,10 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     Branches on the most fractional variable (ties to the lowest line
     id); integral candidates pass through ``lazy_source``, and a
     returned cycle contributes its two big-M rows to every open node
-    instead of an incumbent.
+    instead of an incumbent.  A node LP that fails numerically, or an
+    integral node still cut off after ``10 * |L|`` rounds of lazy rows,
+    ends the search with status ``numerical-error`` or
+    ``lazy-rows-stalled``.
     """
     start = time.monotonic() if t0 is None else t0
     base_lp = model.lp
@@ -275,7 +279,11 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         nodes += 1
         lazy_rounds = 0
         while True:
-            sol = solve(lp, warm=warm)
+            try:
+                sol = solve(lp, warm=warm)
+            except SimplexError:
+                status = "numerical-error"
+                break
             if sol.status == "unbounded":
                 return SolveResult(status="unbounded", nodes=nodes, cuts_added=cuts,
                                    root_lp_values=root_lp_values,
@@ -306,7 +314,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 break
             lazy_rounds += 1
             if lazy_rounds > 10 * max(1, len(model.net.lines)):
-                raise RuntimeError("lazy cycle rows failed to converge")
+                status = "lazy-rows-stalled"
+                break
             rows = cycle_cut_rows(cyc, vmap)
             if cyc.edge_ids not in lazy_pool:
                 lazy_pool.add(cyc.edge_ids)
@@ -314,6 +323,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 cuts += len(rows)
             lp = add_rows(lp, rows)
             warm = sol.basis
+        if status is not None:
+            break
         if timed_out() and heap:
             status = "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
             break
@@ -371,11 +382,14 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     cycles = _cycles_for_mode(net, config)
     rounds = 0 if config.cycle_mode == "default" else config.strengthen_rounds
     try:
-        model, z_lp, z_cuts, n_cuts = strengthen_root(model, cycles, rounds)
+        model, z_lp, z_cuts, n_cuts = strengthen_root(model, cycles, rounds,
+                                                      deadline=t0 + config.time_limit_s)
     except RootRelaxationError as err:
         status = "infeasible" if err.status == "infeasible" else "unbounded"
         return SolveResult(status=status, root_lp_values=(err.z_lp, None),
                            wall_time_s=time.monotonic() - t0)
+    except SimplexError:
+        return SolveResult(status="numerical-error", wall_time_s=time.monotonic() - t0)
     res = branch_and_bound(model, config, lambda x, f: lazy_kvl_check(net, x, f),
                            t0=t0, root_cuts=n_cuts, root_lp_values=(z_lp, z_cuts))
     if res.x is not None:

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from dcots.cli import load_instance, main, performance_profile
+from dcots.cyclebasis import cycle_basis
+from dcots.lp import SimplexError
 from dcots.network import build_network, random_connected_network, serialize_native
 from dcots.solver import CSV_HEADER
 
@@ -34,6 +36,22 @@ def test_solve_exit_codes_for_infeasible_and_time_limit(tmp_path, capsys):
     path = write_instance(tmp_path, "net.json", 1, max_buses=4)
     assert main(["solve", path, "--time-limit", "0"]) == 3
     capsys.readouterr()
+
+
+def test_solve_exit_code_when_the_search_gives_up(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "net.json", 1, max_buses=4)  # 3 buses, 4 lines
+    # every integral candidate is cut off by the same cycle, forever
+    monkeypatch.setattr("dcots.solver.lazy_kvl_check",
+                        lambda net, x, f: cycle_basis(net).cycles[0])
+    assert main(["solve", path]) == 5
+    assert json.loads(capsys.readouterr().out)["status"] == "lazy-rows-stalled"
+
+    def broken(lp, warm=None):
+        raise SimplexError("singular basis at refactorization")
+
+    monkeypatch.setattr("dcots.solver.solve", broken)
+    assert main(["solve", path]) == 5
+    assert json.loads(capsys.readouterr().out)["status"] == "numerical-error"
 
 
 def test_solve_writes_the_result_file(tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from dcots.formulations import build_ots_angle
 from dcots.lp import Basis, LinearProgram, add_rows, solve
+from dcots.network import random_connected_network
 
 INF = float("inf")
 
@@ -292,3 +294,82 @@ def test_warm_basis_from_a_larger_lp_is_not_used():
     sol = _assert_warm_matches_cold(lp, big.basis)
     assert sol.obj == pytest.approx(-6.0)
     assert sol.iterations == solve(lp).iterations  # solved cold
+
+
+def _switching_root():
+    """Root LP of a small switching model, its solution and a fractional line."""
+    model = build_ots_angle(random_connected_network(0, max_buses=8, max_extra_lines=4))
+    root = solve(model.lp)
+    col = next(c for c in model.integer_cols if 1e-6 < root.x[c] < 1 - 1e-6)
+    return model.lp, root, col
+
+
+def _same_solve(got, want):
+    assert (got.status, got.obj, got.iterations, got.basis) == \
+        (want.status, want.obj, want.iterations, want.basis)
+    assert (got.x is None) == (want.x is None)
+    assert got.x is None or np.array_equal(got.x, want.x)
+
+
+def test_children_of_one_basis_solve_as_from_fresh_bases(monkeypatch):
+    lp, root, col = _switching_root()
+    children = []
+    for fix in (0.0, 1.0):
+        child = lp.copy()
+        child.set_bounds(col, fix, fix)
+        children.append(child)
+    children.append(add_rows(children[0], [([(col, 1.0)], ">=", 0.5)]))
+    inverses = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
+    shared = root.basis
+    for child in children:
+        inverses.clear()
+        got = solve(child, warm=shared)
+        from_shared = len(inverses)
+        inverses.clear()
+        want = solve(child, warm=Basis(shared.basic, shared.stat))
+        _same_solve(got, want)
+        assert got.iterations > 0
+        if child is children[1]:
+            # the sibling installs the basis against the same matrix
+            assert from_shared < len(inverses)
+
+
+def test_appended_rows_solve_as_a_program_built_afresh():
+    lp, root, col = _switching_root()
+    bigger = add_rows(lp, [([(col, 1.0)], ">=", 0.5), ([(col, 2.0), (0, 1.0)], "<=", 3.0)])
+    fresh = LinearProgram(list(bigger.obj), list(bigger.lo), list(bigger.hi), list(bigger.rows))
+    extended, built = bigger.dense(), fresh.dense()
+    assert extended is not built
+    for name in ("a", "b", "slack"):
+        assert np.array_equal(getattr(extended, name), getattr(built, name))
+    _same_solve(solve(bigger, warm=root.basis), solve(fresh, warm=root.basis))
+
+
+def test_changes_to_a_copy_leave_the_original_alone():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lp = _random_lp(rng)
+        before = solve(lp)
+        copy = lp.copy()
+        copy.set_bounds(0, -1.0, 1.0)
+        copy.add_row([(0, 1.0), (lp.n_cols - 1, -2.0)], "<=", -0.5)
+        copy_before = solve(copy)
+        _same_solve(solve(lp), before)
+        # the other way round: a row appended to the original stays out of the copy
+        lp.add_row([(0, 1.0)], ">=", 3.0)
+        solve(lp)
+        _same_solve(solve(copy), copy_before)
+    with pytest.raises(ValueError):
+        lp.dense().a[0, 0] = 1.0  # the shared arrays are read-only
+
+
+def test_dense_form_follows_columns_and_rows_edited_in_place():
+    lp = _box_lp()
+    assert solve(lp).obj == pytest.approx(-6.0)
+    lp.rows[0] = (((0, 1.0), (1, 1.0)), "<=", 5.0)
+    assert solve(lp).obj == pytest.approx(-5.0)
+    w = lp.add_col(cost=-3.0, lo=0.0, hi=1.0)
+    lp.add_row([(0, 1.0), (w, 1.0)], "<=", 4.0)
+    assert solve(lp).obj == pytest.approx(-8.0)

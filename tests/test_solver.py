@@ -5,7 +5,8 @@ import pytest
 
 from dcots.cyclebasis import CycleSet, cycle_basis
 from dcots.formulations import build_ots_angle
-from dcots.lp import add_rows
+from dcots.lp import SimplexError, add_rows
+from dcots.lp import solve as lp_solve
 from dcots.solver import (
     CSV_HEADER,
     RootRelaxationError,
@@ -321,6 +322,40 @@ def test_time_limit_reports_partial_status():
     net = _random_instance(4)
     res = solve_ots(net, SolverConfig(time_limit_s=0.0))
     assert res.status in ("feasible-time-limit", "infeasible-unknown")
+
+
+def test_time_limit_stops_the_root_cut_rounds():
+    net = _triangle_with_three_violated_subsets()
+    assert solve_ots(net, SolverConfig(cycle_mode="basic")).cuts_added > 0
+    res = solve_ots(net, SolverConfig(cycle_mode="basic", time_limit_s=0))
+    assert res.cuts_added == 0
+    assert res.status == "infeasible-unknown"
+    assert res.root_lp_values[1] == res.root_lp_values[0]
+
+
+def test_lazy_rows_that_never_settle_end_with_a_status():
+    net = triangle()
+    same = cycle_basis(net).cycles[0]
+    res = branch_and_bound(build_ots_angle(net), SolverConfig(), lambda x, f: same)
+    assert res.status == "lazy-rows-stalled"
+    assert res.objective is None and res.nodes >= 1
+
+
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_a_failing_lp_ends_the_solve_with_a_status(monkeypatch, fail_at):
+    # call 1 is the root LP; call 2 is the first node of the search
+    calls = []
+
+    def flaky(lp, warm=None):
+        calls.append(warm)
+        if len(calls) == fail_at:
+            raise SimplexError("iteration limit exceeded")
+        return lp_solve(lp, warm=warm)
+
+    monkeypatch.setattr("dcots.solver.solve", flaky)
+    res = solve_ots(_random_instance(4))
+    assert res.status == "numerical-error"
+    assert len(calls) == fail_at
 
 
 def test_result_serialization_round_trip():
