@@ -177,8 +177,10 @@ def cmd_bench(args) -> int:
         return 1
     nets = [load_instance(str(p)) for p in paths]
     jobs = [(p.name, net, config) for p, net in zip(paths, nets) for config in args.configs]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit: no idle ones
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_bench_one, *zip(*jobs)))
     else:
         outcomes = [_bench_one(*job) for job in jobs]
@@ -200,11 +202,9 @@ def cmd_budget_sweep(args) -> int:
     rows = []
     for n_off in n_values:
         res = solve_ots(net, args.config, n_off=n_off)
-        ip = (f"{res.objective:.10g}" if res.objective is not None
-              else "infeasible")
-        z_lp = res.root_lp_values[0]
-        lp = f"{z_lp:.10g}" if z_lp is not None else "infeasible"
-        rows.append([n_off, ip, lp])
+        # without a value, the status says why: only ``infeasible`` is a proof
+        rows.append([n_off, *(f"{v:.10g}" if v is not None else res.status
+                              for v in (res.objective, res.root_lp_values[0]))])
     text = _csv_text(["N", "ip_value", "lp_value"], rows)
     print(text, end="")
     if args.out:
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated solver modes")
     p.add_argument("--gap", type=float, default=0.001)
     p.add_argument("--time-limit", type=float, default=3600.0)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent solves")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="concurrent solves, one process each")
     p.add_argument("--out", default="bench_results.csv")
     p.add_argument("--profile", default="bench_profile.csv")
     p.set_defaults(func=cmd_bench)
@@ -306,6 +307,8 @@ def main(argv=None) -> int:
             parser.error("subset-sum requires --a and --b")
         if args.recipe != "subset-sum" and not args.base:
             parser.error(f"{args.recipe} requires --base")
+    if args.command == "bench" and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     try:
         if args.command in ("solve", "budget-sweep"):
             args.config = _config_from_args(args)

@@ -8,10 +8,11 @@ optional bus angles, and optional on/off line variables:
 * angle switching: big-M relaxation of the angle rows plus on/off
   capacity links, binary line variables;
 * cycle switching: balance and capacity links only, with two-sided
-  big-M cycle rows supplied eagerly or lazily.
+  big-M cycle rows supplied eagerly or lazily; the solver searches it.
 
-Big-M values follow the network's total capacity-over-susceptance weight,
-which bounds every angle spread reachable by a connected dispatch.
+Angle big-M values follow the network's total capacity-over-susceptance
+weight, which bounds every angle spread reachable by a connected
+dispatch; a cycle row's big-M is the weight of its cycle.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class MilpModel:
     vmap: VariableMap
     integer_cols: tuple[int, ...]
     net: PowerNetwork
-    bigm: BigMConfig | None = None
 
 
 def compute_big_m(net: PowerNetwork) -> BigMConfig:
@@ -161,15 +161,14 @@ def build_opf_cycle(net: PowerNetwork, cycles: CycleSet) -> tuple[LinearProgram,
     return lp, vmap
 
 
-def build_ots_angle(net: PowerNetwork, bigm: BigMConfig | None = None) -> MilpModel:
+def build_ots_angle(net: PowerNetwork) -> MilpModel:
     """Angle-based switching MILP with big-M deactivation.
 
     Open lines carry no flow; closed lines obey the angle rows.  Angles
     live in [-Theta, Theta] with the lowest-indexed bus fixed at zero,
     which keeps the big-M rows valid for every on/off pattern.
     """
-    if bigm is None:
-        bigm = compute_big_m(net)
+    bigm = compute_big_m(net)
     lp = LinearProgram()
     vmap = _base_columns(lp, net, with_theta=True, with_x=True,
                          theta_bound=bigm.theta_bound)
@@ -184,19 +183,16 @@ def build_ots_angle(net: PowerNetwork, bigm: BigMConfig | None = None) -> MilpMo
         lp.add_row([(fcol, 1.0), (xcol, -ln.capacity)], "<=", 0.0)
         lp.add_row([(fcol, 1.0), (xcol, ln.capacity)], ">=", 0.0)
     integer = tuple(vmap.x[ln.id] for ln in net.lines if ln.switchable)
-    return MilpModel(lp, vmap, integer, net, bigm)
+    return MilpModel(lp, vmap, integer, net)
 
 
-def build_ots_cycle(net: PowerNetwork, bigm: BigMConfig | None = None,
-                    cycles: CycleSet = CycleSet()) -> MilpModel:
+def build_ots_cycle(net: PowerNetwork, cycles: CycleSet = CycleSet()) -> MilpModel:
     """Angle-free switching MILP.
 
     Carries only balance and on/off capacity links; flow consistency
     around cycles comes from two-sided big-M cycle rows, added here for
     ``cycles`` and lazily by the solver for whatever else is violated.
     """
-    if bigm is None:
-        bigm = compute_big_m(net)
     lp = LinearProgram()
     vmap = _base_columns(lp, net, with_theta=False, with_x=True, theta_bound=None)
     _balance_rows(lp, net, vmap)
@@ -205,7 +201,7 @@ def build_ots_cycle(net: PowerNetwork, bigm: BigMConfig | None = None,
         lp.add_row([(fcol, 1.0), (xcol, -ln.capacity)], "<=", 0.0)
         lp.add_row([(fcol, 1.0), (xcol, ln.capacity)], ">=", 0.0)
     model = MilpModel(lp, vmap, tuple(vmap.x[ln.id] for ln in net.lines if ln.switchable),
-                      net, bigm)
+                      net)
     for cyc in cycles:
         for row in cycle_cut_rows(cyc, vmap):
             lp.add_row(*row)

@@ -16,15 +16,15 @@ bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]``
 for ``==``.  Structurals and slacks are then the same kind of variable,
 and a ``Basis`` indexes them in that order.
 
-The dense matrix, right-hand side and slack bounds are built once per row
-set and shared, read-only, by every ``LinearProgram.copy()``: a bound
-change leaves them alone, and appended rows extend a copy of the matrix
-instead of refilling it from the sparse rows.  A ``Basis`` keeps the
-inverse of its basic columns the first time it is installed, together
-with the matrix it was computed against, so a second install against the
-same matrix (the sibling node of a branch) starts from a copy of it
-instead of inverting again.  Both are the same arithmetic as building and
-inverting afresh.
+Rows only grow.  The dense matrix, right-hand side and slack bounds are
+built once per row set and shared, read-only, by every
+``LinearProgram.copy()``: a bound change leaves them alone, and appended
+rows extend a copy of the matrix instead of refilling it from the sparse
+rows.  A ``Basis`` keeps the inverse of its basic columns the first time
+it is installed, together with the matrix it was computed against, so a
+second install against the same matrix (the sibling node of a branch)
+starts from a copy of it instead of inverting again.  Both are the same
+arithmetic as building and inverting afresh.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ class _Dense(NamedTuple):
     """``[A | I]``, right-hand side and slack bounds of one row set;
     read-only, as every copy of the program and every engine shares them."""
 
-    n: int
-    rows: list          # the row tuples the arrays were built from
     a: np.ndarray
     b: np.ndarray
     slack: np.ndarray   # m x 2: lower and upper bound of each slack
@@ -73,7 +71,7 @@ class _Dense(NamedTuple):
 def _build_dense(n: int, rows, prev: _Dense | None) -> _Dense:
     """The dense form of ``rows``, copying the rows of ``prev`` (built
     over a prefix of ``rows``) instead of filling them again."""
-    m, k = len(rows), (0 if prev is None else len(prev.rows))
+    m, k = len(rows), (0 if prev is None else len(prev.b))
     a = np.zeros((m, n + m))
     if k:
         a[:k, :n] = prev.a[:, :n]
@@ -85,19 +83,27 @@ def _build_dense(n: int, rows, prev: _Dense | None) -> _Dense:
     slack = np.array([_SLACK_BOUNDS[sense] for _, sense, _ in rows]).reshape(m, 2)
     for arr in (a, b, slack):
         arr.flags.writeable = False
-    return _Dense(n, list(rows), a, b, slack)
+    return _Dense(a, b, slack)
 
 
-@dataclass
 class LinearProgram:
-    """Minimize ``obj @ x`` subject to rows and variable bounds."""
+    """Minimize ``obj @ x`` subject to rows and variable bounds.
 
-    obj: list[float] = field(default_factory=list)
-    lo: list[float] = field(default_factory=list)
-    hi: list[float] = field(default_factory=list)
-    rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = field(default_factory=list)
-    # the dense form of ``rows`` (or of a prefix of them), shared with copies
-    _dense: _Dense | None = field(default=None, repr=False, compare=False)
+    Rows only grow: ``add_row`` appends one, and ``rows`` is a tuple, so
+    a row cannot be edited or removed in place.
+    """
+
+    def __init__(self, obj=(), lo=(), hi=(), rows=()):
+        self.obj, self.lo, self.hi = list(obj), list(lo), list(hi)
+        self._rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
+        # the dense form of the rows (or of a prefix of them), shared with copies
+        self._dense: _Dense | None = None
+        for row in rows:
+            self.add_row(*row)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(self._rows)
 
     @property
     def n_cols(self) -> int:
@@ -105,7 +111,7 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def add_col(self, cost: float = 0.0, lo: float = -_INF, hi: float = _INF) -> int:
         if lo > hi:
@@ -113,6 +119,7 @@ class LinearProgram:
         self.obj.append(float(cost))
         self.lo.append(float(lo))
         self.hi.append(float(hi))
+        self._dense = None
         return len(self.obj) - 1
 
     def add_row(self, coeffs, sense: str, rhs: float) -> int:
@@ -122,8 +129,8 @@ class LinearProgram:
         for c, _ in coeffs:
             if not 0 <= c < self.n_cols:
                 raise ValueError(f"row references unknown column {c}")
-        self.rows.append((coeffs, sense, float(rhs)))
-        return len(self.rows) - 1
+        self._rows.append((coeffs, sense, float(rhs)))
+        return len(self._rows) - 1
 
     def set_bounds(self, col: int, lo: float, hi: float) -> None:
         if lo > hi:
@@ -132,20 +139,18 @@ class LinearProgram:
         self.hi[col] = float(hi)
 
     def dense(self) -> _Dense:
-        """The dense form of the current rows, built at most once per row
-        set: kept while the columns and rows stay as they were, extended
-        when rows were appended, rebuilt after any other change."""
+        """The dense form of the rows, built at most once per row set: as
+        rows only grow, a form over fewer of them is extended."""
         d = self._dense
-        if d is not None and (d.n != self.n_cols or self.rows[:len(d.rows)] != d.rows):
-            d = None
-        if d is None or len(d.rows) != len(self.rows):
-            d = self._dense = _build_dense(self.n_cols, self.rows, d)
+        if d is None or len(d.b) != len(self._rows):
+            d = self._dense = _build_dense(self.n_cols, self._rows, d)
         return d
 
     def copy(self) -> "LinearProgram":
         """An independent program that shares this one's dense form."""
-        return LinearProgram(list(self.obj), list(self.lo), list(self.hi), list(self.rows),
-                             _dense=self.dense())
+        out = LinearProgram(self.obj, self.lo, self.hi)
+        out._rows, out._dense = list(self._rows), self.dense()
+        return out
 
 
 @dataclass(frozen=True)

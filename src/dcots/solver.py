@@ -1,13 +1,16 @@
 """Cut-and-branch solver for line switching.
 
-The driver strengthens the root relaxation with separated cycle
-inequalities, then runs a deterministic best-bound branch-and-bound on
-the binary line variables.  Integral candidates are screened by a lazy
-flow-consistency check: a spanning forest of the active lines fixes
-angles, and any active chord whose implied angle difference disagrees
-with its flow yields a cycle whose big-M rows are added globally before
-the search continues.  Incumbents are post-processed into a connected
-active topology with recovered angles.
+The search runs the cycle formulation: balance rows and on/off capacity
+links only, with Kirchhoff's voltage law (KVL) enforced by big-M cycle
+rows added lazily.  ``solve_ots`` strengthens the root relaxation of that
+model (its value is z_LP) with separated cycle inequalities, then runs a
+deterministic best-bound branch-and-bound on the binary line variables.
+Integral candidates are screened by a lazy flow-consistency check: a
+spanning forest of the active lines fixes angles, and any active chord
+whose implied angle difference disagrees with its flow yields a cycle
+whose big-M rows are appended to the search's program before the search
+continues.  Incumbents are post-processed into a connected active
+topology with recovered angles.
 
 Cycle selection modes: ``default`` adds no root cuts, ``basic``
 separates over a cycle basis, ``more`` over the basis expanded twice by
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from dcots.cuts import VIOL_TOL, inequality_row, make_context, separate_closed_form
@@ -32,13 +35,8 @@ from dcots.cyclebasis import (
     expand_cycle_set,
     spanning_forest,
 )
-from dcots.formulations import (
-    MilpModel,
-    add_switching_budget,
-    build_ots_angle,
-    build_ots_cycle,
-    cycle_cut_rows,
-)
+from dcots.formulations import MilpModel, add_switching_budget, build_ots_cycle, cycle_cut_rows
+from dcots.formulations import build_ots_angle  # unused here; perfbench/layers.py wraps it by name
 from dcots.lp import SimplexError, add_rows, solve
 from dcots.network import PowerNetwork, union_find
 
@@ -76,7 +74,6 @@ class SolverConfig:
     time_limit_s: float = 3600.0
     strengthen_rounds: int = 5
     cycle_mode: str = "default"
-    use_cycle_formulation: bool = False
     # a constant, not a field: perfbench/run.py and baseline.py read it
     expansion_k: ClassVar[int] = 2
 
@@ -153,8 +150,7 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         sol = solve(lp, warm=sol.basis)
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
-    strengthened = MilpModel(lp, model.vmap, model.integer_cols, model.net, model.bigm)
-    return strengthened, z_lp, sol.obj, n_cuts
+    return replace(model, lp=lp), z_lp, sol.obj, n_cuts
 
 
 def _forest_angles(net: PowerNetwork, tree, f):
@@ -234,25 +230,27 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                      root_lp_values=(None, None)) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
 
-    Branches on the most fractional variable (ties to the lowest line
-    id); integral candidates pass through ``lazy_source``, and a
-    returned cycle contributes its two big-M rows to every open node
-    instead of an incumbent.  A node LP that fails numerically, or an
-    integral node still cut off after ``10 * |L|`` rounds of lazy rows,
-    ends the search with status ``numerical-error`` or
-    ``lazy-rows-stalled``.
+    The search works on one copy of ``model.lp``: each node sets the
+    bounds of the integer columns on it, and lazy rows are appended to it
+    in place, so they hold at every later node.  Branches on the most
+    fractional variable (ties to the lowest line id); integral candidates
+    pass through ``lazy_source``, and a returned cycle contributes its two
+    big-M rows instead of an incumbent.  A node LP that fails
+    numerically, or an integral node still cut off after ``10 * |L|``
+    rounds of lazy rows, ends the search with status ``numerical-error``
+    or ``lazy-rows-stalled``.  The result carries no angles.
     """
     start = time.monotonic() if t0 is None else t0
-    base_lp = model.lp
+    lp = model.lp.copy()
     vmap = model.vmap
     col_to_lid = {col: lid for lid, col in vmap.x.items()}
     int_cols = sorted(model.integer_cols, key=lambda c: col_to_lid[c])
+    root_bounds = tuple((c, lp.lo[c], lp.hi[c]) for c in int_cols)
 
     incumbent = None
     inc_obj = float("inf")
     nodes = 0
     cuts = root_cuts
-    lazy_pool = set()
     counter = 0
     heap = [(-float("inf"), counter, (), None)]
     status = None
@@ -273,8 +271,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             status = "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
             break
 
-        lp = base_lp.copy()
-        for col, lo, hi in overrides:
+        for col, lo, hi in root_bounds + overrides:
             lp.set_bounds(col, lo, hi)
         nodes += 1
         lazy_rounds = 0
@@ -316,12 +313,9 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             if lazy_rounds > 10 * max(1, len(model.net.lines)):
                 status = "lazy-rows-stalled"
                 break
-            rows = cycle_cut_rows(cyc, vmap)
-            if cyc.edge_ids not in lazy_pool:
-                lazy_pool.add(cyc.edge_ids)
-                base_lp = add_rows(base_lp, rows)
-                cuts += len(rows)
-            lp = add_rows(lp, rows)
+            for row in cycle_cut_rows(cyc, vmap):
+                lp.add_row(*row)
+                cuts += 1
             warm = sol.basis
         if status is not None:
             break
@@ -343,11 +337,9 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     x_out = {lid: float(round(incumbent.x[col])) for lid, col in vmap.x.items()}
     f_out = {lid: incumbent.x[col] for lid, col in vmap.flow.items()}
     p_out = {gi: incumbent.x[col] for gi, col in vmap.pg.items()}
-    theta_out = ({bid: incumbent.x[col] for bid, col in vmap.theta.items()}
-                 if vmap.theta else None)
     bound_out = best_bound if best_bound > -float("inf") else inc_obj
     bound_out = min(bound_out, inc_obj)
-    return SolveResult(status=status, x=x_out, f=f_out, theta=theta_out, p=p_out,
+    return SolveResult(status=status, x=x_out, f=f_out, p=p_out,
                        objective=inc_obj, best_bound=bound_out,
                        gap=max(0.0, _gap(inc_obj, bound_out)), nodes=nodes,
                        cuts_added=cuts, root_lp_values=root_lp_values, wall_time_s=wall)
@@ -367,16 +359,15 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
               n_off: int | None = None) -> SolveResult:
     """Solve the switching problem end to end.
 
-    Builds the angle model (or the angle-free one when configured),
-    optionally caps the number of open lines at ``n_off``, strengthens
-    the root per the cycle mode, runs branch-and-bound with the lazy
-    consistency check, and post-processes the incumbent into a
-    connected topology with recovered angles.
+    Builds the cycle formulation, optionally caps the number of open
+    lines at ``n_off``, strengthens the root per the cycle mode, runs
+    branch-and-bound with lazy KVL rows, and post-processes the
+    incumbent into a connected topology with recovered angles.
     """
     if config is None:
         config = SolverConfig()
     t0 = time.monotonic()
-    model = build_ots_cycle(net) if config.use_cycle_formulation else build_ots_angle(net)
+    model = build_ots_cycle(net)
     if n_off is not None:
         model = add_switching_budget(model, n_off)
     cycles = _cycles_for_mode(net, config)

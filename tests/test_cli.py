@@ -205,6 +205,37 @@ def test_bench_writes_sorted_rows_and_profile(tmp_path, capsys):
     assert float(prof[-1][1]) == 1.0 and float(prof[-1][2]) == 1.0
 
 
+@pytest.mark.parametrize("jobs, workers", [(10_000, 4), (3, 3)])
+def test_bench_starts_no_more_workers_than_solves(tmp_path, capsys, monkeypatch,
+                                                   jobs, workers):
+    started = []
+
+    class FakePool:  # records its size and runs the solves in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("dcots.cli.concurrent.futures.ProcessPoolExecutor", FakePool)
+    inst_dir = tmp_path / "insts"
+    inst_dir.mkdir()
+    for seed in (1, 2):
+        write_instance(inst_dir, f"net{seed}.json", seed, max_buses=4)
+    code = main(["bench", str(inst_dir), "--modes", "default,basic", "--jobs", str(jobs),
+                 "--out", str(tmp_path / "r.csv"), "--profile", str(tmp_path / "p.csv")])
+    capsys.readouterr()
+    assert code == 0
+    assert started == [workers]  # 2 instances x 2 modes = 4 solves
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 5
+
+
 def test_performance_profile_step_shapes():
     header, rows = performance_profile({"only": {"i1": 2.0}})
     assert header == ["tau", "fraction_within_tau_only"]
@@ -233,6 +264,17 @@ def test_budget_sweep_reports_infeasible_then_monotone_values(tmp_path, capsys):
     assert values[0] == pytest.approx(2.0)
 
 
+def test_budget_sweep_writes_the_status_of_an_inconclusive_solve(tmp_path, capsys):
+    path = write_instance(tmp_path, "net.json", 2, max_buses=6, max_extra_lines=3)
+    assert main(["budget-sweep", path, "--n-values", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,3.885834,3.885834"
+    assert main(["budget-sweep", path, "--time-limit", "0", "--n-values", "0,1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    # no incumbent within the limit proves nothing
+    assert rows == ["N,ip_value,lp_value", "0,infeasible-unknown,3.885834",
+                    "1,infeasible-unknown,3.885834"]
+
+
 def test_csv_schema_is_stable():
     assert CSV_HEADER == ["instance", "mode", "status", "objective", "bound",
                           "gap", "nodes", "cuts", "z_LP", "z_LP_cuts",
@@ -251,6 +293,7 @@ def test_csv_schema_is_stable():
     (["solve", "{net}", "--time-limit", "-1"], "time_limit_s"),
     (["budget-sweep", "{net}", "--time-limit", "nan"], "time_limit_s"),
     (["bench", "{dir}", "--time-limit", "nan"], "time_limit_s"),
+    (["bench", "{dir}", "--jobs", "0"], "--jobs must be at least 1"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

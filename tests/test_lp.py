@@ -365,11 +365,14 @@ def test_changes_to_a_copy_leave_the_original_alone():
         lp.dense().a[0, 0] = 1.0  # the shared arrays are read-only
 
 
-def test_dense_form_follows_columns_and_rows_edited_in_place():
+def test_dense_form_follows_new_columns_and_rows_refuse_edits():
     lp = _box_lp()
     assert solve(lp).obj == pytest.approx(-6.0)
-    lp.rows[0] = (((0, 1.0), (1, 1.0)), "<=", 5.0)
-    assert solve(lp).obj == pytest.approx(-5.0)
+    with pytest.raises(TypeError):
+        lp.rows[0] = (((0, 1.0), (1, 1.0)), "<=", 5.0)
+    with pytest.raises(AttributeError):
+        lp.rows.append((((0, 1.0),), "<=", 5.0))
+    assert solve(lp).obj == pytest.approx(-6.0)
     w = lp.add_col(cost=-3.0, lo=0.0, hi=1.0)
     lp.add_row([(0, 1.0), (w, 1.0)], "<=", 4.0)
-    assert solve(lp).obj == pytest.approx(-8.0)
+    assert solve(lp).obj == pytest.approx(-9.0)  # w = 1, u + v = 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcots.cyclebasis import CycleSet, cycle_basis
-from dcots.formulations import build_ots_angle
+from dcots.formulations import build_ots_angle, build_ots_cycle
 from dcots.lp import SimplexError, add_rows
 from dcots.lp import solve as lp_solve
 from dcots.solver import (
@@ -194,7 +194,7 @@ def test_repair_connected_joins_components():
 
 def test_cycle_formulation_converges_via_lazy_rows():
     net = triangle()
-    res = solve_ots(net, SolverConfig(use_cycle_formulation=True))
+    res = solve_ots(net)
     assert res.status == "optimal-within-gap"
     assert res.objective == pytest.approx(1.0, abs=1e-9)
     if all(v == 1.0 for v in res.x.values()):
@@ -258,7 +258,7 @@ def test_root_cuts_do_not_use_the_exhaustive_separator(monkeypatch, mode):
 def test_root_value_chain_on_random_instances():
     for seed in range(12):
         net = _random_instance(seed)
-        model = build_ots_angle(net)
+        model = build_ots_cycle(net)
         _, z_lp, z_cuts, _ = strengthen_root(model, cycle_basis(net), 5)
         assert z_cuts >= z_lp - 1e-9
         res = solve_ots(net, SolverConfig(cycle_mode="basic"))
