@@ -309,6 +309,10 @@ def main(argv=None) -> int:
             parser.error(f"{args.recipe} requires --base")
     if args.command == "bench" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.command == "solve" and args.max_off is not None and args.max_off < 0:
+        parser.error("--max-off must be nonnegative")
+    if args.command == "budget-sweep" and args.n_values and min(args.n_values) < 0:
+        parser.error("--n-values must be nonnegative")
     try:
         if args.command in ("solve", "budget-sweep"):
             args.config = _config_from_args(args)

@@ -228,6 +228,8 @@ def cycle_cut_rows(cycle: Cycle, vmap: VariableMap):
 
 def add_switching_budget(model: MilpModel, n_off: int) -> MilpModel:
     """Append a row keeping at least |L| - n_off lines closed."""
+    if n_off < 0:
+        raise ValueError(f"the switching budget must be nonnegative, got {n_off}")
     lp = model.lp.copy()
     coeffs = [(col, 1.0) for col in model.vmap.x.values()]
     lp.add_row(coeffs, ">=", float(len(model.net.lines) - n_off))

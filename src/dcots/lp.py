@@ -20,11 +20,19 @@ Rows only grow.  The dense matrix, right-hand side and slack bounds are
 built once per row set and shared, read-only, by every
 ``LinearProgram.copy()``: a bound change leaves them alone, and appended
 rows extend a copy of the matrix instead of refilling it from the sparse
-rows.  A ``Basis`` keeps the inverse of its basic columns the first time
-it is installed, together with the matrix it was computed against, so a
+rows.  The first time a ``Basis`` is installed it stores, beside the
+matrix it was installed against, its basic list and statuses padded for
+appended rows and checked, and the inverse of its basic columns.  A
 second install against the same matrix (the sibling node of a branch)
-starts from a copy of it instead of inverting again.  Both are the same
-arithmetic as building and inverting afresh.
+starts from copies of them instead of padding, checking and inverting
+again; only the statuses are checked against the new bounds.
+
+Each simplex state is evaluated once: the values ``x`` of the variables,
+and the reduced costs where they are needed, pass from the warm-start
+checks of ``solve`` to the dual simplex, from the dual simplex to the
+closing primal check, and from there to the solution.  All of this is
+the same arithmetic as building, inverting and evaluating afresh, so the
+pivots are too.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ PIVOT_TOL = 1e-9
 REFACTOR_EVERY = 100
 
 _LOWER, _UPPER, _FREE, _BASIC = 0, 1, 2, 3
+_SIGN = np.array([1.0, -1.0, 0.0, 0.0])  # per status, see _Engine.signs
 _INF = float("inf")
 _SLACK_BOUNDS = {"<=": (0.0, _INF), ">=": (-_INF, 0.0), "==": (0.0, 0.0)}
 
@@ -159,8 +168,9 @@ class Basis:
 
     Variable indices cover structurals then one slack per row; statuses
     are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
-    The first install stores the inverse of the basic columns beside the
-    matrix it came from; equality ignores it.
+    The first install stores, beside the matrix it came from, the inverse
+    of the basic columns and the padded basic list and statuses; equality
+    ignores them.
     """
 
     basic: tuple[int, ...]
@@ -202,6 +212,7 @@ class _Engine:
         self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
         self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
         self.fixed = (self.lo == self.hi)
+        self.movable = 1.0 - self.fixed
         # where a nonbasic variable rests: a finite lower bound, else a
         # finite upper bound, else free at zero
         self.natural = np.where(np.isfinite(self.lo), _LOWER,
@@ -229,31 +240,34 @@ class _Engine:
 
         A basis is rejected unless its statuses mark exactly its basic
         variables as basic; nonbasic statuses that the current bounds no
-        longer allow move to where the variable rests.  The inverse of the
-        basic columns is a copy of the one the basis stored against this
-        matrix, else it is computed and stored.
+        longer allow move to where the variable rests.  The first install
+        stores the padded basic list and statuses and the inverse of the
+        basic columns; an install against the same matrix starts from
+        copies of them instead of padding, checking and inverting again.
         """
-        pad = self.N - len(basis.stat)
-        if pad < 0 or len(basis.basic) + pad != self.m:
-            return False
-        basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
-        stat = np.array([*basis.stat, *[_BASIC] * pad], dtype=np.int64)
-        if not np.array_equal(np.sort(basic), np.flatnonzero(stat == _BASIC)):
-            return False
-        lo_ok, hi_ok = np.isfinite(self.lo), np.isfinite(self.hi)
-        allowed = (stat == _BASIC) | ((stat == _LOWER) & lo_ok) \
-            | ((stat == _UPPER) & hi_ok) | ((stat == _FREE) & ~lo_ok & ~hi_ok)
-        self.basic = basic
-        self.stat = np.where(allowed, stat, self.natural)
-        # the padded basic list is a function of the basis and the matrix
-        # shape, so an inverse stored against this very matrix fits it
         if basis._factor and basis._factor[0] is self.a:
-            self.binv = basis._factor[1].copy()
+            # the padding is a function of the basis and the matrix shape,
+            # so arrays stored against this very matrix fit it
+            _, binv, basic, stat = basis._factor
+            self.basic = basic.copy()
+            self.binv = binv.copy()
             self.pivots_since_refactor = 0
-            return True
-        if not self.refactor():
-            return False
-        basis._factor[:] = (self.a, self.binv.copy())
+        else:
+            pad = self.N - len(basis.stat)
+            if pad < 0 or len(basis.basic) + pad != self.m:
+                return False
+            basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
+            stat = np.array([*basis.stat, *[_BASIC] * pad], dtype=np.int64)
+            if not np.array_equal(np.sort(basic), np.flatnonzero(stat == _BASIC)):
+                return False
+            self.basic = basic
+            if not self.refactor():
+                return False
+            basis._factor[:] = (self.a, self.binv.copy(), basic.copy(), stat)
+        # the bounds allow a status that is basic, at a finite upper bound,
+        # or where the variable rests anyway; every other one moves there
+        keep = (stat == _BASIC) | ((stat == _UPPER) & np.isfinite(self.hi))
+        self.stat = np.where(keep, stat, self.natural)
         return True
 
     def refactor(self) -> bool:
@@ -275,6 +289,11 @@ class _Engine:
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
         return cost - cost[self.basic] @ self.binv @ self.a
+
+    def signs(self) -> np.ndarray:
+        """+1 at a lower bound, -1 at an upper bound, 0 when basic, free or
+        fixed: the direction in which each variable can leave its bound."""
+        return _SIGN[self.stat] * self.movable
 
     def infeasibility(self, x: np.ndarray) -> np.ndarray:
         xb = x[self.basic]
@@ -302,6 +321,7 @@ class _Engine:
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             if not self.refactor():
                 raise SimplexError("singular basis at refactorization")
+
     def note_step(self, t: float) -> None:
         self.iterations += 1
         if t <= FEAS_TOL:
@@ -318,10 +338,11 @@ class _Engine:
 
     # -- primal simplex (composite phase 1 + phase 2) -----------------------
 
-    def primal(self) -> str:
+    def primal(self, x: np.ndarray) -> tuple[str, np.ndarray]:
+        """Primal phases from the current basis, whose values are ``x``;
+        returns the status and the values it ends at."""
         while True:
             self.check_budget()
-            x = self.xfull()
             viol = self.infeasibility(x)
             feasible = bool(np.all(viol <= FEAS_TOL))
             if feasible:
@@ -336,31 +357,27 @@ class _Engine:
             d = self.reduced(cost)
             j = self.price(d)
             if j < 0:
-                return "optimal" if feasible else "infeasible"
+                return ("optimal" if feasible else "infeasible"), x
             delta = 1.0 if (self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)) else -1.0
             w = self.binv @ self.a[:, j]
             t, r, leave_stat = self.ratio(j, delta, w, x)
             if t == _INF:
                 if not feasible:
                     raise SimplexError("unblocked improving step in phase 1")
-                return "unbounded"
+                return "unbounded", x
             self.note_step(t)
             if r < 0:
                 self.stat[j] = _UPPER if self.stat[j] == _LOWER else _LOWER
-                continue
-            self.pivot(r, j, w, leave_stat)
+            else:
+                self.pivot(r, j, w, leave_stat)
+            x = self.xfull()
 
     def price(self, d: np.ndarray) -> int:
         """Entering variable: most violating reduced cost, or -1 if none."""
-        score = np.zeros(self.N)
-        at_lower = self.stat == _LOWER
-        at_upper = self.stat == _UPPER
+        score = np.maximum(-(self.signs() * d) - OPT_TOL, 0.0)
         free = self.stat == _FREE
-        score[at_lower] = np.maximum(-d[at_lower] - OPT_TOL, 0.0)
-        score[at_upper] = np.maximum(d[at_upper] - OPT_TOL, 0.0)
         score[free] = np.maximum(np.abs(d[free]) - OPT_TOL, 0.0)
-        score[self.fixed] = 0.0  # a fixed variable cannot move
-        elig = np.nonzero(score > 0)[0]
+        elig = (score > 0).nonzero()[0]
         if elig.size == 0:
             return -1
         if self.bland:
@@ -411,65 +428,64 @@ class _Engine:
 
     # -- dual simplex -------------------------------------------------------
 
-    def dual(self) -> str:
-        """Restore primal feasibility from a dual-feasible basis.
+    def dual(self, x: np.ndarray, d: np.ndarray) -> tuple[str, np.ndarray]:
+        """Restore primal feasibility from a dual-feasible basis whose
+        values and reduced costs are ``x`` and ``d``.
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
-        caller should fall back to a cold primal solve).
+        caller should fall back to a cold primal solve), and the values
+        it ends at.
         """
         best = _INF
         stall = 0
         while True:
             self.check_budget()
-            x = self.xfull()
             viol = self.infeasibility(x)
-            total = float(np.sum(viol))
-            if float(np.max(viol, initial=0.0)) <= FEAS_TOL:
-                return "optimal"
+            total = float(viol.sum())
+            if float(viol.max(initial=0.0)) <= FEAS_TOL:
+                return "optimal", x
             if total < best - FEAS_TOL:
                 best = total
                 stall = 0
             else:
                 stall += 1
                 if stall > 2 * (self.m + self.N):
-                    return "stalled"
-            r = int(np.argmax(viol))
+                    return "stalled", x
+            r = int(viol.argmax())
             leaving = int(self.basic[r])
             going_up = x[leaving] < self.lo[leaving]
             alpha = self.binv[r] @ self.a
-            d = self.reduced(self.c)
-            at_lower = (self.stat == _LOWER) & ~self.fixed
-            at_upper = (self.stat == _UPPER) & ~self.fixed
-            free = self.stat == _FREE
-            if going_up:
-                elig = (at_lower & (alpha < -PIVOT_TOL)) | (at_upper & (alpha > PIVOT_TOL)) \
-                    | (free & (np.abs(alpha) > PIVOT_TOL))
-            else:
-                elig = (at_lower & (alpha > PIVOT_TOL)) | (at_upper & (alpha < -PIVOT_TOL)) \
-                    | (free & (np.abs(alpha) > PIVOT_TOL))
-            cand = np.nonzero(elig)[0]
+            if d is None:
+                d = self.reduced(self.c)
+            # a nonbasic variable enters if moving it off its bound moves
+            # the leaving variable towards the bound it violates
+            step = self.signs() * alpha
+            abs_alpha = np.abs(alpha)
+            elig = (step < -PIVOT_TOL) if going_up else (step > PIVOT_TOL)
+            elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
+            cand = elig.nonzero()[0]
             if cand.size == 0:
-                return "infeasible"
-            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
-            rmin = float(np.min(ratios))
+                return "infeasible", x
+            ratios = np.abs(d[cand]) / abs_alpha[cand]
+            rmin = float(ratios.min())
             ties = cand[ratios <= rmin + OPT_TOL]
-            jcol = int(ties[np.argmax(np.abs(alpha[ties]))])
+            jcol = int(ties[abs_alpha[ties].argmax()])
             w = self.binv @ self.a[:, jcol]
             self.iterations += 1
             self.pivot(r, jcol, w, _LOWER if going_up else _UPPER)
+            x, d = self.xfull(), None
 
-    def dual_feasible(self) -> bool:
-        d = self.reduced(self.c)
-        bad = ((self.stat == _LOWER) & ~self.fixed & (d < -10 * OPT_TOL)) \
-            | ((self.stat == _UPPER) & ~self.fixed & (d > 10 * OPT_TOL)) \
+    def dual_feasible(self, d: np.ndarray) -> bool:
+        """Whether the reduced costs ``d`` of the current basis are dual feasible."""
+        bad = (self.signs() * d < -10 * OPT_TOL) \
             | ((self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL))
-        return not bool(np.any(bad))
+        return not bool(bad.any())
 
 
-def _finish(eng: _Engine, status: str) -> LpSolution:
+def _finish(eng: _Engine, status: str, x: np.ndarray | None = None) -> LpSolution:
+    """The solution at the engine's final state, whose values are ``x``."""
     if status != "optimal":
         return LpSolution(status, None, None, None, eng.iterations)
-    x = eng.xfull()
     basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()))
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
                       basis, eng.iterations)
@@ -494,15 +510,17 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     eng = _Engine(lp)
     if warm is not None and eng.install(warm):
         try:
-            if np.all(eng.infeasibility(eng.xfull()) <= FEAS_TOL) or not eng.dual_feasible():
-                return _finish(eng, eng.primal())
-            status = eng.dual()
+            x = eng.xfull()
+            if np.all(eng.infeasibility(x) <= FEAS_TOL) \
+                    or not eng.dual_feasible(d := eng.reduced(eng.c)):
+                return _finish(eng, *eng.primal(x))
+            status, x = eng.dual(x, d)
             if status == "optimal":
-                return _finish(eng, eng.primal())
+                return _finish(eng, *eng.primal(x))
             if status == "infeasible":
                 return _finish(eng, "infeasible")
             # stalled: fall through to the cold start below
         except SimplexError:
             pass
     eng.slack_start()
-    return _finish(eng, eng.primal())
+    return _finish(eng, *eng.primal(eng.xfull()))

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
+
+import numpy as np
 
 from dcots.cuts import VIOL_TOL, inequality_row, make_context, separate_closed_form
 from dcots.cuts import separate_all  # unused here; perfbench/layers.py wraps it by name
@@ -44,6 +46,7 @@ __all__ = [
     "KVL_TOL",
     "CSV_HEADER",
     "SolverConfig",
+    "SolveStats",
     "SolveResult",
     "RootRelaxationError",
     "strengthen_root",
@@ -88,6 +91,15 @@ class SolverConfig:
 
 
 @dataclass
+class SolveStats:
+    """Counters of one solve, over the root and the search: LP solves
+    started, and simplex iterations of those that returned."""
+
+    lp_calls: int = 0
+    simplex_iterations: int = 0
+
+
+@dataclass
 class SolveResult:
     """Outcome of one solve; incumbent fields are None when none exists."""
 
@@ -103,6 +115,7 @@ class SolveResult:
     cuts_added: int = 0
     root_lp_values: tuple[float | None, float | None] = (None, None)
     wall_time_s: float = 0.0
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 class RootRelaxationError(RuntimeError):
@@ -115,7 +128,8 @@ class RootRelaxationError(RuntimeError):
 
 
 def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
-                    viol_tol: float = VIOL_TOL, deadline: float | None = None):
+                    viol_tol: float = VIOL_TOL, deadline: float | None = None,
+                    stats: SolveStats | None = None):
     """Add separated cycle inequalities to the root until none violate.
 
     Each round adds the closed-form most violated cut per side of every
@@ -127,10 +141,13 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     plain relaxation value and z_LP_cuts the value after the last
     round.  Raises RootRelaxationError when any root solve is not
     optimal; infeasibility after valid cuts proves the instance itself
-    infeasible.
+    infeasible.  LP solves are counted in ``stats``, if given.
     """
+    stats = SolveStats() if stats is None else stats
     lp = model.lp
+    stats.lp_calls += 1
     sol = solve(lp)
+    stats.simplex_iterations += sol.iterations
     if sol.status != "optimal":
         raise RootRelaxationError(sol.status)
     z_lp = sol.obj
@@ -147,7 +164,9 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
             break
         lp = add_rows(lp, new_rows)
         n_cuts += len(new_rows)
+        stats.lp_calls += 1
         sol = solve(lp, warm=sol.basis)
+        stats.simplex_iterations += sol.iterations
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
     return replace(model, lp=lp), z_lp, sol.obj, n_cuts
@@ -227,7 +246,8 @@ def _gap(obj: float, bound: float) -> float:
 
 def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                      t0: float | None = None, root_cuts: int = 0,
-                     root_lp_values=(None, None)) -> SolveResult:
+                     root_lp_values=(None, None),
+                     stats: SolveStats | None = None) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
 
     The search works on one copy of ``model.lp``: each node sets the
@@ -238,13 +258,18 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     big-M rows instead of an incumbent.  A node LP that fails
     numerically, or an integral node still cut off after ``10 * |L|``
     rounds of lazy rows, ends the search with status ``numerical-error``
-    or ``lazy-rows-stalled``.  The result carries no angles.
+    or ``lazy-rows-stalled``.  The time limit is checked before each node
+    and between rounds of lazy rows.  LP solves are counted in ``stats``
+    (a new counter if None), which the result carries.  The result
+    carries no angles.
     """
     start = time.monotonic() if t0 is None else t0
+    stats = SolveStats() if stats is None else stats
     lp = model.lp.copy()
     vmap = model.vmap
     col_to_lid = {col: lid for lid, col in vmap.x.items()}
     int_cols = sorted(model.integer_cols, key=lambda c: col_to_lid[c])
+    int_idx = np.array(int_cols, dtype=np.int64)
     root_bounds = tuple((c, lp.lo[c], lp.hi[c]) for c in int_cols)
 
     incumbent = None
@@ -256,8 +281,11 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     status = None
     best_bound = -float("inf")
 
-    def timed_out():
-        return time.monotonic() - start > config.time_limit_s
+    def time_limit_status():
+        """The status to end with once past the time limit, else None."""
+        if time.monotonic() - start <= config.time_limit_s:
+            return None
+        return "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
 
     while heap:
         bound, _, overrides, warm = heapq.heappop(heap)
@@ -267,8 +295,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 break
             if bound >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj)):
                 break
-        if timed_out():
-            status = "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
+        status = time_limit_status()
+        if status is not None:
             break
 
         for col, lo, hi in root_bounds + overrides:
@@ -276,25 +304,26 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         nodes += 1
         lazy_rounds = 0
         while True:
+            stats.lp_calls += 1
             try:
                 sol = solve(lp, warm=warm)
             except SimplexError:
                 status = "numerical-error"
                 break
+            stats.simplex_iterations += sol.iterations
             if sol.status == "unbounded":
                 return SolveResult(status="unbounded", nodes=nodes, cuts_added=cuts,
                                    root_lp_values=root_lp_values,
-                                   wall_time_s=time.monotonic() - start)
+                                   wall_time_s=time.monotonic() - start, stats=stats)
             if sol.status != "optimal":
                 break
             node_obj = sol.obj
             if incumbent is not None and node_obj >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj)):
                 break
-            frac = [(abs(sol.x[c] - round(sol.x[c])), c) for c in int_cols]
-            fractional = [(d, c) for d, c in frac if d > _INT_TOL]
-            if fractional:
-                worst = max(d for d, _ in fractional)
-                branch_col = next(c for d, c in fractional if d == worst)
+            x_int = sol.x[int_idx]
+            frac = np.abs(x_int - np.round(x_int))
+            if frac.size and frac.max() > _INT_TOL:
+                branch_col = int_cols[int(frac.argmax())]  # the first of the most fractional
                 for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
                     counter += 1
                     heapq.heappush(heap, (node_obj, counter,
@@ -317,23 +346,25 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 lp.add_row(*row)
                 cuts += 1
             warm = sol.basis
+            status = time_limit_status()
+            if status is not None:
+                break
+        if status is None and heap:
+            status = time_limit_status()
         if status is not None:
-            break
-        if timed_out() and heap:
-            status = "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
             break
 
     wall = time.monotonic() - start
     if status is None:
         if incumbent is None:
             return SolveResult(status="infeasible", nodes=nodes, cuts_added=cuts,
-                               root_lp_values=root_lp_values, wall_time_s=wall)
+                               root_lp_values=root_lp_values, wall_time_s=wall, stats=stats)
         status = "optimal-within-gap"
         if not heap:
             best_bound = inc_obj  # search exhausted: the incumbent is the bound
     if incumbent is None:
         return SolveResult(status=status, nodes=nodes, cuts_added=cuts,
-                           root_lp_values=root_lp_values, wall_time_s=wall)
+                           root_lp_values=root_lp_values, wall_time_s=wall, stats=stats)
     x_out = {lid: float(round(incumbent.x[col])) for lid, col in vmap.x.items()}
     f_out = {lid: incumbent.x[col] for lid, col in vmap.flow.items()}
     p_out = {gi: incumbent.x[col] for gi, col in vmap.pg.items()}
@@ -342,7 +373,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     return SolveResult(status=status, x=x_out, f=f_out, p=p_out,
                        objective=inc_obj, best_bound=bound_out,
                        gap=max(0.0, _gap(inc_obj, bound_out)), nodes=nodes,
-                       cuts_added=cuts, root_lp_values=root_lp_values, wall_time_s=wall)
+                       cuts_added=cuts, root_lp_values=root_lp_values, wall_time_s=wall,
+                       stats=stats)
 
 
 def _cycles_for_mode(net: PowerNetwork, config: SolverConfig) -> CycleSet:
@@ -367,6 +399,7 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     if config is None:
         config = SolverConfig()
     t0 = time.monotonic()
+    stats = SolveStats()
     model = build_ots_cycle(net)
     if n_off is not None:
         model = add_switching_budget(model, n_off)
@@ -374,15 +407,18 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     rounds = 0 if config.cycle_mode == "default" else config.strengthen_rounds
     try:
         model, z_lp, z_cuts, n_cuts = strengthen_root(model, cycles, rounds,
-                                                      deadline=t0 + config.time_limit_s)
+                                                      deadline=t0 + config.time_limit_s,
+                                                      stats=stats)
     except RootRelaxationError as err:
         status = "infeasible" if err.status == "infeasible" else "unbounded"
         return SolveResult(status=status, root_lp_values=(err.z_lp, None),
-                           wall_time_s=time.monotonic() - t0)
+                           wall_time_s=time.monotonic() - t0, stats=stats)
     except SimplexError:
-        return SolveResult(status="numerical-error", wall_time_s=time.monotonic() - t0)
+        return SolveResult(status="numerical-error", wall_time_s=time.monotonic() - t0,
+                           stats=stats)
     res = branch_and_bound(model, config, lambda x, f: lazy_kvl_check(net, x, f),
-                           t0=t0, root_cuts=n_cuts, root_lp_values=(z_lp, z_cuts))
+                           t0=t0, root_cuts=n_cuts, root_lp_values=(z_lp, z_cuts),
+                           stats=stats)
     if res.x is not None:
         res.x, res.f, res.p = repair_connected(net, res.x, res.f, res.p)
         res.theta = recover_angles(net, res.x, res.f)
@@ -403,6 +439,7 @@ def result_to_doc(res: SolveResult, instance: str | None = None,
         "z_LP": res.root_lp_values[0],
         "z_LP_cuts": res.root_lp_values[1],
         "wall_time_s": res.wall_time_s,
+        "stats": asdict(res.stats),
     }
     if instance is not None:
         doc["instance"] = instance

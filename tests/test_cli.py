@@ -62,6 +62,8 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
+    assert set(doc["stats"]) == {"lp_calls", "simplex_iterations"}
+    assert doc["stats"]["lp_calls"] >= 1
 
 
 def test_gen_subset_sum_emits_the_reduction_network(tmp_path, capsys):
@@ -294,6 +296,8 @@ def test_csv_schema_is_stable():
     (["budget-sweep", "{net}", "--time-limit", "nan"], "time_limit_s"),
     (["bench", "{dir}", "--time-limit", "nan"], "time_limit_s"),
     (["bench", "{dir}", "--jobs", "0"], "--jobs must be at least 1"),
+    (["solve", "{net}", "--max-off", "-1"], "--max-off must be nonnegative"),
+    (["budget-sweep", "{net}", "--n-values", "0,-2"], "--n-values must be nonnegative"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

@@ -231,6 +231,13 @@ def test_switching_budget_appends_one_row():
     assert {c for c, _ in coeffs} == set(model.vmap.x.values())
 
 
+def test_negative_switching_budget_is_rejected():
+    model = build_ots_cycle(triangle())
+    with pytest.raises(ValueError, match="nonnegative"):
+        add_switching_budget(model, -1)
+    assert add_switching_budget(model, 0).lp.rows[-1][2] == 3.0
+
+
 def test_budget_zero_forces_all_closed():
     net = bottleneck_triangle()
     capped = add_switching_budget(build_ots_angle(net), 0)

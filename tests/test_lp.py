@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dcots.formulations import build_ots_angle
-from dcots.lp import Basis, LinearProgram, add_rows, solve
+from dcots.lp import Basis, LinearProgram, _Engine, add_rows, solve
 from dcots.network import random_connected_network
 
 INF = float("inf")
@@ -334,6 +334,29 @@ def test_children_of_one_basis_solve_as_from_fresh_bases(monkeypatch):
         if child is children[1]:
             # the sibling installs the basis against the same matrix
             assert from_shared < len(inverses)
+
+
+def test_a_stored_basis_meets_bounds_that_no_longer_allow_its_statuses():
+    lp, root, col = _switching_root()
+    shared = root.basis
+    at_lower = next(j for j in range(lp.n_cols) if shared.stat[j] == 0 and lp.lo[j] < lp.hi[j])
+    first = lp.copy()
+    first.set_bounds(col, 0.0, 0.0)
+    second = lp.copy()
+    second.set_bounds(at_lower, -INF, lp.hi[at_lower])  # its lower bound is gone
+    assert solve(first, warm=shared).iterations > 0  # the first install stores the arrays
+    got = solve(second, warm=shared)
+    _same_solve(got, solve(second, warm=Basis(shared.basic, shared.stat)))
+    assert got.basis.stat[at_lower] != 0
+    # the pivots of both solves left the stored arrays as they were installed
+    _, binv, basic, stat = shared._factor
+    assert basic.tolist() == list(shared.basic) and stat.tolist() == list(shared.stat)
+    eng = _Engine(second)
+    assert np.array_equal(binv, np.linalg.inv(eng.a[:, basic]))
+    assert eng.install(shared)
+    assert eng.stat[at_lower] == 1  # moved to its upper bound; the stored status is not
+    for mine, stored in zip((eng.binv, eng.basic, eng.stat), shared._factor[1:]):
+        assert not np.shares_memory(mine, stored)
 
 
 def test_appended_rows_solve_as_a_program_built_afresh():

@@ -341,6 +341,44 @@ def test_lazy_rows_that_never_settle_end_with_a_status():
     assert res.objective is None and res.nodes >= 1
 
 
+def test_time_limit_ends_the_lazy_rows_of_a_node(monkeypatch):
+    net = triangle()
+    same = cycle_basis(net).cycles[0]
+    now = [0.0]
+    monkeypatch.setattr("dcots.solver.time.monotonic", lambda: now[0])
+    calls = []
+
+    def late_lazy_source(x, f):
+        calls.append(1)
+        now[0] += 100.0  # the limit passes while the node's rows are added
+        return same
+
+    res = branch_and_bound(build_ots_cycle(net), SolverConfig(time_limit_s=10.0),
+                           late_lazy_source)
+    assert res.status == "infeasible-unknown"
+    assert len(calls) == 1 and res.nodes >= 1
+
+
+@pytest.mark.parametrize("mode", ["default", "basic"])
+def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode):
+    counted = {"calls": 0, "iterations": 0}
+
+    def counting(lp, warm=None):
+        sol = lp_solve(lp, warm=warm)
+        counted["calls"] += 1
+        counted["iterations"] += sol.iterations
+        return sol
+
+    monkeypatch.setattr("dcots.solver.solve", counting)
+    res = solve_ots(_triangle_with_three_violated_subsets(), SolverConfig(cycle_mode=mode))
+    assert res.status == "optimal-within-gap" and res.nodes >= 1
+    assert (res.stats.lp_calls, res.stats.simplex_iterations) == \
+        (counted["calls"], counted["iterations"])
+    assert counted["calls"] > res.nodes  # the root solves count too
+    assert result_to_doc(res)["stats"] == {"lp_calls": counted["calls"],
+                                           "simplex_iterations": counted["iterations"]}
+
+
 @pytest.mark.parametrize("fail_at", [1, 2])
 def test_a_failing_lp_ends_the_solve_with_a_status(monkeypatch, fail_at):
     # call 1 is the root LP; call 2 is the first node of the search
