@@ -20,19 +20,25 @@ Rows only grow.  The dense matrix, right-hand side and slack bounds are
 built once per row set and shared, read-only, by every
 ``LinearProgram.copy()``: a bound change leaves them alone, and appended
 rows extend a copy of the matrix instead of refilling it from the sparse
-rows.  The first time a ``Basis`` is installed it stores, beside the
-matrix it was installed against, its basic list and statuses padded for
-appended rows and checked, and the inverse of its basic columns.  A
-second install against the same matrix (the sibling node of a branch)
-starts from copies of them instead of padding, checking and inverting
-again; only the statuses are checked against the new bounds.
+rows.
 
-Each simplex state is evaluated once: the values ``x`` of the variables,
-and the reduced costs where they are needed, pass from the warm-start
-checks of ``solve`` to the dual simplex, from the dual simplex to the
-closing primal check, and from there to the solution.  All of this is
-the same arithmetic as building, inverting and evaluating afresh, so the
-pivots are too.
+A ``Basis`` returned by ``solve`` carries the factor the solve ended
+with: the matrix, the inverse of its basic columns as the pivots left
+it, the basic list, the statuses and the number of pivots since that
+inverse was last computed.  A warm start against the same matrix (a
+bound change, the sibling node of a branch) copies the factor; against a
+matrix that extends it by rows (lazy rows, cut rounds) it extends the
+factor block-triangularly, with the new rows' slacks basic.  Neither
+inverts a matrix.  The pivot count carries along the chain of warm
+starts, so ``REFACTOR_EVERY`` bounds the pivots any carried inverse has
+accumulated.  Only a basis built by hand, or one from an unrelated
+program, is padded, checked and inverted.
+
+Each simplex state is evaluated once: the values ``x`` of the variables
+and the bound violations of the basic ones, and the reduced costs where
+they are needed, pass from the warm-start checks of ``solve`` to the
+dual simplex, from the dual simplex to the closing primal check, and
+from there to the solution.
 """
 
 from __future__ import annotations
@@ -162,20 +168,32 @@ class LinearProgram:
         return out
 
 
+class _Factor(NamedTuple):
+    """The state a solve ended in, read-only: its matrix, the inverse of
+    the basic columns as the pivots left it, the basic list, the statuses,
+    and the pivots since that inverse was last computed."""
+
+    a: np.ndarray
+    binv: np.ndarray
+    basic: np.ndarray
+    stat: np.ndarray
+    age: int
+
+
 @dataclass(frozen=True)
 class Basis:
     """Warm-start descriptor: basic variable per row plus nonbasic statuses.
 
     Variable indices cover structurals then one slack per row; statuses
     are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
-    The first install stores, beside the matrix it came from, the inverse
-    of the basic columns and the padded basic list and statuses; equality
-    ignores them.
+    A basis returned by ``solve`` also carries the factor the solve ended
+    with, which a warm start copies or extends by rows instead of
+    inverting; equality ignores it.
     """
 
     basic: tuple[int, ...]
     stat: tuple[int, ...]
-    _factor: list = field(default_factory=list, repr=False, compare=False)
+    _factor: _Factor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -211,12 +229,14 @@ class _Engine:
         self.a, self.b = d.a, d.b  # shared and read-only
         self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
         self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
-        self.fixed = (self.lo == self.hi)
-        self.movable = 1.0 - self.fixed
+        self.movable = 1.0 - (self.lo == self.hi)
         # where a nonbasic variable rests: a finite lower bound, else a
         # finite upper bound, else free at zero
         self.natural = np.where(np.isfinite(self.lo), _LOWER,
                                 np.where(np.isfinite(self.hi), _UPPER, _FREE))
+        # only a variable that rests free is ever free: without one, the
+        # tests for free variables are skipped
+        self.any_free = bool((self.natural == _FREE).any())
         self.c = np.concatenate([lp.obj, np.zeros(m)])
         self.iterations = 0
         self.degenerate_run = 0
@@ -236,39 +256,55 @@ class _Engine:
         self.bland = False
 
     def install(self, basis: Basis) -> bool:
-        """Adopt a warm basis, padding appended rows with their slacks.
+        """Adopt a warm basis, with the slacks of appended rows basic.
 
-        A basis is rejected unless its statuses mark exactly its basic
-        variables as basic; nonbasic statuses that the current bounds no
-        longer allow move to where the variable rests.  The first install
-        stores the padded basic list and statuses and the inverse of the
-        basic columns; an install against the same matrix starts from
-        copies of them instead of padding, checking and inverting again.
+        A factor over a row prefix of this matrix (the same matrix
+        included) is extended block-triangularly: with ``R`` the appended
+        rows on the old basic columns, the inverse of ``[[B, 0], [R, I]]``
+        is ``[[B^-1, 0], [-R B^-1, I]]``.  Any other basis is padded and
+        inverted, and rejected unless its statuses mark exactly its basic
+        variables as basic.  Nonbasic statuses that the current bounds no
+        longer allow move to where the variable rests.
         """
-        if basis._factor and basis._factor[0] is self.a:
-            # the padding is a function of the basis and the matrix shape,
-            # so arrays stored against this very matrix fit it
-            _, binv, basic, stat = basis._factor
-            self.basic = basic.copy()
-            self.binv = binv.copy()
-            self.pivots_since_refactor = 0
+        f = basis._factor
+        k = -1 if f is None else self.prefix_rows(f.a)
+        if k == self.m:  # no rows appended: copy
+            self.binv, self.basic, stat = f.binv.copy(), f.basic.copy(), f.stat
+            self.pivots_since_refactor = f.age
+        elif k >= 0:
+            self.binv = np.eye(self.m)
+            self.binv[:k, :k] = f.binv
+            self.binv[k:, :k] = -(self.a[k:, f.basic] @ f.binv)
+            self.basic = np.concatenate([f.basic, np.arange(self.n + k, self.N)])
+            stat = np.concatenate([f.stat, np.full(self.m - k, _BASIC)])
+            self.pivots_since_refactor = f.age
         else:
             pad = self.N - len(basis.stat)
             if pad < 0 or len(basis.basic) + pad != self.m:
                 return False
-            basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
+            self.basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
             stat = np.array([*basis.stat, *[_BASIC] * pad], dtype=np.int64)
-            if not np.array_equal(np.sort(basic), np.flatnonzero(stat == _BASIC)):
+            if not np.array_equal(np.sort(self.basic), np.flatnonzero(stat == _BASIC)):
                 return False
-            self.basic = basic
             if not self.refactor():
                 return False
-            basis._factor[:] = (self.a, self.binv.copy(), basic.copy(), stat)
         # the bounds allow a status that is basic, at a finite upper bound,
         # or where the variable rests anyway; every other one moves there
         keep = (stat == _BASIC) | ((stat == _UPPER) & np.isfinite(self.hi))
         self.stat = np.where(keep, stat, self.natural)
         return True
+
+    def prefix_rows(self, a: np.ndarray) -> int:
+        """The number of rows of ``a`` if it is this matrix's first rows:
+        the same structural columns, equal there, and one slack per row;
+        else -1."""
+        if a is self.a:
+            return self.m
+        k = a.shape[0]
+        if a.shape[1] - k != self.n or k > self.m \
+                or not (a[:, :self.n] == self.a[:k, :self.n]).all():
+            return -1
+        return k
 
     def refactor(self) -> bool:
         try:
@@ -282,10 +318,13 @@ class _Engine:
 
     # -- values and prices --------------------------------------------------
 
-    def xfull(self) -> np.ndarray:
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values ``x`` of all variables at the current basis, and how
+        far each basic variable lies outside its bounds."""
         x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
-        x[self.basic] = self.binv @ (self.b - self.a @ x)
-        return x
+        x[self.basic] = xb = self.binv @ (self.b - self.a @ x)
+        lob, hib = self.lo[self.basic], self.hi[self.basic]
+        return x, np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
         return cost - cost[self.basic] @ self.binv @ self.a
@@ -294,11 +333,6 @@ class _Engine:
         """+1 at a lower bound, -1 at an upper bound, 0 when basic, free or
         fixed: the direction in which each variable can leave its bound."""
         return _SIGN[self.stat] * self.movable
-
-    def infeasibility(self, x: np.ndarray) -> np.ndarray:
-        xb = x[self.basic]
-        lob, hib = self.lo[self.basic], self.hi[self.basic]
-        return np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
 
     # -- pivoting -----------------------------------------------------------
 
@@ -315,7 +349,7 @@ class _Engine:
         self.basic[r] = j
         self.stat[j] = _BASIC
         row = self.binv[r] / piv
-        self.binv -= np.outer(w, row)
+        self.binv -= w[:, None] * row
         self.binv[r] = row
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
@@ -338,13 +372,12 @@ class _Engine:
 
     # -- primal simplex (composite phase 1 + phase 2) -----------------------
 
-    def primal(self, x: np.ndarray) -> tuple[str, np.ndarray]:
-        """Primal phases from the current basis, whose values are ``x``;
-        returns the status and the values it ends at."""
+    def primal(self, x: np.ndarray, viol: np.ndarray) -> tuple[str, np.ndarray]:
+        """Primal phases from the current basis, whose ``values()`` are
+        ``x`` and ``viol``; returns the status and the values it ends at."""
         while True:
             self.check_budget()
-            viol = self.infeasibility(x)
-            feasible = bool(np.all(viol <= FEAS_TOL))
+            feasible = bool((viol <= FEAS_TOL).all())
             if feasible:
                 cost = self.c
             else:
@@ -370,13 +403,14 @@ class _Engine:
                 self.stat[j] = _UPPER if self.stat[j] == _LOWER else _LOWER
             else:
                 self.pivot(r, j, w, leave_stat)
-            x = self.xfull()
+            x, viol = self.values()
 
     def price(self, d: np.ndarray) -> int:
         """Entering variable: most violating reduced cost, or -1 if none."""
         score = np.maximum(-(self.signs() * d) - OPT_TOL, 0.0)
-        free = self.stat == _FREE
-        score[free] = np.maximum(np.abs(d[free]) - OPT_TOL, 0.0)
+        if self.any_free:
+            free = self.stat == _FREE
+            score[free] = np.maximum(np.abs(d[free]) - OPT_TOL, 0.0)
         elig = (score > 0).nonzero()[0]
         if elig.size == 0:
             return -1
@@ -428,9 +462,10 @@ class _Engine:
 
     # -- dual simplex -------------------------------------------------------
 
-    def dual(self, x: np.ndarray, d: np.ndarray) -> tuple[str, np.ndarray]:
+    def dual(self, x: np.ndarray, viol: np.ndarray,
+             d: np.ndarray) -> tuple[str, np.ndarray, np.ndarray]:
         """Restore primal feasibility from a dual-feasible basis whose
-        values and reduced costs are ``x`` and ``d``.
+        ``values()`` are ``x`` and ``viol`` and reduced costs ``d``.
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
         caller should fall back to a cold primal solve), and the values
@@ -440,17 +475,16 @@ class _Engine:
         stall = 0
         while True:
             self.check_budget()
-            viol = self.infeasibility(x)
             total = float(viol.sum())
             if float(viol.max(initial=0.0)) <= FEAS_TOL:
-                return "optimal", x
+                return "optimal", x, viol
             if total < best - FEAS_TOL:
                 best = total
                 stall = 0
             else:
                 stall += 1
                 if stall > 2 * (self.m + self.N):
-                    return "stalled", x
+                    return "stalled", x, viol
             r = int(viol.argmax())
             leaving = int(self.basic[r])
             going_up = x[leaving] < self.lo[leaving]
@@ -462,10 +496,11 @@ class _Engine:
             step = self.signs() * alpha
             abs_alpha = np.abs(alpha)
             elig = (step < -PIVOT_TOL) if going_up else (step > PIVOT_TOL)
-            elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
+            if self.any_free:
+                elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
             cand = elig.nonzero()[0]
             if cand.size == 0:
-                return "infeasible", x
+                return "infeasible", x, viol
             ratios = np.abs(d[cand]) / abs_alpha[cand]
             rmin = float(ratios.min())
             ties = cand[ratios <= rmin + OPT_TOL]
@@ -473,20 +508,25 @@ class _Engine:
             w = self.binv @ self.a[:, jcol]
             self.iterations += 1
             self.pivot(r, jcol, w, _LOWER if going_up else _UPPER)
-            x, d = self.xfull(), None
+            (x, viol), d = self.values(), None
 
     def dual_feasible(self, d: np.ndarray) -> bool:
         """Whether the reduced costs ``d`` of the current basis are dual feasible."""
-        bad = (self.signs() * d < -10 * OPT_TOL) \
-            | ((self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL))
+        bad = self.signs() * d < -10 * OPT_TOL
+        if self.any_free:
+            bad |= (self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL)
         return not bool(bad.any())
 
 
 def _finish(eng: _Engine, status: str, x: np.ndarray | None = None) -> LpSolution:
-    """The solution at the engine's final state, whose values are ``x``."""
+    """The solution at the engine's final state, whose values are ``x``.
+    The engine is done, so its arrays go into the basis's factor."""
     if status != "optimal":
         return LpSolution(status, None, None, None, eng.iterations)
-    basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()))
+    for arr in (eng.binv, eng.basic, eng.stat):
+        arr.flags.writeable = False
+    basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()),
+                  _Factor(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor))
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
                       basis, eng.iterations)
 
@@ -510,17 +550,16 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     eng = _Engine(lp)
     if warm is not None and eng.install(warm):
         try:
-            x = eng.xfull()
-            if np.all(eng.infeasibility(x) <= FEAS_TOL) \
-                    or not eng.dual_feasible(d := eng.reduced(eng.c)):
-                return _finish(eng, *eng.primal(x))
-            status, x = eng.dual(x, d)
+            x, viol = eng.values()
+            if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
+                return _finish(eng, *eng.primal(x, viol))
+            status, x, viol = eng.dual(x, viol, d)
             if status == "optimal":
-                return _finish(eng, *eng.primal(x))
+                return _finish(eng, *eng.primal(x, viol))
             if status == "infeasible":
                 return _finish(eng, "infeasible")
             # stalled: fall through to the cold start below
         except SimplexError:
             pass
     eng.slack_start()
-    return _finish(eng, *eng.primal(eng.xfull()))
+    return _finish(eng, *eng.primal(*eng.values()))

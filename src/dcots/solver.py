@@ -250,18 +250,18 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                      stats: SolveStats | None = None) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
 
-    The search works on one copy of ``model.lp``: each node sets the
-    bounds of the integer columns on it, and lazy rows are appended to it
-    in place, so they hold at every later node.  Branches on the most
-    fractional variable (ties to the lowest line id); integral candidates
-    pass through ``lazy_source``, and a returned cycle contributes its two
-    big-M rows instead of an incumbent.  A node LP that fails
-    numerically, or an integral node still cut off after ``10 * |L|``
-    rounds of lazy rows, ends the search with status ``numerical-error``
-    or ``lazy-rows-stalled``.  The time limit is checked before each node
-    and between rounds of lazy rows.  LP solves are counted in ``stats``
-    (a new counter if None), which the result carries.  The result
-    carries no angles.
+    The search works on one copy of ``model.lp``: each node sets on it
+    the integer-column bounds that differ from the previous node's, and
+    lazy rows are appended to it in place, so they hold at every later
+    node.  Branches on the most fractional variable (ties to the lowest
+    line id); integral candidates pass through ``lazy_source``, and a
+    returned cycle contributes its two big-M rows instead of an
+    incumbent.  A node LP that fails numerically, or an integral node
+    still cut off after ``10 * |L|`` rounds of lazy rows, ends the search
+    with status ``numerical-error`` or ``lazy-rows-stalled``.  The time
+    limit is checked before each node and between rounds of lazy rows.
+    LP solves are counted in ``stats`` (a new counter if None), which the
+    result carries.  The result carries no angles.
     """
     start = time.monotonic() if t0 is None else t0
     stats = SolveStats() if stats is None else stats
@@ -270,7 +270,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     col_to_lid = {col: lid for lid, col in vmap.x.items()}
     int_cols = sorted(model.integer_cols, key=lambda c: col_to_lid[c])
     int_idx = np.array(int_cols, dtype=np.int64)
-    root_bounds = tuple((c, lp.lo[c], lp.hi[c]) for c in int_cols)
+    root_bounds = {c: (lp.lo[c], lp.hi[c]) for c in int_cols}
+    overridden = {}  # the previous node's overrides: column -> (lo, hi)
 
     incumbent = None
     inc_obj = float("inf")
@@ -299,8 +300,12 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         if status is not None:
             break
 
-        for col, lo, hi in root_bounds + overrides:
-            lp.set_bounds(col, lo, hi)
+        node_bounds = {col: (lo, hi) for col, lo, hi in overrides}
+        for col in overridden.keys() | node_bounds.keys():
+            lo, hi = node_bounds.get(col, root_bounds[col])
+            if (lp.lo[col], lp.hi[col]) != (lo, hi):
+                lp.set_bounds(col, lo, hi)
+        overridden = node_bounds
         nodes += 1
         lazy_rounds = 0
         while True:

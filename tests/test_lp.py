@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import dcots.lp
 from dcots.formulations import build_ots_angle
 from dcots.lp import Basis, LinearProgram, _Engine, add_rows, solve
 from dcots.network import random_connected_network
@@ -296,12 +297,19 @@ def test_warm_basis_from_a_larger_lp_is_not_used():
     assert sol.iterations == solve(lp).iterations  # solved cold
 
 
+def _switching_model():
+    return build_ots_angle(random_connected_network(0, max_buses=8, max_extra_lines=4))
+
+
+def _fractional(model, sol):
+    return [c for c in sorted(model.integer_cols) if 1e-6 < sol.x[c] < 1 - 1e-6]
+
+
 def _switching_root():
     """Root LP of a small switching model, its solution and a fractional line."""
-    model = build_ots_angle(random_connected_network(0, max_buses=8, max_extra_lines=4))
+    model = _switching_model()
     root = solve(model.lp)
-    col = next(c for c in model.integer_cols if 1e-6 < root.x[c] < 1 - 1e-6)
-    return model.lp, root, col
+    return model.lp, root, _fractional(model, root)[0]
 
 
 def _same_solve(got, want):
@@ -311,7 +319,37 @@ def _same_solve(got, want):
     assert got.x is None or np.array_equal(got.x, want.x)
 
 
-def test_children_of_one_basis_solve_as_from_fresh_bases(monkeypatch):
+def _close_solve(got, want, lp):
+    """The same outcome up to rounding: a carried inverse and a fresh one
+    differ in the last digits, and so may the pivots.  Both end at the same
+    point when they end in the same basis; else at optima of a degenerate
+    program that differ, both feasible and of the same objective."""
+    assert got.status == want.status
+    if want.status != "optimal":
+        return
+    assert got.obj == pytest.approx(want.obj, rel=1e-9)
+    if got.basis == want.basis:
+        np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+    d = lp.dense()
+    slack = d.b - d.a[:, :lp.n_cols] @ got.x
+    tol = 1e-7
+    assert np.all(slack >= d.slack[:, 0] - tol) and np.all(slack <= d.slack[:, 1] + tol)
+    assert np.all(got.x >= np.array(lp.lo) - tol) and np.all(got.x <= np.array(lp.hi) + tol)
+
+
+def _assert_inverse(eng):
+    np.testing.assert_allclose(eng.binv @ eng.a[:, eng.basic], np.eye(eng.m), rtol=0, atol=1e-9)
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """A list that gains one entry per ``np.linalg.inv`` call."""
+    calls, real_inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or real_inv(a))
+    return calls
+
+
+def test_children_of_one_basis_solve_as_from_fresh_bases(inversions):
     lp, root, col = _switching_root()
     children = []
     for fix in (0.0, 1.0):
@@ -319,21 +357,16 @@ def test_children_of_one_basis_solve_as_from_fresh_bases(monkeypatch):
         child.set_bounds(col, fix, fix)
         children.append(child)
     children.append(add_rows(children[0], [([(col, 1.0)], ">=", 0.5)]))
-    inverses = []
-    real_inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
     shared = root.basis
     for child in children:
-        inverses.clear()
+        inversions.clear()
         got = solve(child, warm=shared)
-        from_shared = len(inverses)
-        inverses.clear()
+        # the sibling copies the factor, the child with a row extends it
+        assert not inversions
         want = solve(child, warm=Basis(shared.basic, shared.stat))
-        _same_solve(got, want)
+        assert inversions  # a hand-built basis is inverted
+        _close_solve(got, want, child)
         assert got.iterations > 0
-        if child is children[1]:
-            # the sibling installs the basis against the same matrix
-            assert from_shared < len(inverses)
 
 
 def test_a_stored_basis_meets_bounds_that_no_longer_allow_its_statuses():
@@ -344,19 +377,106 @@ def test_a_stored_basis_meets_bounds_that_no_longer_allow_its_statuses():
     first.set_bounds(col, 0.0, 0.0)
     second = lp.copy()
     second.set_bounds(at_lower, -INF, lp.hi[at_lower])  # its lower bound is gone
-    assert solve(first, warm=shared).iterations > 0  # the first install stores the arrays
+    before = [arr.copy() for arr in shared._factor[1:4]]
+    assert solve(first, warm=shared).iterations > 0
     got = solve(second, warm=shared)
-    _same_solve(got, solve(second, warm=Basis(shared.basic, shared.stat)))
+    _close_solve(got, solve(second, warm=Basis(shared.basic, shared.stat)), second)
     assert got.basis.stat[at_lower] != 0
-    # the pivots of both solves left the stored arrays as they were installed
-    _, binv, basic, stat = shared._factor
+    # the pivots of both solves left the stored arrays as the root solve ended
+    _, binv, basic, stat, _ = shared._factor
     assert basic.tolist() == list(shared.basic) and stat.tolist() == list(shared.stat)
+    for now, then in zip((binv, basic, stat), before):
+        assert np.array_equal(now, then)
     eng = _Engine(second)
-    assert np.array_equal(binv, np.linalg.inv(eng.a[:, basic]))
     assert eng.install(shared)
+    _assert_inverse(eng)
     assert eng.stat[at_lower] == 1  # moved to its upper bound; the stored status is not
-    for mine, stored in zip((eng.binv, eng.basic, eng.stat), shared._factor[1:]):
+    for mine, stored in zip((eng.binv, eng.basic, eng.stat), (binv, basic, stat)):
         assert not np.shares_memory(mine, stored)
+
+
+def _dive(model, sol, depth):
+    """The program and the solutions of warm solves down one branch, each
+    fixing the first fractional line of the last solution on."""
+    lp, sols = model.lp, [sol]
+    for _ in range(depth):
+        lp = lp.copy()
+        lp.set_bounds(_fractional(model, sols[-1])[0], 1.0, 1.0)
+        sols.append(solve(lp, warm=sols[-1].basis))
+        assert sols[-1].status == "optimal"
+    return lp, sols
+
+
+def test_appended_rows_on_a_carried_factor_solve_as_from_a_fresh_basis(inversions):
+    model = _switching_model()
+    lp, (root, *_, parent) = _dive(model, solve(model.lp), 3)
+    col = _fractional(model, parent)[0]
+    bigger = add_rows(lp, [([(col, 1.0)], "<=", 0.25), ([(col, 2.0), (0, 1.0)], "<=", 3.0)])
+    inversions.clear()
+    eng = _Engine(bigger)
+    assert eng.install(parent.basis)
+    assert not inversions
+    _assert_inverse(eng)
+    n, k = bigger.n_cols, lp.n_rows
+    assert eng.basic[k:].tolist() == [n + k, n + k + 1]  # the new rows' slacks
+    assert eng.pivots_since_refactor == parent.basis._factor.age > root.basis._factor.age
+    got = solve(bigger, warm=parent.basis)
+    assert not inversions
+    _close_solve(got, solve(bigger, warm=Basis(parent.basis.basic, parent.basis.stat)), bigger)
+
+
+def test_appended_rows_on_a_carried_factor_match_a_fresh_basis_on_random_lps(inversions):
+    # random costs make each optimum unique, so every path ends at one point
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        lp = _random_lp(rng)
+        sol = solve(lp)
+        for _ in range(2):  # the second round extends a factor that pivots updated
+            if sol.status != "optimal":
+                break
+            parent, row = sol, rng.normal(size=lp.n_cols)
+            lp = add_rows(lp, [(list(enumerate(row)), "<=", float(row @ sol.x) - 0.5)])
+            inversions.clear()
+            sol = solve(lp, warm=parent.basis)
+            assert not inversions
+            want = solve(lp, warm=Basis(parent.basis.basic, parent.basis.stat))
+            assert sol.status == want.status
+            if want.status == "optimal":
+                assert sol.obj == pytest.approx(want.obj, rel=1e-9)
+                np.testing.assert_allclose(sol.x, want.x, rtol=0, atol=1e-9)
+                checked += 1
+    assert checked >= 20
+
+
+def test_a_factor_over_other_rows_is_not_extended(inversions):
+    lp, root, col = _switching_root()
+    mine = add_rows(lp, [([(col, 1.0)], ">=", 0.5)])
+    sol = solve(mine, warm=root.basis)
+    # a copy of the same program that appended a different row, and one more
+    for rows in ([([(col, 2.0), (0, 1.0)], ">=", 0.5)],
+                 [([(col, 2.0), (0, 1.0)], ">=", 0.5), ([(col, 1.0)], "<=", 0.9)]):
+        other = add_rows(lp, rows)
+        eng = _Engine(other)
+        assert eng.prefix_rows(sol.basis._factor.a) == -1
+        inversions.clear()
+        assert eng.install(sol.basis)
+        assert len(inversions) == 1  # padded and inverted afresh
+        _assert_inverse(eng)
+        _close_solve(solve(other, warm=sol.basis), solve(other), other)
+    assert _Engine(add_rows(mine, rows)).prefix_rows(sol.basis._factor.a) == mine.n_rows
+
+
+def test_a_chain_of_warm_solves_refactors(monkeypatch, inversions):
+    model = _switching_model()
+    lp, sols = _dive(model, solve(model.lp), 6)
+    ages = [s.basis._factor.age for s in sols]
+    # the pivot count carries along the chain, and nothing is inverted
+    assert ages == sorted(ages) and ages[-1] > ages[0] >= 2 and not inversions
+    monkeypatch.setattr(dcots.lp, "REFACTOR_EVERY", 2)
+    patched_lp, patched = _dive(model, solve(model.lp), 6)
+    assert inversions and all(s.basis._factor.age < 2 for s in patched)
+    _close_solve(patched[-1], sols[-1], patched_lp)
 
 
 def test_appended_rows_solve_as_a_program_built_afresh():
