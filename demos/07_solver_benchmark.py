@@ -2,9 +2,11 @@
 Comparing cut modes with performance profiles
 =============================================
 
-The cut-and-branch solver adds no root cuts ("default"), or separates
-cycle inequalities in closed form over a cycle basis ("basic") or over
-the basis expanded by pairwise symmetric differences ("more").  A
+At the root, the branch-and-cut solver adds no cuts ("default"), or
+separates cycle inequalities in closed form over a cycle basis
+("basic") or over the basis expanded by pairwise symmetric differences
+("more").  Every mode separates the same inequalities again at shallow
+tree nodes.  A
 Dolan-More performance profile summarizes how often each mode is within
 a factor tau of the fastest.
 """

@@ -1,7 +1,7 @@
 """DC optimal transmission switching toolkit.
 
 Cycle-based formulations of the DC power flow equations, convex-hull
-inequalities for the single-cycle switching relaxation, a cut-and-branch
+inequalities for the single-cycle switching relaxation, a branch-and-cut
 solver built on an in-repo bounded-variable simplex, and brute-force
 polyhedral checks that verify the mathematical claims at desk scale.
 """

@@ -3,12 +3,14 @@
 A spanning tree of a connected multigraph leaves m - n + 1 chords, and
 each chord closes exactly one cycle through the tree; these fundamental
 cycles form a basis of the cycle space.  This module builds that basis,
-combines cycles into longer ones, and orients raw edge sets into
-traversable cycles.
+combines cycles into longer ones, orients raw edge sets into traversable
+cycles, and finds the shortest cycle through each line under weights
+taken from a relaxation.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ __all__ = [
     "cycle_of_chord",
     "combine_cycles",
     "expand_cycle_set",
+    "lp_guided_cycles",
 ]
 
 
@@ -225,3 +228,69 @@ def expand_cycle_set(cs: CycleSet) -> CycleSet:
                 out.append(c)
     return CycleSet(tuple(out))
 
+
+def lp_guided_cycles(net: PowerNetwork, x_hat) -> CycleSet:
+    """Cycles on which a relaxation point has K_C > 0.
+
+    Weights each line by 1 - x_hat, so a cycle's weight is 1 - K_C.  For
+    each line l with x_hat[l] > 0, a heap-based Dijkstra from l's to bus
+    to its from bus over the other lines, cut off at weight x_hat[l],
+    gives the shortest cycle through l; it is kept when its weight is
+    below 1.  Closed lines start a search too: their cycles may hold
+    every fractional line of the point.  Cycles are walked l forward
+    first, and each edge set is kept once, for the first line in
+    ``net.lines`` that reaches it.
+    """
+    weight = {ln.id: 1.0 - min(1.0, max(0.0, x_hat[ln.id])) for ln in net.lines}
+    adj: dict[int, list[Line]] = {b.id: [] for b in net.buses}
+    for ln in net.lines:
+        adj[ln.from_bus].append(ln)
+        adj[ln.to_bus].append(ln)
+    seen: set[frozenset[int]] = set()
+    out = []
+    for line in net.lines:
+        cutoff = 1.0 - weight[line.id]  # the path may weigh less than this
+        if cutoff <= 0.0:
+            continue
+        path = _shortest_path(adj, weight, line, cutoff)
+        if path is None:
+            continue
+        cyc = Cycle(((line, 1),) + path)
+        if cyc.edge_ids not in seen:
+            seen.add(cyc.edge_ids)
+            out.append(cyc)
+    return CycleSet(tuple(out))
+
+
+def _shortest_path(adj, weight, line: Line, cutoff: float):
+    """The (line, sign) steps of a shortest path from ``line``'s to bus
+    to its from bus that avoids ``line`` and weighs less than ``cutoff``,
+    or None."""
+    source, target = line.to_bus, line.from_bus
+    dist = {source: 0.0}
+    step: dict[int, tuple[Line, int]] = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue  # a stale entry
+        if u == target:
+            break
+        for ln in adj[u]:
+            if ln is line:
+                continue
+            v = ln.to_bus if ln.from_bus == u else ln.from_bus
+            dv = d + weight[ln.id]
+            if dv < dist.get(v, cutoff):
+                dist[v] = dv
+                step[v] = (ln, 1 if ln.from_bus == u else -1)
+                heapq.heappush(heap, (dv, v))
+    if target not in step:
+        return None
+    steps = []
+    bus = target
+    while bus != source:
+        ln, s = step[bus]
+        steps.append((ln, s))
+        bus = ln.from_bus if s == 1 else ln.to_bus
+    return tuple(reversed(steps))

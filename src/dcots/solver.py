@@ -1,21 +1,25 @@
-"""Cut-and-branch solver for line switching.
+"""Branch-and-cut solver for line switching.
 
 The search runs the cycle formulation: balance rows and on/off capacity
 links only, with Kirchhoff's voltage law (KVL) enforced by big-M cycle
 rows added lazily.  ``solve_ots`` strengthens the root relaxation of that
 model (its value is z_LP) with separated cycle inequalities, then runs a
 deterministic best-bound branch-and-bound on the binary line variables.
-Integral candidates are screened by a lazy flow-consistency check: a
-spanning forest of the active lines fixes angles, and any active chord
-whose implied angle difference disagrees with its flow yields a cycle
-whose big-M rows are appended to the search's program before the search
-continues.  Incumbents are post-processed into a connected active
-topology with recovered angles.
+At fractional nodes up to ``TREE_DEPTH`` branchings deep the search
+separates the same inequalities again, over the shortest cycles under
+weights 1 - x of the node's relaxation.  Integral candidates are
+screened by a lazy flow-consistency check: a spanning forest of the
+active lines fixes angles, and any active chord whose implied angle
+difference disagrees with its flow yields a cycle whose big-M rows are
+appended to the search's program before the search continues.
+Incumbents are post-processed into a connected active topology with
+recovered angles.
 
-Cycle selection modes: ``default`` adds no root cuts, ``basic``
-separates over a cycle basis, ``more`` over the basis expanded twice by
-pairwise symmetric differences.  Each round separates every cycle in
-closed form, so it adds at most one cut per side per cycle.
+Cycle selection modes pick the root's cycles: ``default`` adds no root
+cuts, ``basic`` separates over a cycle basis, ``more`` over the basis
+expanded twice by pairwise symmetric differences.  Each round separates
+every cycle in closed form, so it adds at most one cut per side per
+cycle.  Tree cuts run in every mode.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from dcots.cuts import VIOL_TOL, inequality_row, make_context, separate_closed_form
+from dcots.cuts import (
+    VIOL_TOL,
+    CycleInequality,
+    inequality_row,
+    make_context,
+    separate_closed_form,
+)
 from dcots.cuts import separate_all  # unused here; perfbench/layers.py wraps it by name
 from dcots.cyclebasis import (
     Cycle,
@@ -35,6 +45,7 @@ from dcots.cyclebasis import (
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
+    lp_guided_cycles,
     spanning_forest,
 )
 from dcots.formulations import MilpModel, add_switching_budget, build_ots_cycle, cycle_cut_rows
@@ -49,7 +60,10 @@ __all__ = [
     "SolveStats",
     "SolveResult",
     "RootRelaxationError",
+    "TREE_DEPTH",
+    "TREE_ROUNDS",
     "strengthen_root",
+    "separate_at_node",
     "branch_and_bound",
     "lazy_kvl_check",
     "recover_angles",
@@ -62,6 +76,8 @@ __all__ = [
 KVL_TOL = 1e-6
 _INT_TOL = 1e-6
 _GAP_EPS = 1e-9
+TREE_DEPTH = 2   # nodes at most this many branchings deep separate cuts
+TREE_ROUNDS = 2  # rounds of cuts at each such node
 
 CSV_HEADER = ["instance", "mode", "status", "objective", "bound", "gap",
               "nodes", "cuts", "z_LP", "z_LP_cuts", "wall_time_s"]
@@ -93,10 +109,13 @@ class SolverConfig:
 @dataclass
 class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
-    started, and simplex iterations of those that returned."""
+    started, simplex iterations of those that returned, cut rows added at
+    tree nodes and lazy KVL rows added at integral ones."""
 
     lp_calls: int = 0
     simplex_iterations: int = 0
+    tree_cuts: int = 0
+    lazy_rows: int = 0
 
 
 @dataclass
@@ -170,6 +189,14 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
     return replace(model, lp=lp), z_lp, sol.obj, n_cuts
+
+
+def separate_at_node(net: PowerNetwork, f_hat, x_hat,
+                     viol_tol: float = VIOL_TOL) -> list[CycleInequality]:
+    """Closed-form cuts of a node's relaxation point over the shortest
+    cycles under weights 1 - x_hat, those with K_C > 0."""
+    return [cut for cyc in lp_guided_cycles(net, x_hat)
+            for cut in separate_closed_form(make_context(cyc, f_hat, x_hat), viol_tol)]
 
 
 def _forest_angles(net: PowerNetwork, tree, f):
@@ -254,14 +281,18 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     the integer-column bounds that differ from the previous node's, and
     lazy rows are appended to it in place, so they hold at every later
     node.  Branches on the most fractional variable (ties to the lowest
-    line id); integral candidates pass through ``lazy_source``, and a
-    returned cycle contributes its two big-M rows instead of an
-    incumbent.  A node LP that fails numerically, or an integral node
-    still cut off after ``10 * |L|`` rounds of lazy rows, ends the search
-    with status ``numerical-error`` or ``lazy-rows-stalled``.  The time
-    limit is checked before each node and between rounds of lazy rows.
-    LP solves are counted in ``stats`` (a new counter if None), which the
-    result carries.  The result carries no angles.
+    line id).  A fractional node at most ``TREE_DEPTH`` branchings deep
+    first runs up to ``TREE_ROUNDS`` rounds of ``separate_at_node``,
+    each appending its cuts and re-solving.  Integral candidates pass
+    through ``lazy_source``, and a returned cycle contributes its two
+    big-M rows instead of an incumbent.  A node LP that fails
+    numerically, or an integral node still cut off after ``10 * |L|``
+    rounds of lazy rows, ends the search with status ``numerical-error``
+    or ``lazy-rows-stalled``; rounds of tree cuts are not counted there.
+    The time limit is checked before each node and between rounds of
+    tree cuts or lazy rows.  LP solves and added rows are counted in
+    ``stats`` (a new counter if None), which the result carries.  The
+    result carries no angles.
     """
     start = time.monotonic() if t0 is None else t0
     stats = SolveStats() if stats is None else stats
@@ -307,7 +338,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 lp.set_bounds(col, lo, hi)
         overridden = node_bounds
         nodes += 1
-        lazy_rounds = 0
+        lazy_rounds = tree_rounds = 0
         while True:
             stats.lp_calls += 1
             try:
@@ -328,6 +359,22 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             x_int = sol.x[int_idx]
             frac = np.abs(x_int - np.round(x_int))
             if frac.size and frac.max() > _INT_TOL:
+                if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
+                    f_hat = {lid: sol.x[col] for lid, col in vmap.flow.items()}
+                    x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
+                    rows = [inequality_row(cut, vmap)
+                            for cut in separate_at_node(model.net, f_hat, x_hat)]
+                    if rows:
+                        tree_rounds += 1
+                        for row in rows:
+                            lp.add_row(*row)
+                        stats.tree_cuts += len(rows)
+                        cuts += len(rows)
+                        warm = sol.basis
+                        status = time_limit_status()
+                        if status is not None:
+                            break
+                        continue
                 branch_col = int_cols[int(frac.argmax())]  # the first of the most fractional
                 for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
                     counter += 1
@@ -349,6 +396,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 break
             for row in cycle_cut_rows(cyc, vmap):
                 lp.add_row(*row)
+                stats.lazy_rows += 1
                 cuts += 1
             warm = sol.basis
             status = time_limit_status()

@@ -1,7 +1,9 @@
-"""Tests for the spanning forest, cycle basis, and cycle combination."""
+"""Tests for the spanning forest, cycle basis, cycle combination, and the
+LP-guided cycle source."""
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from dcots.cyclebasis import (
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
+    lp_guided_cycles,
     spanning_forest,
 )
-from dcots.network import build_network
+from dcots.network import build_network, random_connected_network
 from dcots.oracle import incidence_matrix
 from dcots.solver import lazy_kvl_check
 
@@ -230,3 +233,72 @@ def test_lazy_kvl_check_uses_the_forest_of_the_active_lines():
     cyc = lazy_kvl_check(net, x, f)
     assert cyc == cycle_of_chord(net, [ln.id for ln in tree], bad)
     assert cyc.edge_ids - {ln.id for ln in tree} == {bad.id}
+
+
+def _shortest_cycle_through(net, weight, line) -> float:
+    """networkx's weight of the shortest cycle through ``line``, or inf."""
+    g = nx.MultiGraph()
+    g.add_nodes_from(b.id for b in net.buses)
+    for ln in net.lines:
+        if ln.id != line.id:
+            g.add_edge(ln.from_bus, ln.to_bus, key=ln.id, weight=weight[ln.id])
+    try:
+        path = nx.dijkstra_path_length(g, line.to_bus, line.from_bus, weight="weight")
+    except nx.NetworkXNoPath:
+        return float("inf")
+    return weight[line.id] + path
+
+
+def _assert_simple_closed_walk(cyc):
+    ids = [ln.id for ln, _ in cyc.members]
+    assert len(set(ids)) == len(ids)
+    first, s0 = cyc.members[0]
+    assert s0 == 1  # the line a search started from, crossed forward
+    start = bus = first.from_bus
+    visited = []
+    for ln, s in cyc.members:
+        tail, head = (ln.from_bus, ln.to_bus) if s == 1 else (ln.to_bus, ln.from_bus)
+        assert tail == bus
+        visited.append(tail)
+        bus = head
+    assert bus == start
+    assert len(set(visited)) == len(visited)
+
+
+def test_lp_guided_cycles_are_the_shortest_cycles_under_one_minus_x():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for seed in range(40):
+        net = random_connected_network(seed, max_buses=9, max_extra_lines=5)
+        x_hat = {}
+        for ln in net.lines:
+            r = rng.uniform()
+            x_hat[ln.id] = 1.0 if r < 0.3 else 0.0 if r < 0.4 else rng.uniform(0.4, 1.0)
+        weight = {lid: 1.0 - x for lid, x in x_hat.items()}
+        cycles = lp_guided_cycles(net, x_hat)
+        assert len(cycles.edge_sets()) == len(cycles)
+        for cyc in cycles:
+            _assert_simple_closed_walk(cyc)
+            assert sum(weight[lid] for lid in cyc.edge_ids) < 1.0
+        for ln in net.lines:
+            best = _shortest_cycle_through(net, weight, ln)
+            found = [sum(weight[lid] for lid in c.edge_ids)
+                     for c in cycles if ln.id in c.edge_ids]
+            if best < 1.0 - 1e-9:
+                assert min(found) == pytest.approx(best, abs=1e-12)
+                checked += 1
+            elif best > 1.0 + 1e-9:
+                assert not found
+    assert checked > 50
+
+
+def test_lp_guided_cycles_of_an_integral_point():
+    net = diamond()
+    # every line closed: each line's shortest cycle is a triangle, weight 0
+    cycles = lp_guided_cycles(net, {ln.id: 1.0 for ln in net.lines})
+    assert cycles.edge_sets() == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
+    # line 2 open: only the outer cycle avoids it
+    x_hat = {ln.id: 1.0 for ln in net.lines} | {2: 0.0}
+    assert lp_guided_cycles(net, x_hat).edge_sets() == {frozenset({0, 1, 3, 4})}
+    # two open lines on every cycle: nothing has K_C > 0
+    assert len(lp_guided_cycles(net, x_hat | {0: 0.0, 3: 0.0})) == 0

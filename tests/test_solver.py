@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dcots.cuts import CycleInequality, violation
 from dcots.cyclebasis import CycleSet, cycle_basis
 from dcots.formulations import build_ots_angle, build_ots_cycle
 from dcots.lp import SimplexError, add_rows
@@ -11,6 +14,7 @@ from dcots.solver import (
     CSV_HEADER,
     RootRelaxationError,
     SolverConfig,
+    TREE_ROUNDS,
     SolveResult,
     branch_and_bound,
     lazy_kvl_check,
@@ -18,11 +22,12 @@ from dcots.solver import (
     repair_connected,
     result_csv_row,
     result_to_doc,
+    separate_at_node,
     solve_ots,
     strengthen_root,
 )
 from dcots.network import build_network, random_connected_network
-from dcots.oracle import brute_force_ots
+from dcots.oracle import brute_force_ots, enumerate_S_C_vertices
 
 
 def triangle(direct_cap=1.0, switchable=True):
@@ -375,8 +380,103 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert (res.stats.lp_calls, res.stats.simplex_iterations) == \
         (counted["calls"], counted["iterations"])
     assert counted["calls"] > res.nodes  # the root solves count too
-    assert result_to_doc(res)["stats"] == {"lp_calls": counted["calls"],
-                                           "simplex_iterations": counted["iterations"]}
+    stats = result_to_doc(res)["stats"]
+    assert (stats["lp_calls"], stats["simplex_iterations"]) == \
+        (counted["calls"], counted["iterations"])
+
+
+@pytest.mark.parametrize("mode", ["default", "basic"])
+def test_cuts_added_is_root_plus_tree_plus_lazy_rows(mode):
+    net = random_connected_network(9, max_buses=8, max_extra_lines=4)
+    res = solve_ots(net, SolverConfig(cycle_mode=mode))
+    assert res.stats.tree_cuts > 0 and res.stats.lazy_rows > 0
+    root_cuts = 0
+    if mode == "basic":
+        root_cuts = strengthen_root(build_ots_cycle(net), cycle_basis(net), 5)[3]
+    assert res.cuts_added == root_cuts + res.stats.tree_cuts + res.stats.lazy_rows
+    assert result_to_doc(res)["stats"]["tree_cuts"] == res.stats.tree_cuts
+
+
+@pytest.mark.parametrize("mode", ["default", "basic", "more"])
+def test_tree_cuts_run_in_every_mode(monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr("dcots.solver.separate_at_node",
+                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    res = solve_ots(_random_instance(3), SolverConfig(cycle_mode=mode))
+    assert res.status == "optimal-within-gap"
+    assert calls
+
+
+def test_tree_cuts_only_at_shallow_nodes(monkeypatch):
+    calls = []
+    monkeypatch.setattr("dcots.solver.separate_at_node",
+                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    monkeypatch.setattr("dcots.solver.TREE_DEPTH", 0)
+    res = solve_ots(_random_instance(3))
+    # depth 0 is the root node alone: one call per round there
+    assert res.nodes > 1 and 1 <= len(calls) <= TREE_ROUNDS
+
+
+def test_time_limit_zero_runs_no_tree_round(monkeypatch):
+    calls = []
+    monkeypatch.setattr("dcots.solver.separate_at_node",
+                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    res = solve_ots(_random_instance(3), SolverConfig(time_limit_s=0))
+    assert res.status == "infeasible-unknown"
+    assert not calls and res.stats.tree_cuts == 0
+
+
+def test_time_limit_ends_the_tree_rounds_of_a_node(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr("dcots.solver.time.monotonic", lambda: now[0])
+    calls = []
+
+    def late(net, f_hat, x_hat):
+        calls.append(1)
+        now[0] += 100.0  # the limit passes while the node's cuts are separated
+        return separate_at_node(net, f_hat, x_hat)
+
+    monkeypatch.setattr("dcots.solver.separate_at_node", late)
+    res = solve_ots(_random_instance(3), SolverConfig(time_limit_s=10.0))
+    assert res.status == "infeasible-unknown"
+    assert len(calls) == 1 and res.stats.tree_cuts > 0
+
+
+def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
+    net = _random_instance(3)
+    expected = solve_ots(net)
+    cycle = cycle_basis(net).cycles[0]
+    # the cycle inequality of the whole cycle: valid, and the same row every round
+    whole = CycleInequality(cycle, "right", cycle.edge_ids, cycle.weight, 1.0)
+    rounds = 10 * len(net.lines) + 5
+    monkeypatch.setattr("dcots.solver.TREE_ROUNDS", rounds)
+    monkeypatch.setattr("dcots.solver.separate_at_node", lambda net, f, x: [whole])
+    res = solve_ots(net)
+    assert res.status == "optimal-within-gap"
+    assert res.objective == pytest.approx(expected.objective, rel=1e-6)
+    assert res.stats.tree_cuts >= rounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000),
+       x_draws=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+       u_draws=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_tree_cuts_hold_at_every_vertex_of_their_cycle(seed, x_draws, u_draws):
+    net = random_connected_network(seed, max_buses=6, max_extra_lines=4)
+    x_hat, f_hat = {}, {}
+    for ln, x, u in zip(net.lines, x_draws, u_draws):
+        x_hat[ln.id] = 1.0 if x > 0.6 else 0.4 + x  # mostly closed, so K_C > 0 is common
+        f_hat[ln.id] = u * ln.capacity * x_hat[ln.id]
+    cuts = [c for c in separate_at_node(net, f_hat, x_hat) if len(c.cycle) <= 5]
+    assume(cuts)
+    for cut in cuts:
+        w = [ln.w for ln, _ in cut.cycle.members]
+        for vertex in enumerate_S_C_vertices(w):
+            g, x = vertex[:len(w)], vertex[len(w):]
+            f_v = {ln.id: s * g[a] * ln.susceptance
+                   for a, (ln, s) in enumerate(cut.cycle.members)}
+            x_v = {ln.id: x[a] for a, (ln, _) in enumerate(cut.cycle.members)}
+            assert violation(cut, f_v, x_v) <= 1e-9 * (1.0 + cut.delta * len(w))
 
 
 @pytest.mark.parametrize("fail_at", [1, 2])
