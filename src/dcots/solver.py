@@ -33,7 +33,6 @@ import numpy as np
 
 from dcots.cuts import (
     VIOL_TOL,
-    CycleInequality,
     inequality_row,
     make_context,
     separate_closed_form,
@@ -63,7 +62,6 @@ __all__ = [
     "TREE_DEPTH",
     "TREE_ROUNDS",
     "strengthen_root",
-    "separate_at_node",
     "branch_and_bound",
     "lazy_kvl_check",
     "recover_angles",
@@ -174,11 +172,7 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     for _ in range(rounds):
         if len(cycles) == 0 or (deadline is not None and time.monotonic() > deadline):
             break
-        f_hat = {lid: sol.x[col] for lid, col in model.vmap.flow.items()}
-        x_hat = {lid: sol.x[col] for lid, col in model.vmap.x.items()}
-        new_rows = [inequality_row(cut, model.vmap) for cyc in cycles
-                    for cut in separate_closed_form(make_context(cyc, f_hat, x_hat),
-                                                    viol_tol)]
+        new_rows = _closed_form_rows(cycles, sol.x, model.vmap, viol_tol)
         if not new_rows:
             break
         lp = add_rows(lp, new_rows)
@@ -191,11 +185,11 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     return replace(model, lp=lp), z_lp, sol.obj, n_cuts
 
 
-def separate_at_node(net: PowerNetwork, f_hat, x_hat,
-                     viol_tol: float = VIOL_TOL) -> list[CycleInequality]:
-    """Closed-form cuts of a node's relaxation point over the shortest
-    cycles under weights 1 - x_hat, those with K_C > 0."""
-    return [cut for cyc in lp_guided_cycles(net, x_hat)
+def _closed_form_rows(cycles, x, vmap, viol_tol: float) -> list:
+    """LP rows of the closed-form cuts of every cycle at the point ``x``."""
+    f_hat = {lid: x[col] for lid, col in vmap.flow.items()}
+    x_hat = {lid: x[col] for lid, col in vmap.x.items()}
+    return [inequality_row(cut, vmap) for cyc in cycles
             for cut in separate_closed_form(make_context(cyc, f_hat, x_hat), viol_tol)]
 
 
@@ -282,8 +276,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     lazy rows are appended to it in place, so they hold at every later
     node.  Branches on the most fractional variable (ties to the lowest
     line id).  A fractional node at most ``TREE_DEPTH`` branchings deep
-    first runs up to ``TREE_ROUNDS`` rounds of ``separate_at_node``,
-    each appending its cuts and re-solving.  Integral candidates pass
+    first runs up to ``TREE_ROUNDS`` rounds of closed-form separation
+    over ``lp_guided_cycles``, each appending its cuts and re-solving.  Integral candidates pass
     through ``lazy_source``, and a returned cycle contributes its two
     big-M rows instead of an incumbent.  A node LP that fails
     numerically, or an integral node still cut off after ``10 * |L|``
@@ -360,10 +354,9 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             frac = np.abs(x_int - np.round(x_int))
             if frac.size and frac.max() > _INT_TOL:
                 if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
-                    f_hat = {lid: sol.x[col] for lid, col in vmap.flow.items()}
                     x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
-                    rows = [inequality_row(cut, vmap)
-                            for cut in separate_at_node(model.net, f_hat, x_hat)]
+                    rows = _closed_form_rows(lp_guided_cycles(model.net, x_hat), sol.x,
+                                             vmap, VIOL_TOL)
                     if rows:
                         tree_rounds += 1
                         for row in rows:

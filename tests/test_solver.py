@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcots.cuts import CycleInequality, violation
-from dcots.cyclebasis import CycleSet, cycle_basis
+from dcots.cuts import VIOL_TOL, CycleInequality, inequality_row
+from dcots.cyclebasis import CycleSet, cycle_basis, lp_guided_cycles
 from dcots.formulations import build_ots_angle, build_ots_cycle
 from dcots.lp import SimplexError, add_rows
 from dcots.lp import solve as lp_solve
@@ -16,13 +16,13 @@ from dcots.solver import (
     SolverConfig,
     TREE_ROUNDS,
     SolveResult,
+    _closed_form_rows,
     branch_and_bound,
     lazy_kvl_check,
     recover_angles,
     repair_connected,
     result_csv_row,
     result_to_doc,
-    separate_at_node,
     solve_ots,
     strengthen_root,
 )
@@ -380,9 +380,9 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert (res.stats.lp_calls, res.stats.simplex_iterations) == \
         (counted["calls"], counted["iterations"])
     assert counted["calls"] > res.nodes  # the root solves count too
-    stats = result_to_doc(res)["stats"]
-    assert (stats["lp_calls"], stats["simplex_iterations"]) == \
-        (counted["calls"], counted["iterations"])
+    assert result_to_doc(res)["stats"] == {
+        "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
+        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
 
 
 @pytest.mark.parametrize("mode", ["default", "basic"])
@@ -397,20 +397,26 @@ def test_cuts_added_is_root_plus_tree_plus_lazy_rows(mode):
     assert result_to_doc(res)["stats"]["tree_cuts"] == res.stats.tree_cuts
 
 
+def _counting_tree_source(monkeypatch, calls):
+    def counting(net, x_hat):
+        calls.append(1)
+        return lp_guided_cycles(net, x_hat)
+
+    monkeypatch.setattr("dcots.solver.lp_guided_cycles", counting)
+
+
 @pytest.mark.parametrize("mode", ["default", "basic", "more"])
 def test_tree_cuts_run_in_every_mode(monkeypatch, mode):
     calls = []
-    monkeypatch.setattr("dcots.solver.separate_at_node",
-                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    _counting_tree_source(monkeypatch, calls)
     res = solve_ots(_random_instance(3), SolverConfig(cycle_mode=mode))
     assert res.status == "optimal-within-gap"
-    assert calls
+    assert calls and res.stats.tree_cuts > 0
 
 
 def test_tree_cuts_only_at_shallow_nodes(monkeypatch):
     calls = []
-    monkeypatch.setattr("dcots.solver.separate_at_node",
-                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    _counting_tree_source(monkeypatch, calls)
     monkeypatch.setattr("dcots.solver.TREE_DEPTH", 0)
     res = solve_ots(_random_instance(3))
     # depth 0 is the root node alone: one call per round there
@@ -419,8 +425,7 @@ def test_tree_cuts_only_at_shallow_nodes(monkeypatch):
 
 def test_time_limit_zero_runs_no_tree_round(monkeypatch):
     calls = []
-    monkeypatch.setattr("dcots.solver.separate_at_node",
-                        lambda net, f, x: calls.append(1) or separate_at_node(net, f, x))
+    _counting_tree_source(monkeypatch, calls)
     res = solve_ots(_random_instance(3), SolverConfig(time_limit_s=0))
     assert res.status == "infeasible-unknown"
     assert not calls and res.stats.tree_cuts == 0
@@ -431,12 +436,12 @@ def test_time_limit_ends_the_tree_rounds_of_a_node(monkeypatch):
     monkeypatch.setattr("dcots.solver.time.monotonic", lambda: now[0])
     calls = []
 
-    def late(net, f_hat, x_hat):
+    def late(net, x_hat):
         calls.append(1)
         now[0] += 100.0  # the limit passes while the node's cuts are separated
-        return separate_at_node(net, f_hat, x_hat)
+        return lp_guided_cycles(net, x_hat)
 
-    monkeypatch.setattr("dcots.solver.separate_at_node", late)
+    monkeypatch.setattr("dcots.solver.lp_guided_cycles", late)
     res = solve_ots(_random_instance(3), SolverConfig(time_limit_s=10.0))
     assert res.status == "infeasible-unknown"
     assert len(calls) == 1 and res.stats.tree_cuts > 0
@@ -450,8 +455,9 @@ def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
     whole = CycleInequality(cycle, "right", cycle.edge_ids, cycle.weight, 1.0)
     rounds = 10 * len(net.lines) + 5
     monkeypatch.setattr("dcots.solver.TREE_ROUNDS", rounds)
-    monkeypatch.setattr("dcots.solver.separate_at_node", lambda net, f, x: [whole])
-    res = solve_ots(net)
+    monkeypatch.setattr("dcots.solver._closed_form_rows",
+                        lambda cycles, x, vmap, viol_tol: [inequality_row(whole, vmap)])
+    res = solve_ots(net)  # the default mode: no root rounds
     assert res.status == "optimal-within-gap"
     assert res.objective == pytest.approx(expected.objective, rel=1e-6)
     assert res.stats.tree_cuts >= rounds
@@ -463,20 +469,28 @@ def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
        u_draws=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
 def test_tree_cuts_hold_at_every_vertex_of_their_cycle(seed, x_draws, u_draws):
     net = random_connected_network(seed, max_buses=6, max_extra_lines=4)
-    x_hat, f_hat = {}, {}
+    vmap = build_ots_cycle(net).vmap
+    point = np.zeros(1 + max(max(vmap.flow.values()), max(vmap.x.values())))
+    x_hat = {}
     for ln, x, u in zip(net.lines, x_draws, u_draws):
         x_hat[ln.id] = 1.0 if x > 0.6 else 0.4 + x  # mostly closed, so K_C > 0 is common
-        f_hat[ln.id] = u * ln.capacity * x_hat[ln.id]
-    cuts = [c for c in separate_at_node(net, f_hat, x_hat) if len(c.cycle) <= 5]
-    assume(cuts)
-    for cut in cuts:
-        w = [ln.w for ln, _ in cut.cycle.members]
+        point[vmap.x[ln.id]] = x_hat[ln.id]
+        point[vmap.flow[ln.id]] = u * ln.capacity * x_hat[ln.id]
+    cut_cycles = [(cyc, rows) for cyc in lp_guided_cycles(net, x_hat) if len(cyc) <= 5
+                  for rows in [_closed_form_rows([cyc], point, vmap, VIOL_TOL)] if rows]
+    assume(cut_cycles)
+    for cyc, rows in cut_cycles:
+        w = [ln.w for ln, _ in cyc.members]
         for vertex in enumerate_S_C_vertices(w):
             g, x = vertex[:len(w)], vertex[len(w):]
-            f_v = {ln.id: s * g[a] * ln.susceptance
-                   for a, (ln, s) in enumerate(cut.cycle.members)}
-            x_v = {ln.id: x[a] for a, (ln, _) in enumerate(cut.cycle.members)}
-            assert violation(cut, f_v, x_v) <= 1e-9 * (1.0 + cut.delta * len(w))
+            v = np.zeros_like(point)
+            for a, (ln, s) in enumerate(cyc.members):
+                v[vmap.flow[ln.id]] = s * g[a] * ln.susceptance
+                v[vmap.x[ln.id]] = x[a]
+            for coeffs, sense, rhs in rows:
+                assert sense == "<="
+                lhs = sum(c * v[col] for col, c in coeffs)
+                assert lhs - rhs <= 1e-9 * (1.0 + sum(abs(c) for _, c in coeffs))
 
 
 @pytest.mark.parametrize("fail_at", [1, 2])
