@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from dcots.cyclebasis import Cycle, CycleSet
-from dcots.lp import LinearProgram
+from dcots.lp import Basis, LinearProgram
 from dcots.network import PowerNetwork
 
 __all__ = [
@@ -66,12 +66,15 @@ class BigMConfig:
 
 @dataclass
 class MilpModel:
-    """A built model: the LP relaxation plus integrality marks."""
+    """A built model: the LP relaxation plus integrality marks, and the
+    basis a solve of the relaxation ended at, if one was kept: the next
+    solve of ``lp`` starts from it."""
 
     lp: LinearProgram
     vmap: VariableMap
     integer_cols: tuple[int, ...]
     net: PowerNetwork
+    warm: Basis | None = None
 
 
 def compute_big_m(net: PowerNetwork) -> BigMConfig:

@@ -34,11 +34,19 @@ starts, so ``REFACTOR_EVERY`` bounds the pivots any carried inverse has
 accumulated.  Only a basis built by hand, or one from an unrelated
 program, is padded, checked and inverted.
 
-Each simplex state is evaluated once: the values ``x`` of the variables
-and the bound violations of the basic ones, and the reduced costs where
-they are needed, pass from the warm-start checks of ``solve`` to the
-dual simplex, from the dual simplex to the closing primal check, and
-from there to the solution.
+Each pivot costs what it must.  The inverse is updated in place by one
+rank-one BLAS step, with no ``m x m`` temporary.  The simplex loops carry
+the values ``x`` of the variables through each step instead of
+evaluating them again: the basic ones move along the entering column,
+the leaving variable is set exactly to its bound, and a bound flip sets
+its variable exactly to the other bound.  The dual simplex carries its
+reduced costs the same way, along the pivot row it computes anyway.
+Values and reduced costs are evaluated from scratch after every
+refactorization and once more before a loop returns, so every status is
+decided, and every ``x`` returned, on a full evaluation.  Evaluated
+values pass, with the bound violations of the basic variables, from the
+warm-start checks of ``solve`` to the dual simplex, from the dual
+simplex to the closing primal check, and from there to the solution.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 __all__ = [
     "FEAS_TOL",
@@ -203,6 +212,7 @@ class LpSolution:
     x: np.ndarray | None             # structural variable values
     basis: Basis | None
     iterations: int
+    cold_start: bool                 # ran from a slack basis: no warm basis, or a fallback
 
 
 def add_rows(lp: LinearProgram, rows) -> LinearProgram:
@@ -319,12 +329,18 @@ class _Engine:
     # -- values and prices --------------------------------------------------
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values ``x`` of all variables at the current basis, and how
-        far each basic variable lies outside its bounds."""
+        """The values ``x`` of all variables at the current basis, evaluated
+        from scratch, and ``violation(x)``.  The simplex loops carry ``x``
+        through their steps instead and call this only after the inverse
+        was recomputed and before they return."""
         x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
-        x[self.basic] = xb = self.binv @ (self.b - self.a @ x)
-        lob, hib = self.lo[self.basic], self.hi[self.basic]
-        return x, np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
+        x[self.basic] = self.binv @ (self.b - self.a @ x)
+        return x, self.violation(x)
+
+    def violation(self, x: np.ndarray) -> np.ndarray:
+        """How far each basic variable lies outside its bounds at ``x``."""
+        xb, lob, hib = x[self.basic], self.lo[self.basic], self.hi[self.basic]
+        return np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
         return cost - cost[self.basic] @ self.binv @ self.a
@@ -336,9 +352,18 @@ class _Engine:
 
     # -- pivoting -----------------------------------------------------------
 
-    def pivot(self, r: int, j: int, w: np.ndarray, leave_stat: int) -> None:
+    def pivot(self, r: int, j: int, w: np.ndarray, leave_stat: int) -> bool:
+        """Make ``j``, whose column is ``w`` in the current basis, basic in
+        row ``r``; the leaving variable takes status ``leave_stat``.
+
+        The inverse is updated in place by a rank-one step.  Returns
+        whether it was computed afresh instead (the pivot element was too
+        small, or ``REFACTOR_EVERY`` pivots were reached); values carried
+        through the step must then be evaluated again.
+        """
         piv = w[r]
-        if abs(piv) < 10 * PIVOT_TOL:
+        refactored = abs(piv) < 10 * PIVOT_TOL
+        if refactored:
             if not self.refactor():
                 raise SimplexError("singular basis during pivot")
             w = self.binv @ self.a[:, j]
@@ -348,13 +373,41 @@ class _Engine:
         self.stat[self.basic[r]] = leave_stat
         self.basic[r] = j
         self.stat[j] = _BASIC
-        row = self.binv[r] / piv
-        self.binv -= w[:, None] * row
-        self.binv[r] = row
+        binv = self.binv
+        # binv -= w row^T in place, through binv.T: a Fortran-ordered view.
+        # dger would write into a copy of any other layout, and it writes
+        # through read-only flags, so only an owned C-ordered inverse will do
+        if not (binv.flags.c_contiguous and binv.flags.writeable):
+            binv = self.binv = binv.copy()
+        row = binv[r] / piv
+        dger(-1.0, row, w, a=binv.T, overwrite_a=True)
+        binv[r] = row
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             if not self.refactor():
                 raise SimplexError("singular basis at refactorization")
+            refactored = True
+        return refactored
+
+    def step(self, x: np.ndarray, j: int, theta: float, w: np.ndarray,
+             r: int, leave_stat: int) -> bool:
+        """Carry ``x`` through one simplex step, then change the basis.
+
+        The entering variable ``j`` moves by ``theta`` and the basic ones
+        by ``-theta * w``.  With ``r >= 0``, ``j`` replaces row ``r``'s
+        basic variable, which is set exactly to the bound ``leave_stat``
+        names; with ``r < 0``, ``j`` flips exactly to its other bound.
+        Returns ``pivot``'s answer: whether ``x`` must be evaluated afresh.
+        """
+        x[self.basic] -= theta * w  # the basic list before the pivot
+        if r < 0:
+            self.stat[j] = _UPPER if self.stat[j] == _LOWER else _LOWER
+            x[j] = self.hi[j] if self.stat[j] == _UPPER else self.lo[j]
+            return False
+        leaving = self.basic[r]
+        x[j] += theta
+        x[leaving] = self.hi[leaving] if leave_stat == _UPPER else self.lo[leaving]
+        return self.pivot(r, j, w, leave_stat)
 
     def note_step(self, t: float) -> None:
         self.iterations += 1
@@ -374,7 +427,12 @@ class _Engine:
 
     def primal(self, x: np.ndarray, viol: np.ndarray) -> tuple[str, np.ndarray]:
         """Primal phases from the current basis, whose ``values()`` are
-        ``x`` and ``viol``; returns the status and the values it ends at."""
+        ``x`` and ``viol``; returns the status and the values it ends at.
+
+        ``x`` is carried through each step.  Before a status is returned
+        the values are evaluated afresh, and the status decided on them.
+        """
+        fresh = True
         while True:
             self.check_budget()
             feasible = bool((viol <= FEAS_TOL).all())
@@ -389,21 +447,24 @@ class _Engine:
                 cost[self.basic[above]] = 1.0
             d = self.reduced(cost)
             j = self.price(d)
-            if j < 0:
-                return ("optimal" if feasible else "infeasible"), x
-            delta = 1.0 if (self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)) else -1.0
-            w = self.binv @ self.a[:, j]
-            t, r, leave_stat = self.ratio(j, delta, w, x)
-            if t == _INF:
+            if j >= 0:
+                up = self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)
+                delta = 1.0 if up else -1.0
+                w = self.binv @ self.a[:, j]
+                t, r, leave_stat = self.ratio(j, delta, w, x)
+            if j < 0 or t == _INF:
+                if not fresh:
+                    x, viol = self.values()
+                    fresh = True
+                    continue
+                if j < 0:
+                    return ("optimal" if feasible else "infeasible"), x
                 if not feasible:
                     raise SimplexError("unblocked improving step in phase 1")
                 return "unbounded", x
             self.note_step(t)
-            if r < 0:
-                self.stat[j] = _UPPER if self.stat[j] == _LOWER else _LOWER
-            else:
-                self.pivot(r, j, w, leave_stat)
-            x, viol = self.values()
+            fresh = self.step(x, j, delta * t, w, r, leave_stat)
+            x, viol = self.values() if fresh else (x, self.violation(x))
 
     def price(self, d: np.ndarray) -> int:
         """Entering variable: most violating reduced cost, or -1 if none."""
@@ -469,46 +530,76 @@ class _Engine:
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
         caller should fall back to a cold primal solve), and the values
-        it ends at.
+        it ends at.  ``x`` and ``d`` are carried through each step; before
+        a status is returned they are evaluated afresh, and the status
+        decided on them.
         """
         best = _INF
         stall = 0
+        fresh = True
         while True:
             self.check_budget()
+            status = None
             total = float(viol.sum())
             if float(viol.max(initial=0.0)) <= FEAS_TOL:
-                return "optimal", x, viol
-            if total < best - FEAS_TOL:
+                status = "optimal"
+            elif total < best - FEAS_TOL:
                 best = total
                 stall = 0
             else:
                 stall += 1
                 if stall > 2 * (self.m + self.N):
-                    return "stalled", x, viol
-            r = int(viol.argmax())
-            leaving = int(self.basic[r])
-            going_up = x[leaving] < self.lo[leaving]
-            alpha = self.binv[r] @ self.a
-            if d is None:
-                d = self.reduced(self.c)
-            # a nonbasic variable enters if moving it off its bound moves
-            # the leaving variable towards the bound it violates
-            step = self.signs() * alpha
-            abs_alpha = np.abs(alpha)
-            elig = (step < -PIVOT_TOL) if going_up else (step > PIVOT_TOL)
-            if self.any_free:
-                elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
-            cand = elig.nonzero()[0]
-            if cand.size == 0:
-                return "infeasible", x, viol
-            ratios = np.abs(d[cand]) / abs_alpha[cand]
-            rmin = float(ratios.min())
-            ties = cand[ratios <= rmin + OPT_TOL]
-            jcol = int(ties[abs_alpha[ties].argmax()])
+                    status = "stalled"
+            if status is None:
+                r = int(viol.argmax())
+                leaving = int(self.basic[r])
+                going_up = x[leaving] < self.lo[leaving]
+                alpha = self.binv[r] @ self.a
+                if d is None:
+                    d = self.reduced(self.c)
+                jcol = self.dual_ratio(alpha, d, going_up)
+                if jcol < 0:
+                    status = "infeasible"
+            if status is not None:
+                if fresh:
+                    return status, x, viol
+                (x, viol), d, fresh = self.values(), None, True
+                continue
             w = self.binv @ self.a[:, jcol]
             self.iterations += 1
-            self.pivot(r, jcol, w, _LOWER if going_up else _UPPER)
-            (x, viol), d = self.values(), None
+            # the leaving variable moves to the bound it violates; the
+            # entering one's reduced cost goes to zero
+            bound = self.lo[leaving] if going_up else self.hi[leaving]
+            theta = (x[leaving] - bound) / alpha[jcol]
+            ratio = d[jcol] / alpha[jcol]
+            d -= ratio * alpha
+            d[leaving], d[jcol] = -ratio, 0.0
+            fresh = self.step(x, jcol, theta, w, r, _LOWER if going_up else _UPPER)
+            if fresh:
+                (x, viol), d = self.values(), None
+            else:
+                viol = self.violation(x)
+
+    def dual_ratio(self, alpha: np.ndarray, d: np.ndarray, going_up: bool) -> int:
+        """Entering variable of a dual step whose leaving variable's row of
+        ``B^-1 [A | I]`` is ``alpha``: the smallest ``|d_j| / |alpha_j|``
+        among the variables that move it towards the bound it violates
+        (raises it when ``going_up``), ties to the largest ``|alpha_j|``;
+        -1 if there is none."""
+        # a nonbasic variable enters if moving it off its bound moves
+        # the leaving variable towards the bound it violates
+        step = self.signs() * alpha
+        abs_alpha = np.abs(alpha)
+        elig = (step < -PIVOT_TOL) if going_up else (step > PIVOT_TOL)
+        if self.any_free:
+            elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
+        cand = elig.nonzero()[0]
+        if cand.size == 0:
+            return -1
+        ratios = np.abs(d[cand]) / abs_alpha[cand]
+        rmin = float(ratios.min())
+        ties = cand[ratios <= rmin + OPT_TOL]
+        return int(ties[abs_alpha[ties].argmax()])
 
     def dual_feasible(self, d: np.ndarray) -> bool:
         """Whether the reduced costs ``d`` of the current basis are dual feasible."""
@@ -518,17 +609,19 @@ class _Engine:
         return not bool(bad.any())
 
 
-def _finish(eng: _Engine, status: str, x: np.ndarray | None = None) -> LpSolution:
-    """The solution at the engine's final state, whose values are ``x``.
-    The engine is done, so its arrays go into the basis's factor."""
+def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
+            cold: bool = False) -> LpSolution:
+    """The solution at the engine's final state, whose values are ``x``,
+    reached from a slack basis if ``cold``.  The engine is done, so its
+    arrays go into the basis's factor."""
     if status != "optimal":
-        return LpSolution(status, None, None, None, eng.iterations)
+        return LpSolution(status, None, None, None, eng.iterations, cold)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
     basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()),
                   _Factor(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor))
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
-                      basis, eng.iterations)
+                      basis, eng.iterations, cold)
 
 
 def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
@@ -562,4 +655,4 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
         except SimplexError:
             pass
     eng.slack_start()
-    return _finish(eng, *eng.primal(*eng.values()))
+    return _finish(eng, *eng.primal(*eng.values()), cold=True)

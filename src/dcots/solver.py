@@ -107,13 +107,21 @@ class SolverConfig:
 @dataclass
 class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
-    started, simplex iterations of those that returned, cut rows added at
-    tree nodes and lazy KVL rows added at integral ones."""
+    started, simplex iterations of those that returned and how many of
+    them ran from a slack basis (first solves and warm starts that fell
+    back), cut rows added at tree nodes and lazy KVL rows added at
+    integral ones."""
 
     lp_calls: int = 0
     simplex_iterations: int = 0
+    cold_starts: int = 0
     tree_cuts: int = 0
     lazy_rows: int = 0
+
+    def count(self, sol) -> None:
+        """Count the work of an LP solve that returned ``sol``."""
+        self.simplex_iterations += sol.iterations
+        self.cold_starts += sol.cold_start
 
 
 @dataclass
@@ -156,7 +164,8 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
 
     Returns (model, z_LP, z_LP_cuts, cuts_added) where z_LP is the
     plain relaxation value and z_LP_cuts the value after the last
-    round.  Raises RootRelaxationError when any root solve is not
+    round; the model carries the basis of the last solve as its
+    ``warm`` start.  Raises RootRelaxationError when any root solve is not
     optimal; infeasibility after valid cuts proves the instance itself
     infeasible.  LP solves are counted in ``stats``, if given.
     """
@@ -164,7 +173,7 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     lp = model.lp
     stats.lp_calls += 1
     sol = solve(lp)
-    stats.simplex_iterations += sol.iterations
+    stats.count(sol)
     if sol.status != "optimal":
         raise RootRelaxationError(sol.status)
     z_lp = sol.obj
@@ -179,10 +188,10 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         n_cuts += len(new_rows)
         stats.lp_calls += 1
         sol = solve(lp, warm=sol.basis)
-        stats.simplex_iterations += sol.iterations
+        stats.count(sol)
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
-    return replace(model, lp=lp), z_lp, sol.obj, n_cuts
+    return replace(model, lp=lp, warm=sol.basis), z_lp, sol.obj, n_cuts
 
 
 def _closed_form_rows(cycles, x, vmap, viol_tol: float) -> list:
@@ -284,7 +293,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     rounds of lazy rows, ends the search with status ``numerical-error``
     or ``lazy-rows-stalled``; rounds of tree cuts are not counted there.
     The time limit is checked before each node and between rounds of
-    tree cuts or lazy rows.  LP solves and added rows are counted in
+    tree cuts or lazy rows.  The first node's LP starts from
+    ``model.warm``, if set.  LP solves and added rows are counted in
     ``stats`` (a new counter if None), which the result carries.  The
     result carries no angles.
     """
@@ -303,7 +313,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     nodes = 0
     cuts = root_cuts
     counter = 0
-    heap = [(-float("inf"), counter, (), None)]
+    heap = [(-float("inf"), counter, (), model.warm)]
     status = None
     best_bound = -float("inf")
 
@@ -340,7 +350,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             except SimplexError:
                 status = "numerical-error"
                 break
-            stats.simplex_iterations += sol.iterations
+            stats.count(sol)
             if sol.status == "unbounded":
                 return SolveResult(status="unbounded", nodes=nodes, cuts_added=cuts,
                                    root_lp_values=root_lp_values,

@@ -62,8 +62,8 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
-    assert set(doc["stats"]) == {"lp_calls", "simplex_iterations", "tree_cuts",
-                                 "lazy_rows"}
+    assert set(doc["stats"]) == {"lp_calls", "simplex_iterations", "cold_starts",
+                                 "tree_cuts", "lazy_rows"}
     assert doc["stats"]["lp_calls"] >= 1
 
 

@@ -135,22 +135,156 @@ def _scipy_reference(lp):
                    bounds=bounds, method="highs", options={"presolve": False})
 
 
+def _random_large_lp(rng):
+    """A random sparse program of 60-150 rows, built around a point inside
+    the column bounds that every row admits, except a row that now and
+    then is drawn to cut it off; costs push half-bounded columns towards
+    their finite bound."""
+    m = int(rng.integers(60, 151))
+    n = m + int(rng.integers(0, m // 2 + 1))
+    lp = LinearProgram()
+    x0 = np.empty(n)
+    for j in range(n):
+        kind = rng.choice(4, p=[0.5, 0.2, 0.15, 0.15])
+        lo, hi = [(-rng.random(), 1 + 3 * rng.random()), (0.0, INF), (-INF, INF), (-INF, 2.0)][kind]
+        x0[j] = rng.uniform(max(lo, -3.0), min(hi, 3.0))
+        cost = [rng.normal(), abs(rng.normal()), 0.0, -abs(rng.normal())][kind]
+        lp.add_col(cost=float(cost), lo=float(lo), hi=float(hi))
+    for _ in range(m):
+        cols = rng.choice(n, size=int(rng.integers(2, 9)), replace=False)
+        coeffs = [(int(c), float(rng.normal())) for c in cols]
+        act = sum(v * x0[c] for c, v in coeffs)
+        sense = ["<=", ">=", "=="][rng.integers(0, 3)]
+        gap = abs(rng.normal()) if rng.random() < 0.97 else -abs(rng.normal())
+        lp.add_row(coeffs, sense, float(act + gap if sense == "<=" else
+                                        act - gap if sense == ">=" else act))
+    return lp
+
+
+def _assert_matches_reference(lp, sol) -> bool:
+    """``sol`` has the status and objective HiGHS finds; True if optimal."""
+    ref = _scipy_reference(lp)
+    want = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
+    if want is None:
+        return False
+    assert sol.status == want, f"reference {want}, got {sol.status}"
+    if want == "optimal":
+        assert sol.obj == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+    return want == "optimal"
+
+
+def _cut_through(lp, sol, rng, k=1):
+    """``lp`` with ``k`` random rows that each cut ``sol.x`` off."""
+    rows = rng.normal(size=(k, lp.n_cols))
+    return add_rows(lp, [(list(enumerate(row)), "<=", float(row @ sol.x) - 0.5) for row in rows])
+
+
 def test_random_lps_match_reference():
     rng = np.random.default_rng(20240817)
     checked = 0
     for _ in range(80):
         lp = _random_lp(rng)
-        ref = _scipy_reference(lp)
-        sol = solve(lp)
-        if ref.status == 0:
-            assert sol.status == "optimal", f"reference optimal, got {sol.status}"
-            assert sol.obj == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
-            checked += 1
-        elif ref.status == 2:
-            assert sol.status == "infeasible"
-        elif ref.status == 3:
-            assert sol.status == "unbounded"
+        checked += _assert_matches_reference(lp, solve(lp))
     assert checked >= 20  # the sample must actually exercise optimal solves
+
+
+@pytest.mark.parametrize("refactor_every", [dcots.lp.REFACTOR_EVERY, 3])
+def test_large_random_lps_match_reference(monkeypatch, refactor_every):
+    monkeypatch.setattr(dcots.lp, "REFACTOR_EVERY", refactor_every)
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(6):
+        lp = _random_large_lp(rng)
+        sol = solve(lp)
+        assert sol.iterations > 50
+        if _assert_matches_reference(lp, sol):
+            bigger = _cut_through(lp, sol, rng)  # re-solved by the dual simplex
+            checked += _assert_matches_reference(bigger, solve(bigger, warm=sol.basis))
+    assert checked >= 3
+
+
+@pytest.fixture
+def carried_state(monkeypatch):
+    """Checks, at every simplex step, the state the loops carry against a
+    fresh evaluation.  Where a loop computes ``violation(x)`` itself, its
+    ``x`` must equal ``values()`` (nonbasic values exactly, basic ones to
+    1e-9), and no refactorization may have happened since the last
+    ``values()``; at every dual ratio test, the dual's reduced costs must
+    equal ``reduced(c)`` to 1e-9.  Yields the counts of checks made."""
+    seen = {"x": 0, "d": 0, "refreshed": 0}
+    evaluating = []
+    real_values, real_violation = _Engine.values, _Engine.violation
+    real_refactor, real_dual_ratio = _Engine.refactor, _Engine.dual_ratio
+
+    def values(self):
+        seen["refreshed"] += getattr(self, "stale", False)
+        self.stale = False
+        evaluating.append(1)
+        try:
+            return real_values(self)
+        finally:
+            evaluating.pop()
+
+    def violation(self, x):
+        if not evaluating:
+            assert not getattr(self, "stale", False), "values carried past a refactorization"
+            fresh = values(self)[0]
+            nonbasic = self.stat != 3
+            assert np.array_equal(x[nonbasic], fresh[nonbasic])
+            np.testing.assert_allclose(x[self.basic], fresh[self.basic], rtol=1e-9, atol=1e-9)
+            seen["x"] += 1
+        return real_violation(self, x)
+
+    def refactor(self):
+        self.stale = True
+        return real_refactor(self)
+
+    def dual_ratio(self, alpha, d, going_up):
+        np.testing.assert_allclose(d, self.reduced(self.c), rtol=1e-9, atol=1e-9)
+        seen["d"] += 1
+        return real_dual_ratio(self, alpha, d, going_up)
+
+    for name, fn in (("values", values), ("violation", violation),
+                     ("refactor", refactor), ("dual_ratio", dual_ratio)):
+        monkeypatch.setattr(_Engine, name, fn)
+    yield seen
+
+
+@pytest.mark.parametrize("refactor_every", [dcots.lp.REFACTOR_EVERY, 3])
+def test_the_loops_carry_what_a_fresh_evaluation_gives(monkeypatch, carried_state,
+                                                       refactor_every):
+    monkeypatch.setattr(dcots.lp, "REFACTOR_EVERY", refactor_every)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        lp = _random_large_lp(rng)
+        sol = solve(lp)  # primal phases 1 and 2
+        if sol.status == "optimal":
+            warm = solve(_cut_through(lp, sol, rng, k=8), warm=sol.basis)
+            assert not warm.cold_start and warm.iterations > 0  # the dual simplex
+    assert carried_state["x"] > 300 and carried_state["d"] > 10
+    assert carried_state["refreshed"] > 0  # refactorizations inside the loops
+
+
+def test_pivot_updates_the_inverse_in_place():
+    lp = _random_large_lp(np.random.default_rng(5))
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    stored = sol.basis._factor.binv.copy()
+    eng = _Engine(lp)
+    starts = (lambda: eng.install(sol.basis),  # a copy of the stored, read-only inverse
+              eng.slack_start,                 # an identity
+              eng.refactor)                    # an inverse computed afresh
+    for start in starts:
+        start()
+        eng.pivots_since_refactor = 0
+        for _ in range(5):
+            j = next(j for j in range(eng.n) if eng.stat[j] != 3 and eng.movable[j])
+            w = eng.binv @ eng.a[:, j]
+            buf = eng.binv
+            assert not eng.pivot(int(np.abs(w).argmax()), j, w, dcots.lp._LOWER)
+            assert eng.binv is buf and buf.flags.c_contiguous
+            _assert_inverse(eng)
+    assert np.array_equal(sol.basis._factor.binv, stored)  # the copy took the pivots
 
 
 def test_add_rows_warm_resolve_matches_cold():

@@ -366,23 +366,42 @@ def test_time_limit_ends_the_lazy_rows_of_a_node(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["default", "basic"])
 def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode):
-    counted = {"calls": 0, "iterations": 0}
+    counted = {"calls": 0, "iterations": 0, "cold": 0}
 
     def counting(lp, warm=None):
         sol = lp_solve(lp, warm=warm)
         counted["calls"] += 1
         counted["iterations"] += sol.iterations
+        counted["cold"] += sol.cold_start
         return sol
 
     monkeypatch.setattr("dcots.solver.solve", counting)
     res = solve_ots(_triangle_with_three_violated_subsets(), SolverConfig(cycle_mode=mode))
     assert res.status == "optimal-within-gap" and res.nodes >= 1
-    assert (res.stats.lp_calls, res.stats.simplex_iterations) == \
-        (counted["calls"], counted["iterations"])
+    assert (res.stats.lp_calls, res.stats.simplex_iterations, res.stats.cold_starts) == \
+        (counted["calls"], counted["iterations"], counted["cold"])
     assert counted["calls"] > res.nodes  # the root solves count too
+    assert counted["cold"] == 1  # the root's first solve; the search starts warm
     assert result_to_doc(res)["stats"] == {
         "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
-        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
+        "cold_starts": 1, "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
+
+
+def test_the_search_starts_from_the_root_basis(monkeypatch):
+    calls = []
+
+    def recording(lp, warm=None):
+        calls.append((warm, lp_solve(lp, warm=warm)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("dcots.solver.solve", recording)
+    res = solve_ots(_random_instance(3))  # the default mode: no root rounds
+    assert res.status == "optimal-within-gap"
+    (no_warm, root), (warm, first_node) = calls[:2]
+    assert no_warm is None and root.cold_start
+    # the first node solves the root's program again, from the root's basis
+    assert warm is root.basis and not first_node.cold_start
+    assert first_node.iterations == 0 and first_node.obj == root.obj
 
 
 @pytest.mark.parametrize("mode", ["default", "basic"])
