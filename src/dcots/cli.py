@@ -36,6 +36,7 @@ from dcots.oracle import (
 )
 from dcots.solver import (
     CSV_HEADER,
+    CYCLE_MODES,
     SolverConfig,
     result_csv_row,
     result_to_doc,
@@ -224,14 +225,21 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_solver_flags(p):
-    p.add_argument("--mode", choices=("default", "basic", "more"),
-                   default="default", help="root cycle-cut selection")
-    p.add_argument("--gap", type=float, default=0.001,
+_DEFAULT = SolverConfig()
+
+
+def _add_limit_flags(p):
+    p.add_argument("--gap", type=float, default=_DEFAULT.rel_gap,
                    help="relative optimality gap")
-    p.add_argument("--time-limit", type=float, default=3600.0,
+    p.add_argument("--time-limit", type=float, default=_DEFAULT.time_limit_s,
                    help="wall-clock limit in seconds")
-    p.add_argument("--rounds", type=int, default=5,
+
+
+def _add_solver_flags(p):
+    p.add_argument("--mode", choices=CYCLE_MODES, default=_DEFAULT.cycle_mode,
+                   help="root cycle-cut selection")
+    _add_limit_flags(p)
+    p.add_argument("--rounds", type=int, default=_DEFAULT.strengthen_rounds,
                    help="root separation rounds")
 
 
@@ -275,10 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="solve a directory of instances")
     p.add_argument("instance_dir")
-    p.add_argument("--modes", default="default,basic,more",
+    p.add_argument("--modes", default=",".join(CYCLE_MODES),
                    help="comma-separated solver modes")
-    p.add_argument("--gap", type=float, default=0.001)
-    p.add_argument("--time-limit", type=float, default=3600.0)
+    _add_limit_flags(p)
     p.add_argument("--jobs", type=int, default=1,
                    help="concurrent solves, one process each")
     p.add_argument("--out", default="bench_results.csv")

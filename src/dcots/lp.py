@@ -22,17 +22,16 @@ built once per row set and shared, read-only, by every
 rows extend a copy of the matrix instead of refilling it from the sparse
 rows.
 
-A ``Basis`` returned by ``solve`` carries the factor the solve ended
-with: the matrix, the inverse of its basic columns as the pivots left
-it, the basic list, the statuses and the number of pivots since that
-inverse was last computed.  A warm start against the same matrix (a
-bound change, the sibling node of a branch) copies the factor; against a
-matrix that extends it by rows (lazy rows, cut rounds) it extends the
-factor block-triangularly, with the new rows' slacks basic.  Neither
-inverts a matrix.  The pivot count carries along the chain of warm
-starts, so ``REFACTOR_EVERY`` bounds the pivots any carried inverse has
-accumulated.  Only a basis built by hand, or one from an unrelated
-program, is padded, checked and inverted.
+A ``Basis`` is the factor a solve ended with: the matrix, the inverse
+of its basic columns as the pivots left it, the basic list, the statuses
+and the number of pivots since that inverse was last computed.  A warm
+start against the same matrix (a bound change, the sibling node of a
+branch) copies the factor; against a matrix that extends it by rows
+(lazy rows, cut rounds) it extends the factor block-triangularly, with
+the new rows' slacks basic.  Neither inverts a matrix.  The pivot count
+carries along the chain of warm starts, so ``REFACTOR_EVERY`` bounds the
+pivots any carried inverse has accumulated.  A basis whose matrix the
+program's matrix neither equals nor extends by rows is ignored.
 
 Each pivot costs what it must.  The inverse is updated in place by one
 rank-one BLAS step, with no ``m x m`` temporary.  The simplex loops carry
@@ -51,7 +50,7 @@ simplex to the closing primal check, and from there to the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -177,32 +176,23 @@ class LinearProgram:
         return out
 
 
-class _Factor(NamedTuple):
-    """The state a solve ended in, read-only: its matrix, the inverse of
-    the basic columns as the pivots left it, the basic list, the statuses,
-    and the pivots since that inverse was last computed."""
+class Basis(NamedTuple):
+    """The factor a solve ended with, read-only: its matrix ``[A | I]``,
+    the inverse of the basic columns as the pivots left it, the basic
+    variable of each row, the status of every variable, and the pivots
+    since that inverse was last computed.
+
+    Variable indices cover structurals then one slack per row; statuses
+    are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
+    A warm start copies the factor or extends it by rows instead of
+    inverting; a program whose matrix does not extend ``a`` ignores it.
+    """
 
     a: np.ndarray
     binv: np.ndarray
     basic: np.ndarray
     stat: np.ndarray
     age: int
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Warm-start descriptor: basic variable per row plus nonbasic statuses.
-
-    Variable indices cover structurals then one slack per row; statuses
-    are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
-    A basis returned by ``solve`` also carries the factor the solve ended
-    with, which a warm start copies or extends by rows instead of
-    inverting; equality ignores it.
-    """
-
-    basic: tuple[int, ...]
-    stat: tuple[int, ...]
-    _factor: _Factor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -266,38 +256,29 @@ class _Engine:
         self.bland = False
 
     def install(self, basis: Basis) -> bool:
-        """Adopt a warm basis, with the slacks of appended rows basic.
+        """Adopt a warm basis, with the slacks of appended rows basic;
+        False, leaving the engine as it was, if this matrix does not
+        extend the basis's.
 
         A factor over a row prefix of this matrix (the same matrix
-        included) is extended block-triangularly: with ``R`` the appended
-        rows on the old basic columns, the inverse of ``[[B, 0], [R, I]]``
-        is ``[[B^-1, 0], [-R B^-1, I]]``.  Any other basis is padded and
-        inverted, and rejected unless its statuses mark exactly its basic
-        variables as basic.  Nonbasic statuses that the current bounds no
-        longer allow move to where the variable rests.
+        included) is copied or extended block-triangularly: with ``R``
+        the appended rows on the old basic columns, the inverse of
+        ``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``.  Nonbasic
+        statuses that the current bounds no longer allow move to where
+        the variable rests.
         """
-        f = basis._factor
-        k = -1 if f is None else self.prefix_rows(f.a)
+        k = self.prefix_rows(basis.a)
+        if k < 0:
+            return False
         if k == self.m:  # no rows appended: copy
-            self.binv, self.basic, stat = f.binv.copy(), f.basic.copy(), f.stat
-            self.pivots_since_refactor = f.age
-        elif k >= 0:
-            self.binv = np.eye(self.m)
-            self.binv[:k, :k] = f.binv
-            self.binv[k:, :k] = -(self.a[k:, f.basic] @ f.binv)
-            self.basic = np.concatenate([f.basic, np.arange(self.n + k, self.N)])
-            stat = np.concatenate([f.stat, np.full(self.m - k, _BASIC)])
-            self.pivots_since_refactor = f.age
+            self.binv, self.basic, stat = basis.binv.copy(), basis.basic.copy(), basis.stat
         else:
-            pad = self.N - len(basis.stat)
-            if pad < 0 or len(basis.basic) + pad != self.m:
-                return False
-            self.basic = np.array([*basis.basic, *range(len(basis.stat), self.N)], dtype=np.int64)
-            stat = np.array([*basis.stat, *[_BASIC] * pad], dtype=np.int64)
-            if not np.array_equal(np.sort(self.basic), np.flatnonzero(stat == _BASIC)):
-                return False
-            if not self.refactor():
-                return False
+            self.binv = np.eye(self.m)
+            self.binv[:k, :k] = basis.binv
+            self.binv[k:, :k] = -(self.a[k:, basis.basic] @ basis.binv)
+            self.basic = np.concatenate([basis.basic, np.arange(self.n + k, self.N)])
+            stat = np.concatenate([basis.stat, np.full(self.m - k, _BASIC)])
+        self.pivots_since_refactor = basis.age
         # the bounds allow a status that is basic, at a finite upper bound,
         # or where the variable rests anyway; every other one moves there
         keep = (stat == _BASIC) | ((stat == _UPPER) & np.isfinite(self.hi))
@@ -613,13 +594,12 @@ def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
             cold: bool = False) -> LpSolution:
     """The solution at the engine's final state, whose values are ``x``,
     reached from a slack basis if ``cold``.  The engine is done, so its
-    arrays go into the basis's factor."""
+    arrays go into the basis."""
     if status != "optimal":
         return LpSolution(status, None, None, None, eng.iterations, cold)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
-    basis = Basis(tuple(eng.basic.tolist()), tuple(eng.stat.tolist()),
-                  _Factor(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor))
+    basis = Basis(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
                       basis, eng.iterations, cold)
 
@@ -630,9 +610,9 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     A warm basis that is dual feasible but primal infeasible (the state
     after appending cutting planes or tightening bounds) is repaired with
     the dual simplex; anything else goes through the primal phases.  A
-    basis that does not fit the program (its length, or statuses that
-    disagree with its basic list) is ignored, and a stalled or numerically
-    broken warm path falls back to a cold solve on the same engine.
+    basis whose matrix this program's matrix neither equals nor extends
+    by rows is ignored, and a stalled or numerically broken warm path
+    falls back to a cold solve on the same engine.
 
     Returns
     -------

@@ -55,6 +55,7 @@ from dcots.network import PowerNetwork, union_find
 __all__ = [
     "KVL_TOL",
     "CSV_HEADER",
+    "CYCLE_MODES",
     "SolverConfig",
     "SolveStats",
     "SolveResult",
@@ -80,7 +81,7 @@ TREE_ROUNDS = 2  # rounds of cuts at each such node
 CSV_HEADER = ["instance", "mode", "status", "objective", "bound", "gap",
               "nodes", "cuts", "z_LP", "z_LP_cuts", "wall_time_s"]
 
-_MODES = ("default", "basic", "more")
+CYCLE_MODES = ("default", "basic", "more")
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class SolverConfig:
     expansion_k: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.cycle_mode not in _MODES:
-            raise ValueError(f"cycle_mode must be one of {_MODES}")
+        if self.cycle_mode not in CYCLE_MODES:
+            raise ValueError(f"cycle_mode must be one of {CYCLE_MODES}")
         # written as `not x >= 0` so that NaN is rejected too
         if not (self.rel_gap >= 0 and self.strengthen_rounds >= 0):
             raise ValueError("rel_gap and strengthen_rounds must be nonnegative")

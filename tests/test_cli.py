@@ -9,7 +9,7 @@ from dcots.cli import load_instance, main, performance_profile
 from dcots.cyclebasis import cycle_basis
 from dcots.lp import SimplexError
 from dcots.network import build_network, random_connected_network, serialize_native
-from dcots.solver import CSV_HEADER
+from dcots.solver import CSV_HEADER, SolverConfig, solve_ots
 
 
 def write_instance(tmp_path, name, seed, **kwargs):
@@ -27,6 +27,20 @@ def test_solve_prints_result_json_and_exits_zero(tmp_path, capsys):
     assert doc["instance"] == "net.json"
     assert doc["mode"] == "default"
     assert set(doc["x"]) == {str(ln.id) for ln in load_instance(path).lines}
+
+
+def test_solve_without_flags_uses_the_default_config(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "net.json", 1, max_buses=4)
+    configs = []
+
+    def recording(net, config, n_off=None):
+        configs.append(config)
+        return solve_ots(net, config, n_off=n_off)
+
+    monkeypatch.setattr("dcots.cli.solve_ots", recording)
+    assert main(["solve", path]) == 0
+    capsys.readouterr()
+    assert configs == [SolverConfig()]
 
 
 def test_solve_exit_codes_for_infeasible_and_time_limit(tmp_path, capsys):

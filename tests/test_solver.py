@@ -428,9 +428,13 @@ def _counting_tree_source(monkeypatch, calls):
 def test_tree_cuts_run_in_every_mode(monkeypatch, mode):
     calls = []
     _counting_tree_source(monkeypatch, calls)
-    res = solve_ots(_random_instance(3), SolverConfig(cycle_mode=mode))
-    assert res.status == "optimal-within-gap"
-    assert calls and res.stats.tree_cuts > 0
+    # on each instance tree cuts fire at two or more nodes in every mode, so
+    # no single degenerate tie in a node's LP can leave the sum at zero
+    nets = [_random_instance(3), *(random_connected_network(seed, max_buses=8, max_extra_lines=4)
+                                   for seed in (9, 11))]
+    results = [solve_ots(net, SolverConfig(cycle_mode=mode)) for net in nets]
+    assert all(res.status == "optimal-within-gap" for res in results)
+    assert calls and sum(res.stats.tree_cuts for res in results) > 0
 
 
 def test_tree_cuts_only_at_shallow_nodes(monkeypatch):

@@ -1,7 +1,8 @@
 """The benchmark's traced mode wraps dcots attributes by name
 (``perfbench/layers.py``); a rename on the solve path must fail here
-rather than in ``perfbench/run.py --trace 1``.  The declared dependencies
-must cover what ``src/dcots`` imports, importing the command line must not
+rather than in ``perfbench/run.py --trace 1``, and a rename must not leave
+a stale name in a module's ``__all__``.  The declared dependencies must
+cover what ``src/dcots`` imports, importing the command line must not
 load networkx, which only the tests use, every demo must run, and every
 command line that README shows must parse."""
 
@@ -31,6 +32,14 @@ def test_every_traced_attribute_resolves():
     missing = [f"dcots.{module}.{attr}" for module, attr, _, _ in wraps
                if not hasattr(importlib.import_module(f"dcots.{module}"), attr)]
     assert wraps and missing == []
+
+
+def test_every_exported_name_resolves():
+    stems = sorted(path.stem for path in (SRC / "dcots").glob("*.py") if path.stem != "__init__")
+    modules = [importlib.import_module(name) for name in ["dcots", *(f"dcots.{s}" for s in stems)]]
+    missing = [f"{mod.__name__}.{attr}" for mod in modules for attr in mod.__all__
+               if not hasattr(mod, attr)]
+    assert len(modules) > 1 and missing == []
 
 
 def _top_level_imports(path):
