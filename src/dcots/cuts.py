@@ -94,12 +94,11 @@ def _emit(ctx: SeparationContext, side: str, positions, viol: float) -> CycleIne
     return CycleInequality(ctx.cycle, side, ids, d, viol)
 
 
-def separate_closed_form(ctx: SeparationContext,
-                         viol_tol: float = VIOL_TOL) -> list[CycleInequality]:
+def separate_closed_form(ctx: SeparationContext) -> list[CycleInequality]:
     """Most-violated cut per side, by collecting the nonnegative v_a.
 
     Returns at most one right and one left inequality; nothing when
-    K_C <= 0, when the best violation is within ``viol_tol``, or when
+    K_C <= 0, when the best violation is within ``VIOL_TOL``, or when
     the collected subset is no heavier than half the cycle.
     """
     kc = ctx.k_value
@@ -112,13 +111,12 @@ def separate_closed_form(ctx: SeparationContext,
              for g, w, x in zip(ctx.g_hat, ctx.w, ctx.x_hat)]
         star = [a for a, va in enumerate(v) if va >= 0.0]
         viol = sum(v[a] for a in star) - wc * kc
-        if viol > viol_tol and sum(ctx.w[a] for a in star) > 0.5 * wc:
+        if viol > VIOL_TOL and sum(ctx.w[a] for a in star) > 0.5 * wc:
             out.append(_emit(ctx, side, star, viol))
     return out
 
 
-def separate_all(ctx: SeparationContext,
-                 viol_tol: float = VIOL_TOL) -> list[CycleInequality]:
+def separate_all(ctx: SeparationContext) -> list[CycleInequality]:
     """Grow the closed-form seed into every violated superset.
 
     Starting from the nonnegative-v_a seed, lines of the complement are
@@ -141,7 +139,7 @@ def separate_all(ctx: SeparationContext,
             if vs <= wc * kc:
                 return
             viol = vs - wc * kc
-            if viol > viol_tol and sum(ctx.w[a] for a in s) > 0.5 * wc:
+            if viol > VIOL_TOL and sum(ctx.w[a] for a in s) > 0.5 * wc:
                 out.append(_emit(ctx, side, s, viol))
             for l in range(k, len(rest)):
                 recurse(s + [rest[l]], l + 1)

@@ -43,9 +43,11 @@ reduced costs the same way, along the pivot row it computes anyway.
 Values and reduced costs are evaluated from scratch after every
 refactorization and once more before a loop returns, so every status is
 decided, and every ``x`` returned, on a full evaluation.  Evaluated
-values pass, with the bound violations of the basic variables, from the
-warm-start checks of ``solve`` to the dual simplex, from the dual
-simplex to the closing primal check, and from there to the solution.
+values pass from the warm-start checks of ``solve`` to the dual simplex,
+from the dual simplex to the closing primal check, and from there to the
+solution.  A primal step checks the basic variables against their bounds
+once, in ``sides``; that one check decides feasibility, prices phase 1
+and tells the ratio test which bound each row can reach.
 """
 
 from __future__ import annotations
@@ -309,14 +311,22 @@ class _Engine:
 
     # -- values and prices --------------------------------------------------
 
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values ``x`` of all variables at the current basis, evaluated
-        from scratch, and ``violation(x)``.  The simplex loops carry ``x``
-        through their steps instead and call this only after the inverse
-        was recomputed and before they return."""
+    def values(self) -> np.ndarray:
+        """The values of all variables at the current basis, evaluated from
+        scratch.  The simplex loops carry them through their steps instead
+        and call this only after the inverse was recomputed and before
+        they return."""
         x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
         x[self.basic] = self.binv @ (self.b - self.a @ x)
-        return x, self.violation(x)
+        return x
+
+    def sides(self, x: np.ndarray) -> np.ndarray:
+        """Where each row's basic variable lies at ``x``: -1 below its lower
+        bound, +1 above its upper bound, 0 within them, to ``FEAS_TOL``.
+        It is also the phase-1 cost of the basic variables."""
+        xb = x[self.basic]
+        return ((xb > self.hi[self.basic] + FEAS_TOL).astype(float)
+                - (xb < self.lo[self.basic] - FEAS_TOL))
 
     def violation(self, x: np.ndarray) -> np.ndarray:
         """How far each basic variable lies outside its bounds at ``x``."""
@@ -406,37 +416,34 @@ class _Engine:
 
     # -- primal simplex (composite phase 1 + phase 2) -----------------------
 
-    def primal(self, x: np.ndarray, viol: np.ndarray) -> tuple[str, np.ndarray]:
+    def primal(self, x: np.ndarray) -> tuple[str, np.ndarray]:
         """Primal phases from the current basis, whose ``values()`` are
-        ``x`` and ``viol``; returns the status and the values it ends at.
+        ``x``; returns the status and the values it ends at.
 
-        ``x`` is carried through each step.  Before a status is returned
-        the values are evaluated afresh, and the status decided on them.
+        ``x`` is carried through each step, and ``sides(x)`` is the one
+        check of the bounds per step.  Before a status is returned the
+        values are evaluated afresh, and the status decided on them.
         """
         fresh = True
         while True:
             self.check_budget()
-            feasible = bool((viol <= FEAS_TOL).all())
+            side = self.sides(x)
+            feasible = not side.any()
             if feasible:
                 cost = self.c
             else:
                 cost = np.zeros(self.N)
-                xb = x[self.basic]
-                below = xb < self.lo[self.basic] - FEAS_TOL
-                above = xb > self.hi[self.basic] + FEAS_TOL
-                cost[self.basic[below]] = -1.0
-                cost[self.basic[above]] = 1.0
+                cost[self.basic] = side
             d = self.reduced(cost)
             j = self.price(d)
             if j >= 0:
                 up = self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)
                 delta = 1.0 if up else -1.0
                 w = self.binv @ self.a[:, j]
-                t, r, leave_stat = self.ratio(j, delta, w, x)
+                t, r, leave_stat = self.ratio(j, delta, w, x, side)
             if j < 0 or t == _INF:
                 if not fresh:
-                    x, viol = self.values()
-                    fresh = True
+                    x, fresh = self.values(), True
                     continue
                 if j < 0:
                     return ("optimal" if feasible else "infeasible"), x
@@ -445,7 +452,8 @@ class _Engine:
                 return "unbounded", x
             self.note_step(t)
             fresh = self.step(x, j, delta * t, w, r, leave_stat)
-            x, viol = self.values() if fresh else (x, self.violation(x))
+            if fresh:
+                x = self.values()
 
     def price(self, d: np.ndarray) -> int:
         """Entering variable: most violating reduced cost, or -1 if none."""
@@ -460,54 +468,41 @@ class _Engine:
             return int(elig[0])
         return int(elig[np.argmax(score[elig])])
 
-    def ratio(self, j: int, delta: float, w: np.ndarray, x: np.ndarray):
+    def ratio(self, j: int, delta: float, w: np.ndarray, x: np.ndarray, side: np.ndarray):
         """Largest step for entering j: (t, blocking row, leaving status).
 
-        A blocking row of -1 means the entering variable reaches its own
-        opposite bound first (a bound flip, no basis change).  In phase 1
-        a basic variable outside its bounds blocks when it comes back to
-        the bound it violates.
+        ``j`` moves by ``delta`` per unit and the basic variables by
+        ``-delta * w``, from ``x``, where they lie on ``side`` of their
+        bounds.  A row blocks at the bound its variable moves towards:
+        from within, the bound ahead; from outside (phase 1), the bound it
+        violates.  Ties go to the largest ``|w|``, or in Bland mode to the
+        lowest basic variable.  A blocking row of -1 means the entering
+        variable reaches its own opposite bound first (a bound flip, no
+        basis change).
         """
-        lob, hib = self.lo[self.basic], self.hi[self.basic]
-        xb = x[self.basic]
         rate = -delta * w
-        below = xb < lob - FEAS_TOL
-        above = xb > hib + FEAS_TOL
-        mid = ~(below | above)
-        t = np.full(self.m, _INF)
-        target = np.zeros(self.m, dtype=np.int64)
-        up = rate > PIVOT_TOL
-        down = rate < -PIVOT_TOL
-        for sel, bound, tgt in (
-            (up & below, lob, _LOWER),
-            (up & mid & np.isfinite(hib), hib, _UPPER),
-            (down & above, hib, _UPPER),
-            (down & mid & np.isfinite(lob), lob, _LOWER),
-        ):
-            t[sel] = (bound[sel] - xb[sel]) / rate[sel]
-            target[sel] = tgt
-        t = np.maximum(t, 0.0)
-        t_row_min = float(np.min(t)) if self.m else _INF
+        rows = ((np.abs(rate) > PIVOT_TOL) & (side * rate <= 0.0)).nonzero()[0]
+        rate, var = rate[rows], self.basic[rows]
+        # rising from within, or falling from above, ends at the upper bound
+        upper = (rate > 0.0) == (side[rows] == 0.0)
+        t = np.maximum((np.where(upper, self.hi[var], self.lo[var]) - x[var]) / rate, 0.0)
+        t_row_min = float(t.min()) if t.size else _INF
         t_flip = (self.hi[j] - self.lo[j]) if self.stat[j] != _FREE else _INF
         if t_flip == _INF and t_row_min == _INF:
             return _INF, -1, 0
         if t_flip < t_row_min - PIVOT_TOL:
             return t_flip, -1, 0
-        ties = np.nonzero(t <= t_row_min + PIVOT_TOL)[0]
-        if ties.size == 0:
-            return t_flip, -1, 0
-        if self.bland:
-            r = int(ties[np.argmin(self.basic[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(w[ties]))])
-        return float(t[r]), r, int(target[r])
+        ties = (t <= t_row_min + PIVOT_TOL).nonzero()[0]
+        k = ties[np.argmin(var[ties])] if self.bland else ties[np.argmax(np.abs(rate[ties]))]
+        return float(t[k]), int(rows[k]), _UPPER if upper[k] else _LOWER
 
     # -- dual simplex -------------------------------------------------------
 
     def dual(self, x: np.ndarray, viol: np.ndarray,
-             d: np.ndarray) -> tuple[str, np.ndarray, np.ndarray]:
+             d: np.ndarray) -> tuple[str, np.ndarray]:
         """Restore primal feasibility from a dual-feasible basis whose
-        ``values()`` are ``x`` and ``viol`` and reduced costs ``d``.
+        ``values()`` are ``x``, with ``violation(x)`` ``viol``, and whose
+        reduced costs are ``d``.
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
         caller should fall back to a cold primal solve), and the values
@@ -543,8 +538,9 @@ class _Engine:
                     status = "infeasible"
             if status is not None:
                 if fresh:
-                    return status, x, viol
-                (x, viol), d, fresh = self.values(), None, True
+                    return status, x
+                x, d, fresh = self.values(), None, True
+                viol = self.violation(x)
                 continue
             w = self.binv @ self.a[:, jcol]
             self.iterations += 1
@@ -557,9 +553,8 @@ class _Engine:
             d[leaving], d[jcol] = -ratio, 0.0
             fresh = self.step(x, jcol, theta, w, r, _LOWER if going_up else _UPPER)
             if fresh:
-                (x, viol), d = self.values(), None
-            else:
-                viol = self.violation(x)
+                x, d = self.values(), None
+            viol = self.violation(x)
 
     def dual_ratio(self, alpha: np.ndarray, d: np.ndarray, going_up: bool) -> int:
         """Entering variable of a dual step whose leaving variable's row of
@@ -623,16 +618,17 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     eng = _Engine(lp)
     if warm is not None and eng.install(warm):
         try:
-            x, viol = eng.values()
+            x = eng.values()
+            viol = eng.violation(x)
             if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
-                return _finish(eng, *eng.primal(x, viol))
-            status, x, viol = eng.dual(x, viol, d)
+                return _finish(eng, *eng.primal(x))
+            status, x = eng.dual(x, viol, d)
             if status == "optimal":
-                return _finish(eng, *eng.primal(x, viol))
+                return _finish(eng, *eng.primal(x))
             if status == "infeasible":
                 return _finish(eng, "infeasible")
             # stalled: fall through to the cold start below
         except SimplexError:
             pass
     eng.slack_start()
-    return _finish(eng, *eng.primal(*eng.values()), cold=True)
+    return _finish(eng, *eng.primal(eng.values()), cold=True)

@@ -32,7 +32,6 @@ from typing import ClassVar
 import numpy as np
 
 from dcots.cuts import (
-    VIOL_TOL,
     inequality_row,
     make_context,
     separate_closed_form,
@@ -154,13 +153,12 @@ class RootRelaxationError(RuntimeError):
 
 
 def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
-                    viol_tol: float = VIOL_TOL, deadline: float | None = None,
-                    stats: SolveStats | None = None):
+                    deadline: float | None = None, stats: SolveStats | None = None):
     """Add separated cycle inequalities to the root until none violate.
 
     Each round adds the closed-form most violated cut per side of every
     cycle; a row already in the LP holds within the LP's feasibility
-    tolerance, below ``viol_tol``, so it is never separated again.  No
+    tolerance, below ``cuts.VIOL_TOL``, so it is never separated again.  No
     round starts once ``time.monotonic()`` is past ``deadline``.
 
     Returns (model, z_LP, z_LP_cuts, cuts_added) where z_LP is the
@@ -182,7 +180,7 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     for _ in range(rounds):
         if len(cycles) == 0 or (deadline is not None and time.monotonic() > deadline):
             break
-        new_rows = _closed_form_rows(cycles, sol.x, model.vmap, viol_tol)
+        new_rows = _closed_form_rows(cycles, sol.x, model.vmap)
         if not new_rows:
             break
         lp = add_rows(lp, new_rows)
@@ -195,12 +193,12 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
     return replace(model, lp=lp, warm=sol.basis), z_lp, sol.obj, n_cuts
 
 
-def _closed_form_rows(cycles, x, vmap, viol_tol: float) -> list:
+def _closed_form_rows(cycles, x, vmap) -> list:
     """LP rows of the closed-form cuts of every cycle at the point ``x``."""
     f_hat = {lid: x[col] for lid, col in vmap.flow.items()}
     x_hat = {lid: x[col] for lid, col in vmap.x.items()}
     return [inequality_row(cut, vmap) for cyc in cycles
-            for cut in separate_closed_form(make_context(cyc, f_hat, x_hat), viol_tol)]
+            for cut in separate_closed_form(make_context(cyc, f_hat, x_hat))]
 
 
 def _forest_angles(net: PowerNetwork, tree, f):
@@ -223,19 +221,19 @@ def _forest_angles(net: PowerNetwork, tree, f):
     return theta
 
 
-def lazy_kvl_check(net: PowerNetwork, x, f, kvl_tol: float = KVL_TOL) -> Cycle | None:
+def lazy_kvl_check(net: PowerNetwork, x, f) -> Cycle | None:
     """Flow-consistency screen for an integral candidate.
 
     Fixes angles along a spanning forest of the active lines and
     returns the tree cycle of the active chord with the largest
     angle-versus-flow residual, or None when every residual is within
-    ``kvl_tol``.
+    ``KVL_TOL``.
     """
     tree, chords = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
     if not chords:
         return None
     theta = _forest_angles(net, tree, f)
-    worst, worst_r = None, kvl_tol
+    worst, worst_r = None, KVL_TOL
     for ln in chords:
         r = abs(theta[ln.from_bus] - theta[ln.to_bus] - f[ln.id] / ln.susceptance)
         if r > worst_r:
@@ -366,8 +364,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             if frac.size and frac.max() > _INT_TOL:
                 if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
                     x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
-                    rows = _closed_form_rows(lp_guided_cycles(model.net, x_hat), sol.x,
-                                             vmap, VIOL_TOL)
+                    rows = _closed_form_rows(lp_guided_cycles(model.net, x_hat), sol.x, vmap)
                     if rows:
                         tree_rounds += 1
                         for row in rows:

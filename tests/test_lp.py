@@ -8,7 +8,8 @@ from scipy.optimize import linprog
 
 import dcots.lp
 from dcots.formulations import build_ots_angle
-from dcots.lp import LinearProgram, _Engine, add_rows, solve
+from dcots.lp import (FEAS_TOL, PIVOT_TOL, _BASIC, _FREE, _LOWER, _UPPER, LinearProgram,
+                      _Engine, add_rows, solve)
 from dcots.network import random_connected_network
 
 INF = float("inf")
@@ -206,33 +207,35 @@ def test_large_random_lps_match_reference(monkeypatch, refactor_every):
 @pytest.fixture
 def carried_state(monkeypatch):
     """Checks, at every simplex step, the state the loops carry against a
-    fresh evaluation.  Where a loop computes ``violation(x)`` itself, its
-    ``x`` must equal ``values()`` (nonbasic values exactly, basic ones to
-    1e-9), and no refactorization may have happened since the last
-    ``values()``; at every dual ratio test, the dual's reduced costs must
-    equal ``reduced(c)`` to 1e-9.  Yields the counts of checks made."""
+    fresh evaluation.  Where a loop checks ``x`` against the bounds
+    (``sides`` in the primal, ``violation`` in the dual), ``x`` must equal
+    ``values()`` (nonbasic values exactly, basic ones to 1e-9), and no
+    refactorization may have happened since the last ``values()``; at
+    every dual ratio test, the dual's reduced costs must equal
+    ``reduced(c)`` to 1e-9.  Yields the counts of checks made."""
     seen = {"x": 0, "d": 0, "refreshed": 0}
-    evaluating = []
-    real_values, real_violation = _Engine.values, _Engine.violation
+    real_values, real_sides, real_violation = _Engine.values, _Engine.sides, _Engine.violation
     real_refactor, real_dual_ratio = _Engine.refactor, _Engine.dual_ratio
 
     def values(self):
         seen["refreshed"] += getattr(self, "stale", False)
         self.stale = False
-        evaluating.append(1)
-        try:
-            return real_values(self)
-        finally:
-            evaluating.pop()
+        return real_values(self)
+
+    def check(self, x):
+        assert not getattr(self, "stale", False), "values carried past a refactorization"
+        fresh = values(self)
+        nonbasic = self.stat != 3
+        assert np.array_equal(x[nonbasic], fresh[nonbasic])
+        np.testing.assert_allclose(x[self.basic], fresh[self.basic], rtol=1e-9, atol=1e-9)
+        seen["x"] += 1
+
+    def sides(self, x):
+        check(self, x)
+        return real_sides(self, x)
 
     def violation(self, x):
-        if not evaluating:
-            assert not getattr(self, "stale", False), "values carried past a refactorization"
-            fresh = values(self)[0]
-            nonbasic = self.stat != 3
-            assert np.array_equal(x[nonbasic], fresh[nonbasic])
-            np.testing.assert_allclose(x[self.basic], fresh[self.basic], rtol=1e-9, atol=1e-9)
-            seen["x"] += 1
+        check(self, x)
         return real_violation(self, x)
 
     def refactor(self):
@@ -244,7 +247,7 @@ def carried_state(monkeypatch):
         seen["d"] += 1
         return real_dual_ratio(self, alpha, d, going_up)
 
-    for name, fn in (("values", values), ("violation", violation),
+    for name, fn in (("values", values), ("sides", sides), ("violation", violation),
                      ("refactor", refactor), ("dual_ratio", dual_ratio)):
         monkeypatch.setattr(_Engine, name, fn)
     yield seen
@@ -263,6 +266,99 @@ def test_the_loops_carry_what_a_fresh_evaluation_gives(monkeypatch, carried_stat
             assert not warm.cold_start and warm.iterations > 0  # the dual simplex
     assert carried_state["x"] > 300 and carried_state["d"] > 10
     assert carried_state["refreshed"] > 0  # refactorizations inside the loops
+
+
+def _ratio_by_row(eng, j, delta, w, x):
+    """The primal ratio test written out one row at a time: the reference
+    that ``_Engine.ratio`` must reproduce exactly.  Also returns the
+    (t, row, leaving status) of the rows tied at the smallest step."""
+    blocks = []
+    for r, v in enumerate(eng.basic):
+        rate = -delta * w[r]
+        below, above = x[v] < eng.lo[v] - FEAS_TOL, x[v] > eng.hi[v] + FEAS_TOL
+        if rate > PIVOT_TOL and not above:
+            bound, stat = (eng.lo[v], _LOWER) if below else (eng.hi[v], _UPPER)
+        elif rate < -PIVOT_TOL and not below:
+            bound, stat = (eng.hi[v], _UPPER) if above else (eng.lo[v], _LOWER)
+        else:
+            continue
+        if np.isfinite(bound):
+            blocks.append((max((bound - x[v]) / rate, 0.0), r, stat))
+    t_flip = eng.hi[j] - eng.lo[j] if eng.stat[j] != _FREE else INF
+    t_min = min((t for t, _, _ in blocks), default=INF)
+    if t_flip == INF and t_min == INF:
+        return (INF, -1, 0), []
+    if t_flip < t_min - PIVOT_TOL:
+        return (t_flip, -1, 0), []
+    ties = [b for b in blocks if b[0] <= t_min + PIVOT_TOL]
+    if eng.bland:  # the lowest basic variable
+        return min(ties, key=lambda b: eng.basic[b[1]]), ties
+    return min(ties, key=lambda b: (-abs(w[b[1]]), b[1])), ties  # the largest |w|, first row
+
+
+# (lo, hi) of the variables: finite and infinite bounds on either side, fixed
+_RATIO_BOUNDS = [(0.0, INF), (-INF, 0.0), (-1.0, 2.0), (0.0, 1.0), (-INF, INF), (0.5, 0.5)]
+
+
+def _ratio_state(eng, rng):
+    """A random basis, bounds and basic values for ``eng``: basic values
+    below, at, within and above their bounds, many steps tied in ``t``
+    and in ``|w|``; returns (j, delta, w, x)."""
+    n_vars, m = eng.N, eng.m
+    kinds = rng.integers(len(_RATIO_BOUNDS), size=n_vars)
+    eng.lo = np.array([_RATIO_BOUNDS[k][0] for k in kinds])
+    eng.hi = np.array([_RATIO_BOUNDS[k][1] for k in kinds])
+    eng.basic = rng.permutation(n_vars)[:m]
+    eng.stat = np.where(np.isfinite(eng.lo), _LOWER, np.where(np.isfinite(eng.hi), _UPPER, _FREE))
+    eng.stat[eng.basic] = _BASIC
+    eng.bland = bool(rng.random() < 0.3)
+    j = int(rng.choice([v for v in range(n_vars) if eng.stat[v] != _BASIC
+                        and eng.lo[v] < eng.hi[v]]))
+    if eng.stat[j] == _LOWER and np.isfinite(eng.hi[j]) and rng.random() < 0.5:
+        eng.stat[j] = _UPPER
+    delta = {_LOWER: 1.0, _UPPER: -1.0}.get(int(eng.stat[j]), float(rng.choice([-1.0, 1.0])))
+    w = rng.choice([0.0, 0.5e-9, 0.5, 1.0, 2.0], size=m) * rng.choice([-1.0, 1.0], size=m)
+    x = np.zeros(n_vars)
+    t_common = float(rng.choice([0.5, 1.5]))
+    for r, v in enumerate(eng.basic):
+        lo, hi, rate = eng.lo[v], eng.hi[v], -delta * w[r]
+        finite = [b for b in (lo, hi) if np.isfinite(b)]
+        place = rng.integers(6)
+        if not finite or place == 0:
+            x[v] = rng.uniform(max(lo, -3.0), min(hi, 3.0)) if lo < hi else lo
+        elif place == 1:  # outside, beyond the tolerance
+            x[v] = lo - rng.uniform(0.1, 2.0) if np.isfinite(lo) else hi + rng.uniform(0.1, 2.0)
+        elif place == 2:
+            x[v] = hi + rng.uniform(0.1, 2.0) if np.isfinite(hi) else lo - rng.uniform(0.1, 2.0)
+        elif place == 3:  # at a bound, up to the tolerance: a degenerate step
+            x[v] = rng.choice(finite) + rng.uniform(-0.5, 0.5) * FEAS_TOL
+        else:  # a step of t_common from a bound, tying with other rows
+            x[v] = rng.choice(finite) - t_common * rate
+    return j, delta, w, x
+
+
+def test_the_ratio_test_matches_a_row_by_row_reference():
+    lp = LinearProgram([0.0] * 10, [0.0] * 10, [1.0] * 10,
+                       [([(c, 1.0)], "<=", 1.0) for c in range(8)])
+    eng = _Engine(lp)
+    rng = np.random.default_rng(2014)
+    seen = dict.fromkeys(("flip", "unbounded", "below", "above", "within",
+                          "ties on |w|", "Bland ties"), 0)
+    for _ in range(3000):
+        j, delta, w, x = _ratio_state(eng, rng)
+        got = eng.ratio(j, delta, w, x, eng.sides(x))
+        want, ties = _ratio_by_row(eng, j, delta, w, x)
+        assert got == want and type(got[1]) is int and type(got[2]) is int
+        t, r, _ = got
+        if r < 0:
+            seen["flip" if t < INF else "unbounded"] += 1
+            continue
+        v = eng.basic[r]
+        seen["below" if x[v] < eng.lo[v] - FEAS_TOL else
+             "above" if x[v] > eng.hi[v] + FEAS_TOL else "within"] += 1
+        if r != ties[0][1]:  # a tie the rule breaks away from the first tied row
+            seen["Bland ties" if eng.bland else "ties on |w|"] += 1
+    assert all(seen.values()), seen
 
 
 def test_pivot_updates_the_inverse_in_place():
@@ -619,13 +715,16 @@ def test_a_chain_of_warm_solves_refactors(monkeypatch, inversions):
 
 def test_appended_rows_solve_as_a_program_built_afresh():
     lp, root, col = _switching_root()
-    bigger = add_rows(lp, [([(col, 1.0)], ">=", 0.5), ([(col, 2.0), (0, 1.0)], "<=", 3.0)])
+    # both rows cut off the root point, and the program stays feasible
+    bigger = add_rows(lp, [([(col, 1.0)], ">=", 0.5), ([(col, 1.0), (0, 1.0)], "<=", 3.0)])
     fresh = LinearProgram(list(bigger.obj), list(bigger.lo), list(bigger.hi), list(bigger.rows))
     extended, built = bigger.dense(), fresh.dense()
     assert extended is not built
     for name in ("a", "b", "slack"):
         assert np.array_equal(getattr(extended, name), getattr(built, name))
-    _same_solve(solve(bigger, warm=root.basis), solve(fresh, warm=root.basis))
+    warm = solve(bigger, warm=root.basis)
+    assert warm.status == "optimal" and not warm.cold_start and warm.iterations > 0
+    _same_solve(warm, solve(fresh, warm=root.basis))
 
 
 def test_changes_to_a_copy_leave_the_original_alone():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcots.cuts import VIOL_TOL, CycleInequality, inequality_row
+from dcots.cuts import CycleInequality, inequality_row
 from dcots.cyclebasis import CycleSet, cycle_basis, lp_guided_cycles
 from dcots.formulations import build_ots_angle, build_ots_cycle
 from dcots.lp import SimplexError, add_rows
@@ -479,7 +479,7 @@ def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
     rounds = 10 * len(net.lines) + 5
     monkeypatch.setattr("dcots.solver.TREE_ROUNDS", rounds)
     monkeypatch.setattr("dcots.solver._closed_form_rows",
-                        lambda cycles, x, vmap, viol_tol: [inequality_row(whole, vmap)])
+                        lambda cycles, x, vmap: [inequality_row(whole, vmap)])
     res = solve_ots(net)  # the default mode: no root rounds
     assert res.status == "optimal-within-gap"
     assert res.objective == pytest.approx(expected.objective, rel=1e-6)
@@ -500,7 +500,7 @@ def test_tree_cuts_hold_at_every_vertex_of_their_cycle(seed, x_draws, u_draws):
         point[vmap.x[ln.id]] = x_hat[ln.id]
         point[vmap.flow[ln.id]] = u * ln.capacity * x_hat[ln.id]
     cut_cycles = [(cyc, rows) for cyc in lp_guided_cycles(net, x_hat) if len(cyc) <= 5
-                  for rows in [_closed_form_rows([cyc], point, vmap, VIOL_TOL)] if rows]
+                  for rows in [_closed_form_rows([cyc], point, vmap)] if rows]
     assume(cut_cycles)
     for cyc, rows in cut_cycles:
         w = [ln.w for ln, _ in cyc.members]
