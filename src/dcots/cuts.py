@@ -12,13 +12,22 @@ normalized coordinates g_a = sigma_a f_a / B_a: writing
 K_C = 1 - sum_C (1 - x_a) and v_a = g_a - w_a x_a + 2 w_a K_C, the
 violation of any S is sum_S v_a - w(C) K_C, so the most violated subset
 simply collects the nonnegative v_a.  When K_C <= 0 no subset is
-violated and both separators return nothing.
+violated and every separator returns nothing.
+
+``SeparationTable`` is the solve path's separator: it runs that closed
+form over a whole cycle set in one array pass per round.
+``make_context`` and ``separate_closed_form`` run it on one cycle in
+plain Python; they are the reference the oracle and the tests check the
+table against, float for float.  ``separate_all`` lists every violated
+subset and serves only the oracle and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from dcots.cyclebasis import Cycle
 from dcots.formulations import VariableMap
@@ -27,6 +36,7 @@ __all__ = [
     "VIOL_TOL",
     "SeparationContext",
     "CycleInequality",
+    "SeparationTable",
     "delta",
     "k_value",
     "make_context",
@@ -160,6 +170,90 @@ def inequality_row(ineq: CycleInequality, vmap: VariableMap):
         else:
             coeffs.append((vmap.x[ln.id], d))
     return coeffs, "<=", d * (len(ineq.cycle.members) - 1.0)
+
+
+class SeparationTable:
+    """The closed-form separator over a whole cycle set, one array pass a round.
+
+    Built once per cycle set and variable map, it holds each cycle's
+    flow and on/off columns, signs, susceptances and weights as (K, P)
+    arrays, padded past each cycle's length with entries that add 0.0 to
+    every sum.  ``cuts(x)`` gives the cuts that
+    ``separate_closed_form(make_context(...))`` gives at the point ``x``
+    of every cycle, equal float for float, in cycle order and right
+    before left: every sum adds up in member order, as Python's ``sum``
+    does (``np.add.accumulate`` is ``np.cumsum``; ``.sum()`` would add
+    pairwise), and v_a is formed in the same order of operations.  Only
+    the cycles with K_C > 0 go on past the first pass, and only the
+    violated (cycle, side) pairs become cuts.
+    """
+
+    _SIDES = np.array([1.0, -1.0])[:, None, None]
+    _PAD = [(0, 0, 0, 1.0, 0.0)]  # sign 0 marks padding
+
+    def __init__(self, cycles, vmap: VariableMap):
+        self.cycles, self.vmap = list(cycles), vmap
+        flow, on = vmap.flow, vmap.x
+        k, p = len(self.cycles), max(map(len, self.cycles), default=0)
+        slots = ([(flow[ln.id], on[ln.id], s, ln.susceptance, ln.w) for ln, s in cyc.members]
+                 + self._PAD * (p - len(cyc)) for cyc in self.cycles)
+        t = np.fromiter((z for cyc in slots for m in cyc for z in m), float,
+                        k * p * 5).reshape(k, p, 5)
+        self.cols = t[..., :2].astype(np.intp)  # (K, P, 2): flow and on/off columns
+        sign = t[..., 2]
+        self.signs = self._SIDES * sign  # (2, K, P): each side's sign times the member's
+        self.real = np.abs(sign)  # 1 on members, 0 on padding
+        self.sus, self.w = t[..., 3], t[..., 4]
+        self.w2 = 2.0 * self.w
+        self.wc = np.add.accumulate(self.w, axis=1)[:, -1] if p else np.zeros(0)
+
+    def rows(self, x) -> list:
+        """LP rows of ``cuts(x)``, as ``inequality_row`` makes them."""
+        flow, on = self.vmap.flow, self.vmap.x
+        out = []
+        for i, side, star, d, _ in self.cuts(x):
+            sign, coeffs = (1.0, -1.0)[side], []
+            for (ln, s), in_s in zip(self.cycles[i].members, star):
+                if in_s:
+                    coeffs += ((flow[ln.id], sign * s / ln.susceptance), (on[ln.id], d - ln.w))
+                else:
+                    coeffs.append((on[ln.id], d))
+            out.append((coeffs, "<=", d * (len(star) - 1.0)))
+        return out
+
+    def cuts(self, x) -> list[tuple[int, int, list[bool], float, float]]:
+        """The most violated cut per side of every cycle at ``x``: its cycle's
+        index, its side (0 right, 1 left), which members are in S, Delta(S)
+        and the violation, as ``separate_closed_form`` finds them."""
+        if not self.cycles:
+            return []
+        fx = x[self.cols]
+        f, xv = fx[..., 0], fx[..., 1].clip(0.0, 1.0)
+        kc = 1.0 - np.add.accumulate((1.0 - xv) * self.real, axis=1)[:, -1]
+        act = (kc > 0.0).nonzero()[0]
+        if not act.size:
+            return []
+        signs, sus, w, w2, wc = self.signs, self.sus, self.w, self.w2, self.wc
+        if act.size < kc.size:
+            signs = signs[:, act]
+            f, xv, kc, sus, w, w2, wc = (a[act] for a in (f, xv, kc, sus, w, w2, wc))
+        # sign * (f / B) is sign * f / B exactly: the signs are +-1
+        v = (signs * (f / sus) - w * xv) + w2 * kc[:, None]  # (2, k, P)
+        # padding and the negative v_a add 0.0: the sums over the nonnegative v_a
+        vs = np.add.accumulate(np.maximum(v, 0.0), axis=2)[..., -1].tolist()
+        out, vl = [], None
+        for k, (i, kck, wck) in enumerate(zip(act.tolist(), kc.tolist(), wc.tolist())):
+            for side in (0, 1):
+                viol = vs[side][k] - wck * kck
+                if not viol > VIOL_TOL:
+                    continue
+                vl = v.tolist() if vl is None else vl
+                members = self.cycles[i].members
+                star = [va >= 0.0 for va in vl[side][k][:len(members)]]
+                ws = sum(ln.w for (ln, _), in_s in zip(members, star) if in_s)
+                if ws > 0.5 * wck:
+                    out.append((i, side, star, 2.0 * ws - wck, viol))
+        return out
 
 
 def violation(ineq: CycleInequality, f_hat: Mapping[int, float],

@@ -5,13 +5,14 @@ each chord closes exactly one cycle through the tree; these fundamental
 cycles form a basis of the cycle space.  This module builds that basis,
 combines cycles into longer ones, orients raw edge sets into traversable
 cycles, and finds the shortest cycle through each line under weights
-taken from a relaxation.
+taken from a relaxation.  ``expand_cycle_set`` gives what
+``combine_cycles`` over every pair gives, on bit masks of line ids, and
+orients each new edge set once.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from dcots.network import Line, PowerNetwork, union_find
@@ -73,30 +74,22 @@ class CycleSet:
 
 def _orient_cycle(edges: list[Line]) -> tuple[tuple[Line, int], ...] | None:
     """Order an unsigned edge set into one simple cycle, or None."""
-    deg = Counter()
-    for ln in edges:
-        deg[ln.from_bus] += 1
-        deg[ln.to_bus] += 1
-    if any(d != 2 for d in deg.values()):
-        return None
-    start = min(edges, key=lambda ln: ln.id)
-    members = [(start, 1)]
-    used = {start.id}
-    home, cur = start.from_bus, start.to_bus
     by_bus: dict[int, list[Line]] = {}
     for ln in edges:
         by_bus.setdefault(ln.from_bus, []).append(ln)
         by_bus.setdefault(ln.to_bus, []).append(ln)
-    while cur != home:
-        step = [ln for ln in by_bus[cur] if ln.id not in used]
-        if len(step) != 1:
-            return None
-        ln = step[0]
+    if any(len(at) != 2 for at in by_bus.values()):
+        return None
+    start = min(edges, key=lambda ln: ln.id)
+    members = [(start, 1)]
+    home, cur, ln = start.from_bus, start.to_bus, start
+    while cur != home:  # every bus has two lines: leave by the one not come by
+        a, b = by_bus[cur]
+        ln = b if a is ln else a
         sign = 1 if ln.from_bus == cur else -1
         members.append((ln, sign))
-        used.add(ln.id)
         cur = ln.to_bus if sign == 1 else ln.from_bus
-    if len(used) != len(edges):
+    if len(members) != len(edges):
         return None  # closed early: the set splits into several cycles
     return tuple(members)
 
@@ -217,15 +210,28 @@ def combine_cycles(c1: Cycle, c2: Cycle) -> Cycle | None:
 
 
 def expand_cycle_set(cs: CycleSet) -> CycleSet:
-    """One round of pairwise combination, keeping only new edge sets."""
-    seen = cs.edge_sets()
+    """One round of pairwise combination, keeping only new edge sets.
+
+    Gives what ``combine_cycles`` over every pair i < j gives, in that
+    order, keeping each edge set the first time it appears.  Edge sets
+    are bit masks over the lines in id order, and each symmetric
+    difference is oriented at most once, whether or not it turns out to
+    be one simple cycle.
+    """
+    lines = [ln for _, ln in sorted({ln.id: ln for c in cs.cycles for ln, _ in c.members}.items())]
+    bit = {ln.id: 1 << r for r, ln in enumerate(lines)}
+    masks = [sum(bit[ln.id] for ln, _ in c.members) for c in cs.cycles]
+    seen = set(masks)
     out = list(cs.cycles)
-    for i in range(len(cs.cycles)):
-        for j in range(i + 1, len(cs.cycles)):
-            c = combine_cycles(cs.cycles[i], cs.cycles[j])
-            if c is not None and c.edge_ids not in seen:
-                seen.add(c.edge_ids)
-                out.append(c)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            keep = a ^ b
+            if not a & b or not keep or keep in seen:
+                continue
+            seen.add(keep)
+            members = _orient_cycle([ln for r, ln in enumerate(lines) if keep >> r & 1])
+            if members is not None:
+                out.append(Cycle(members))
     return CycleSet(tuple(out))
 
 

@@ -19,7 +19,9 @@ Cycle selection modes pick the root's cycles: ``default`` adds no root
 cuts, ``basic`` separates over a cycle basis, ``more`` over the basis
 expanded twice by pairwise symmetric differences.  Each round separates
 every cycle in closed form, so it adds at most one cut per side per
-cycle.  Tree cuts run in every mode.
+cycle; root and tree rounds both run ``cuts.SeparationTable``, one array
+pass over the cycle set, built once per ``strengthen_root`` call and once
+per tree round's cycle set.  Tree cuts run in every mode.
 """
 
 from __future__ import annotations
@@ -31,12 +33,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from dcots.cuts import (
-    inequality_row,
-    make_context,
-    separate_closed_form,
-)
-from dcots.cuts import separate_all  # unused here; perfbench/layers.py wraps it by name
+from dcots.cuts import SeparationTable
+# unused here; perfbench/layers.py wraps them by name
+from dcots.cuts import inequality_row, make_context, separate_all
 from dcots.cyclebasis import (
     Cycle,
     CycleSet,
@@ -177,10 +176,11 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         raise RootRelaxationError(sol.status)
     z_lp = sol.obj
     n_cuts = 0
+    table = SeparationTable(cycles, model.vmap)
     for _ in range(rounds):
         if len(cycles) == 0 or (deadline is not None and time.monotonic() > deadline):
             break
-        new_rows = _closed_form_rows(cycles, sol.x, model.vmap)
+        new_rows = table.rows(sol.x)
         if not new_rows:
             break
         lp = add_rows(lp, new_rows)
@@ -191,14 +191,6 @@ def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
     return replace(model, lp=lp, warm=sol.basis), z_lp, sol.obj, n_cuts
-
-
-def _closed_form_rows(cycles, x, vmap) -> list:
-    """LP rows of the closed-form cuts of every cycle at the point ``x``."""
-    f_hat = {lid: x[col] for lid, col in vmap.flow.items()}
-    x_hat = {lid: x[col] for lid, col in vmap.x.items()}
-    return [inequality_row(cut, vmap) for cyc in cycles
-            for cut in separate_closed_form(make_context(cyc, f_hat, x_hat))]
 
 
 def _forest_angles(net: PowerNetwork, tree, f):
@@ -364,7 +356,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             if frac.size and frac.max() > _INT_TOL:
                 if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
                     x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
-                    rows = _closed_form_rows(lp_guided_cycles(model.net, x_hat), sol.x, vmap)
+                    rows = SeparationTable(lp_guided_cycles(model.net, x_hat), vmap).rows(sol.x)
                     if rows:
                         tree_rounds += 1
                         for row in rows:

@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcots.cuts import (
     VIOL_TOL,
+    CycleInequality,
+    SeparationTable,
     delta,
     inequality_row,
     k_value,
@@ -11,7 +17,7 @@ from dcots.cuts import (
     separate_closed_form,
     violation,
 )
-from dcots.cyclebasis import cycle_basis
+from dcots.cyclebasis import cycle_basis, expand_cycle_set
 from dcots.formulations import build_ots_cycle
 from dcots.network import build_network
 
@@ -275,3 +281,95 @@ def test_cuts_hold_at_integral_switch_patterns():
                               for ln, s in members} for sgn in (-1.0, 0.0, 1.0)]
             for f in flow_sets:
                 assert violation(cut, f, x) <= 1e-9
+
+
+# The array separator on the solve path against the scalar one above.
+
+def _grid(rows, cols, susceptance, capacity):
+    """A rows x cols grid; line i gets susceptance[i] and capacity[i]."""
+    bus = lambda r, c: r * cols + c  # noqa: E731
+    pairs = [(bus(r, c), bus(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(bus(r, c), bus(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return build_network(
+        buses=[(i, 0.0) for i in range(rows * cols)],
+        generators=[(0, 0.0, 1.0, 1.0)],
+        lines=[(i, u, v, susceptance[i], capacity[i]) for i, (u, v) in enumerate(pairs)],
+    )
+
+
+def _table_against_scalar(net, x_of, f_of, expansions=2):
+    """Compare the two separators over an expanded cycle basis of ``net`` at
+    the point with on/off values ``x_of[i]`` and flows ``f_of[i]`` on line
+    i; return counts of the cases the point exercised."""
+    cycles = cycle_basis(net)
+    for _ in range(expansions):
+        cycles = expand_cycle_set(cycles)
+    cycles = cycles.cycles
+    vmap = build_ots_cycle(net).vmap
+    point = np.zeros(1 + max(max(vmap.flow.values()), max(vmap.x.values())))
+    f_hat, x_hat = {}, {}
+    for i, ln in enumerate(net.lines):
+        point[vmap.x[ln.id]] = x_hat[ln.id] = x_of[i]
+        point[vmap.flow[ln.id]] = f_hat[ln.id] = f_of[i]
+    contexts = [make_context(cyc, f_hat, x_hat) for cyc in cycles]
+    expected = [cut for ctx in contexts for cut in separate_closed_form(ctx)]
+    table = SeparationTable(cycles, vmap)
+    found = [CycleInequality(cycles[i], ("right", "left")[side],
+                             frozenset(ln.id for (ln, _), m in zip(cycles[i].members, star) if m),
+                             d, viol)
+             for i, side, star, d, viol in table.cuts(point)]
+    assert found == expected  # with delta and the violation found, float for float
+    assert table.rows(point) == [inequality_row(cut, vmap) for cut in expected]
+    ties = sum(sign * g - w * x + 2.0 * w * ctx.k_value == 0.0
+               for ctx in contexts if ctx.k_value > 0.0 for sign in (1.0, -1.0)
+               for g, w, x in zip(ctx.g_hat, ctx.w, ctx.x_hat))
+    return Counter(k_zero=sum(ctx.k_value == 0.0 for ctx in contexts), ties=ties,
+                   long=sum(len(cut.cycle) >= 9 for cut in expected),
+                   outside=sum(not 0.0 <= x <= 1.0 for x in x_of),
+                   integral=all(x in (0.0, 1.0) for x in x_of))
+
+
+# dyadic values add up exactly, so K_C = 0 and v_a = 0 occur; other
+# floats add up in an order-dependent way
+X_DYADIC = [1.0, 1.0, 1.0, 0.75, 0.5, 0.25, 0.0, -0.25, 1.25]
+FLOW_DYADIC = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]  # times the line's capacity
+SUSCEPTANCES, CAPACITIES = [0.5, 1.0, 2.0, 1.3], [0.5, 1.0, 1.5, 0.7]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(3, 3), (3, 4), (3, 4)]), data=st.data())
+def test_separation_table_gives_the_scalar_rows(shape, data):
+    n = 2 * shape[0] * shape[1] - shape[0] - shape[1]
+    per_line = lambda s: st.lists(s, min_size=n, max_size=n)  # noqa: E731
+    susceptance = data.draw(per_line(st.sampled_from(SUSCEPTANCES)))
+    capacity = data.draw(per_line(st.sampled_from(CAPACITIES)))
+    # every line near 1 gives K_C > 0 on the long cycles too, and many cuts
+    x_of = data.draw(st.one_of(per_line(st.one_of(st.sampled_from(X_DYADIC), st.floats(-0.5, 1.5))),
+                               per_line(st.floats(0.95, 1.0))))
+    mult = data.draw(per_line(st.one_of(st.sampled_from(FLOW_DYADIC), st.floats(-1.5, 1.5))))
+    f_of = [m * c for m, c in zip(mult, capacity)]
+    _table_against_scalar(_grid(*shape, susceptance, capacity), x_of, f_of)
+
+
+def test_separation_table_sample_covers_ties_and_long_cycles():
+    rng = np.random.default_rng(7)
+    seen = Counter()
+    for trial in range(40):
+        rows, cols = ((2, 3), (3, 3), (3, 4))[trial % 3]
+        n = 2 * rows * cols - rows - cols
+        capacity = rng.choice(CAPACITIES, size=n).tolist()
+        if trial % 3 == 2:  # every line near 1, with flows that make many cuts
+            susceptance = rng.choice(SUSCEPTANCES, size=n).tolist()
+            x_of = rng.uniform(0.95, 1.0, size=n).tolist()
+            f_of = (rng.uniform(-1.5, 1.5, size=n) * capacity).tolist()
+        else:
+            susceptance = [1.0] * n
+            x_of = rng.choice(X_DYADIC, size=n).tolist()
+            if trial % 5 == 0:
+                x_of = [float(x >= 0.5) for x in x_of]
+            f_of = (rng.choice(FLOW_DYADIC, size=n) * capacity).tolist()
+        seen.update(_table_against_scalar(_grid(rows, cols, susceptance, capacity), x_of, f_of))
+    # K_C exactly 0, v_a exactly 0 at K_C > 0, x outside [0, 1], integral
+    # points, and cuts on cycles of 9 or more lines, whose sums of v_a and
+    # w_a come out otherwise if added pairwise (as ``.sum()`` does), all occur
+    assert all(seen[k] > 0 for k in ("k_zero", "ties", "outside", "integral", "long")), seen

@@ -9,6 +9,7 @@ import pytest
 
 from dcots.cyclebasis import (
     Cycle,
+    CycleSet,
     combine_cycles,
     cycle_basis,
     cycle_of_chord,
@@ -184,6 +185,56 @@ def test_expand_cycle_set_diamond():
     assert sizes == [3, 3, 4]
     # idempotent on this graph: no further new cycles
     assert len(expand_cycle_set(expanded)) == 3
+
+
+def ladder_grid(rows, cols):
+    """A rows x cols grid of buses: each bus joined to its right and lower neighbour."""
+    bus = lambda r, c: r * cols + c  # noqa: E731
+    pairs = [(bus(r, c), bus(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(bus(r, c), bus(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return build_network(
+        buses=[(i, 0.0) for i in range(rows * cols)],
+        generators=[(0, 0.0, 1.0, 1.0)],
+        lines=[(i, u, v, 1.0, 1.0) for i, (u, v) in enumerate(pairs)],
+    )
+
+
+def _pairwise_expansion(cycles):
+    """``combine_cycles`` over every pair i < j, each new edge set kept once."""
+    seen = {c.edge_ids for c in cycles}
+    out = list(cycles)
+    for i, a in enumerate(cycles):
+        for b in cycles[i + 1:]:
+            c = combine_cycles(a, b)
+            if c is not None and c.edge_ids not in seen:
+                seen.add(c.edge_ids)
+                out.append(c)
+    return tuple(out)
+
+
+def _walks(cycles):
+    return [[(ln.id, s) for ln, s in c.members] for c in cycles]
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 3), (4, 4)])
+def test_expansion_is_the_pairwise_combination(rows, cols):
+    basis = cycle_basis(ladder_grid(rows, cols))
+    once, twice = expand_cycle_set(basis), expand_cycle_set(expand_cycle_set(basis))
+    ref_once = _pairwise_expansion(basis.cycles)
+    assert _walks(once) == _walks(ref_once)
+    assert _walks(twice) == _walks(_pairwise_expansion(ref_once))
+    assert len(basis) < len(once) < len(twice)
+
+
+def test_expansion_skips_a_cycle_and_its_reversal():
+    # the same lines walked both ways differ by nothing: no combination
+    net = diamond()
+    first, second = cycle_basis(net).cycles
+    reverse = Cycle(tuple((ln, -s) for ln, s in reversed(first.members)))
+    cycles = (first, reverse, second)
+    expanded = expand_cycle_set(CycleSet(cycles))
+    assert _walks(expanded) == _walks(_pairwise_expansion(cycles))
+    assert len(expanded) == 4  # the input, then first ^ second once
 
 
 def grid_with_diagonals(rows=3, cols=4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcots.cuts import CycleInequality, inequality_row
+from dcots.cuts import CycleInequality, SeparationTable, inequality_row
 from dcots.cyclebasis import CycleSet, cycle_basis, lp_guided_cycles
 from dcots.formulations import build_ots_angle, build_ots_cycle
 from dcots.lp import SimplexError, add_rows
@@ -16,7 +16,6 @@ from dcots.solver import (
     SolverConfig,
     TREE_ROUNDS,
     SolveResult,
-    _closed_form_rows,
     branch_and_bound,
     lazy_kvl_check,
     recover_angles,
@@ -478,8 +477,8 @@ def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
     whole = CycleInequality(cycle, "right", cycle.edge_ids, cycle.weight, 1.0)
     rounds = 10 * len(net.lines) + 5
     monkeypatch.setattr("dcots.solver.TREE_ROUNDS", rounds)
-    monkeypatch.setattr("dcots.solver._closed_form_rows",
-                        lambda cycles, x, vmap: [inequality_row(whole, vmap)])
+    monkeypatch.setattr("dcots.solver.SeparationTable.rows",
+                        lambda table, x: [inequality_row(whole, table.vmap)])
     res = solve_ots(net)  # the default mode: no root rounds
     assert res.status == "optimal-within-gap"
     assert res.objective == pytest.approx(expected.objective, rel=1e-6)
@@ -500,7 +499,7 @@ def test_tree_cuts_hold_at_every_vertex_of_their_cycle(seed, x_draws, u_draws):
         point[vmap.x[ln.id]] = x_hat[ln.id]
         point[vmap.flow[ln.id]] = u * ln.capacity * x_hat[ln.id]
     cut_cycles = [(cyc, rows) for cyc in lp_guided_cycles(net, x_hat) if len(cyc) <= 5
-                  for rows in [_closed_form_rows([cyc], point, vmap)] if rows]
+                  for rows in [SeparationTable([cyc], vmap).rows(point)] if rows]
     assume(cut_cycles)
     for cyc, rows in cut_cycles:
         w = [ln.w for ln, _ in cyc.members]
