@@ -14,7 +14,12 @@ on the dense ``m x (n+m)`` matrix ``[A | I]``: row i reads
 ``A_i x + s_i = rhs_i``, with the slack ``s_i`` (variable ``n + i``)
 bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]``
 for ``==``.  Structurals and slacks are then the same kind of variable,
-and a ``Basis`` indexes them in that order.
+and a ``Basis`` indexes them in that order.  The engine still never
+multiplies the identity block: a refactorization inverts only the block
+of the structural basic columns on the rows whose slack is nonbasic (see
+``_Engine.refactor``), a row product ``y @ [A | I]`` is ``[y @ A, y]``,
+the entering column of a slack is a column of the inverse, and values
+subtract the slacks from ``b - A x`` as they are.
 
 Rows only grow.  The dense matrix, right-hand side and slack bounds are
 built once per row set and shared, read-only, by every
@@ -205,6 +210,7 @@ class LpSolution:
     basis: Basis | None
     iterations: int
     cold_start: bool                 # ran from a slack basis: no warm basis, or a fallback
+    refactorizations: int            # inverses computed afresh, a failed warm start's included
 
 
 def add_rows(lp: LinearProgram, rows) -> LinearProgram:
@@ -229,6 +235,7 @@ class _Engine:
         self.n, self.m = n, m
         self.N = n + m
         self.a, self.b = d.a, d.b  # shared and read-only
+        self.A = d.a[:, :n]  # the structural block; the rest is the identity
         self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
         self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
         self.movable = 1.0 - (self.lo == self.hi)
@@ -241,6 +248,7 @@ class _Engine:
         self.any_free = bool((self.natural == _FREE).any())
         self.c = np.concatenate([lp.obj, np.zeros(m)])
         self.iterations = 0
+        self.refactorizations = 0
         self.degenerate_run = 0
         self.bland = False
 
@@ -275,9 +283,11 @@ class _Engine:
         if k == self.m:  # no rows appended: copy
             self.binv, self.basic, stat = basis.binv.copy(), basis.basic.copy(), basis.stat
         else:
+            # only the old structural basics have entries in the new rows
+            struct = basis.basic < self.n
             self.binv = np.eye(self.m)
             self.binv[:k, :k] = basis.binv
-            self.binv[k:, :k] = -(self.a[k:, basis.basic] @ basis.binv)
+            self.binv[k:, :k] = -(self.A[k:, basis.basic[struct]] @ basis.binv[struct])
             self.basic = np.concatenate([basis.basic, np.arange(self.n + k, self.N)])
             stat = np.concatenate([basis.stat, np.full(self.m - k, _BASIC)])
         self.pivots_since_refactor = basis.age
@@ -300,12 +310,33 @@ class _Engine:
         return k
 
     def refactor(self) -> bool:
-        try:
-            self.binv = np.linalg.inv(self.a[:, self.basic])
-        except np.linalg.LinAlgError:
+        """Compute the inverse of the basic columns afresh; False, leaving
+        the inverse as it was, if they are singular.
+
+        Only the structural block is inverted.  With ``S`` the structural
+        basic columns, ``T`` the rows whose slack is basic and ``R`` the
+        other rows (as many as ``S``), ``B^-1`` holds ``M^-1`` on
+        ``(S, R)``, where ``M = A[R, S]``, ``-A[T, S] M^-1`` on ``(T, R)``,
+        the identity on ``(T, T)`` and zero elsewhere: one ``k x k``
+        inversion for ``k`` structural basics, none for a slack basis.
+        """
+        self.refactorizations += 1
+        struct = self.basic < self.n
+        s_pos, t_pos = struct.nonzero()[0], (~struct).nonzero()[0]
+        cols, t_rows = self.basic[s_pos], self.basic[t_pos] - self.n
+        r_rows = np.setdiff1d(np.arange(self.m), t_rows, assume_unique=True)
+        binv = np.zeros((self.m, self.m))
+        binv[t_pos, t_rows] = 1.0
+        if cols.size:
+            try:
+                minv = np.linalg.inv(self.A[np.ix_(r_rows, cols)])
+            except np.linalg.LinAlgError:
+                return False
+            binv[np.ix_(s_pos, r_rows)] = minv
+            binv[np.ix_(t_pos, r_rows)] = -(self.A[np.ix_(t_rows, cols)] @ minv)
+        if not np.all(np.isfinite(binv)):
             return False
-        if not np.all(np.isfinite(self.binv)):
-            return False
+        self.binv = binv
         self.pivots_since_refactor = 0
         return True
 
@@ -317,7 +348,7 @@ class _Engine:
         and call this only after the inverse was recomputed and before
         they return."""
         x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
-        x[self.basic] = self.binv @ (self.b - self.a @ x)
+        x[self.basic] = self.binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
         return x
 
     def sides(self, x: np.ndarray) -> np.ndarray:
@@ -334,7 +365,18 @@ class _Engine:
         return np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
-        return cost - cost[self.basic] @ self.binv @ self.a
+        return cost - self.row(cost[self.basic] @ self.binv)
+
+    def row(self, y: np.ndarray) -> np.ndarray:
+        """``y @ [A | I]``, as ``[y @ A, y]``."""
+        return np.concatenate([y @ self.A, y])
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of ``B^-1 [A | I]``: a product for a structural,
+        a copy of a column of ``B^-1`` for a slack."""
+        if j < self.n:
+            return self.binv @ self.A[:, j]
+        return self.binv[:, j - self.n].copy()
 
     def signs(self) -> np.ndarray:
         """+1 at a lower bound, -1 at an upper bound, 0 when basic, free or
@@ -357,7 +399,7 @@ class _Engine:
         if refactored:
             if not self.refactor():
                 raise SimplexError("singular basis during pivot")
-            w = self.binv @ self.a[:, j]
+            w = self.column(j)
             piv = w[r]
             if abs(piv) < 10 * PIVOT_TOL:
                 raise SimplexError("pivot element vanished")
@@ -439,7 +481,7 @@ class _Engine:
             if j >= 0:
                 up = self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)
                 delta = 1.0 if up else -1.0
-                w = self.binv @ self.a[:, j]
+                w = self.column(j)
                 t, r, leave_stat = self.ratio(j, delta, w, x, side)
             if j < 0 or t == _INF:
                 if not fresh:
@@ -530,7 +572,7 @@ class _Engine:
                 r = int(viol.argmax())
                 leaving = int(self.basic[r])
                 going_up = x[leaving] < self.lo[leaving]
-                alpha = self.binv[r] @ self.a
+                alpha = self.row(self.binv[r])
                 if d is None:
                     d = self.reduced(self.c)
                 jcol = self.dual_ratio(alpha, d, going_up)
@@ -542,7 +584,7 @@ class _Engine:
                 x, d, fresh = self.values(), None, True
                 viol = self.violation(x)
                 continue
-            w = self.binv @ self.a[:, jcol]
+            w = self.column(jcol)
             self.iterations += 1
             # the leaving variable moves to the bound it violates; the
             # entering one's reduced cost goes to zero
@@ -591,12 +633,12 @@ def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
     reached from a slack basis if ``cold``.  The engine is done, so its
     arrays go into the basis."""
     if status != "optimal":
-        return LpSolution(status, None, None, None, eng.iterations, cold)
+        return LpSolution(status, None, None, None, eng.iterations, cold, eng.refactorizations)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
     basis = Basis(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
-                      basis, eng.iterations, cold)
+                      basis, eng.iterations, cold, eng.refactorizations)
 
 
 def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:

@@ -106,14 +106,15 @@ class SolverConfig:
 @dataclass
 class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
-    started, simplex iterations of those that returned and how many of
-    them ran from a slack basis (first solves and warm starts that fell
-    back), cut rows added at tree nodes and lazy KVL rows added at
-    integral ones."""
+    started, simplex iterations of those that returned, how many of them
+    ran from a slack basis (first solves and warm starts that fell back)
+    and the basis inverses they computed afresh, cut rows added at tree
+    nodes and lazy KVL rows added at integral ones."""
 
     lp_calls: int = 0
     simplex_iterations: int = 0
     cold_starts: int = 0
+    refactorizations: int = 0
     tree_cuts: int = 0
     lazy_rows: int = 0
 
@@ -121,6 +122,7 @@ class SolveStats:
         """Count the work of an LP solve that returned ``sol``."""
         self.simplex_iterations += sol.iterations
         self.cold_starts += sol.cold_start
+        self.refactorizations += sol.refactorizations
 
 
 @dataclass

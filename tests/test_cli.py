@@ -77,7 +77,7 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
     assert set(doc["stats"]) == {"lp_calls", "simplex_iterations", "cold_starts",
-                                 "tree_cuts", "lazy_rows"}
+                                 "refactorizations", "tree_cuts", "lazy_rows"}
     assert doc["stats"]["lp_calls"] >= 1
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -10,7 +13,10 @@ import dcots.lp
 from dcots.formulations import build_ots_angle
 from dcots.lp import (FEAS_TOL, PIVOT_TOL, _BASIC, _FREE, _LOWER, _UPPER, LinearProgram,
                       _Engine, add_rows, solve)
-from dcots.network import random_connected_network
+from dcots.network import parse_native, random_connected_network
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import ladder  # noqa: E402
 
 INF = float("inf")
 
@@ -572,10 +578,105 @@ def _assert_inverse(eng):
 
 @pytest.fixture
 def inversions(monkeypatch):
-    """A list that gains one entry per ``np.linalg.inv`` call."""
+    """A list that gains the shape of the argument of each ``np.linalg.inv`` call."""
     calls, real_inv = [], np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or real_inv(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or real_inv(a))
     return calls
+
+
+def _dense_engine(rng, n=12, m=8):
+    """An engine over ``m`` rows of ``n`` random dense coefficients."""
+    rows = [(list(enumerate(rng.normal(size=n))), "<=", 1.0) for _ in range(m)]
+    return _Engine(LinearProgram([0.0] * n, [0.0] * n, [1.0] * n, rows))
+
+
+def _set_basis(eng, structurals, slack_rows, rng):
+    """Make the given structurals and slacks basic, in a random row order."""
+    eng.basic = rng.permutation(np.concatenate([structurals, eng.n + slack_rows]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
+def test_refactor_inverts_only_the_structural_block(inversions, k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(5):
+        eng = _dense_engine(rng)
+        _set_basis(eng, rng.choice(eng.n, size=k, replace=False),
+                   rng.choice(eng.m, size=eng.m - k, replace=False), rng)
+        inversions.clear()
+        assert eng.refactor()
+        _assert_inverse(eng)
+        # one k x k inversion; none when every basic variable is a slack
+        assert inversions == ([(k, k)] if k else [])
+        assert eng.pivots_since_refactor == 0 and eng.refactorizations == 1
+
+
+def test_refactor_of_a_singular_structural_block_fails():
+    # columns 0 and 1 are equal on rows 0-2 and differ on row 3: with row
+    # 3's slack basic their block is singular, with it nonbasic it is not
+    rows = [([(0, v), (1, v), (2, 1.0)], "<=", 1.0) for v in (1.0, 2.0, -3.0)] + \
+        [([(0, 1.0), (1, -1.0)], "<=", 1.0)]
+    eng = _Engine(LinearProgram([0.0] * 3, [0.0] * 3, [1.0] * 3, rows))
+    for slacks in ([3, 0], [1, 3]):
+        eng.basic = np.array([0, 1, *(eng.n + r for r in slacks)])
+        before = eng.binv = np.eye(eng.m)
+        assert not eng.refactor()
+        assert eng.binv is before
+    eng.basic = np.array([0, 1, eng.n + 2, eng.n + 0])
+    assert eng.refactor()
+    _assert_inverse(eng)
+    # a block whose inverse overflows fails too
+    tiny = _Engine(LinearProgram([0.0], [0.0], [1.0], [([(0, 1e-320)], "<=", 1.0)]))
+    tiny.basic = np.array([0])
+    assert not tiny.refactor()
+
+
+def test_row_and_column_products_skip_the_identity_block():
+    rng = np.random.default_rng(9)
+    for k in (0, 3, 8):
+        eng = _dense_engine(rng)
+        _set_basis(eng, rng.choice(eng.n, size=k, replace=False),
+                   rng.choice(eng.m, size=eng.m - k, replace=False), rng)
+        assert eng.refactor()
+        y = rng.normal(size=eng.m)
+        np.testing.assert_allclose(eng.row(y), y @ eng.a, rtol=0, atol=1e-12)
+        for j in range(eng.N):
+            w = eng.column(j)
+            np.testing.assert_allclose(w, eng.binv @ eng.a[:, j], rtol=0, atol=1e-12)
+            assert not np.shares_memory(w, eng.binv)  # a pivot writes into the inverse
+        x = rng.normal(size=eng.N)
+        eng.stat = np.full(eng.N, _LOWER)
+        eng.stat[eng.basic] = _BASIC
+        eng.lo = x
+        want = x.copy()
+        want[eng.basic] = eng.binv @ (eng.b - eng.a @ np.where(eng.stat == _BASIC, 0.0, x))
+        np.testing.assert_allclose(eng.values(), want, rtol=0, atol=1e-12)
+
+
+# root LPs of the benchmark's basic root ops: 205 rows on 5x5, 300 on 6x6
+LADDER_ROOTS = [(5, 5, 0), (5, 5, 1), (6, 6, 0), (6, 6, 2)]
+
+
+@pytest.mark.parametrize("refactor_every", [dcots.lp.REFACTOR_EVERY, 3])
+def test_root_lps_of_ladder_grids_match_reference(monkeypatch, inversions, refactor_every):
+    monkeypatch.setattr(dcots.lp, "REFACTOR_EVERY", refactor_every)
+    rng = np.random.default_rng(6)
+    refactored = 0
+    for rows, cols, seed in LADDER_ROOTS:
+        net = parse_native(ladder.to_native(ladder.grid_instance(rows, cols, seed)))
+        lp = build_ots_angle(net).lp
+        assert 200 <= lp.n_rows <= 300
+        inversions.clear()
+        sol = solve(lp)
+        assert _assert_matches_reference(lp, sol)
+        bigger = _cut_through(lp, sol, rng)  # re-solved by the dual simplex
+        warm = solve(bigger, warm=sol.basis)
+        assert not warm.cold_start
+        assert _assert_matches_reference(bigger, warm)
+        # each refactorization inverted a structural block, never the whole basis
+        assert len(inversions) == sol.refactorizations + warm.refactorizations
+        assert all(r == c < lp.n_rows for r, c in inversions)
+        refactored += len(inversions)
+    assert refactored >= (3 if refactor_every > 3 else 100)
 
 
 def test_children_of_one_basis_solve_as_from_fresh_bases(inversions):

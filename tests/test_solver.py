@@ -365,13 +365,14 @@ def test_time_limit_ends_the_lazy_rows_of_a_node(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["default", "basic"])
 def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode):
-    counted = {"calls": 0, "iterations": 0, "cold": 0}
+    counted = {"calls": 0, "iterations": 0, "cold": 0, "refactorizations": 0}
 
     def counting(lp, warm=None):
         sol = lp_solve(lp, warm=warm)
         counted["calls"] += 1
         counted["iterations"] += sol.iterations
         counted["cold"] += sol.cold_start
+        counted["refactorizations"] += sol.refactorizations
         return sol
 
     monkeypatch.setattr("dcots.solver.solve", counting)
@@ -383,7 +384,8 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert counted["cold"] == 1  # the root's first solve; the search starts warm
     assert result_to_doc(res)["stats"] == {
         "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
-        "cold_starts": 1, "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
+        "cold_starts": 1, "refactorizations": counted["refactorizations"],
+        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
 
 
 def test_the_search_starts_from_the_root_basis(monkeypatch):
