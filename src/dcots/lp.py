@@ -8,35 +8,33 @@ the old basis is still dual feasible.  Everything is deterministic for a
 fixed instance: pivot choices break ties by variable index.
 
 Rows are stored as ``(coeffs, sense, rhs)`` with sparse ``(col, coef)``
-coefficient lists and sense one of ``"<="``, ``">="``, ``"=="``.  The
-solver appends one slack per row as an explicit identity block and works
-on the dense ``m x (n+m)`` matrix ``[A | I]``: row i reads
-``A_i x + s_i = rhs_i``, with the slack ``s_i`` (variable ``n + i``)
-bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for ``>=`` and ``[0, 0]``
-for ``==``.  Structurals and slacks are then the same kind of variable,
-and a ``Basis`` indexes them in that order.  The engine still never
-multiplies the identity block: a refactorization inverts only the block
-of the structural basic columns on the rows whose slack is nonbasic (see
-``_Engine.refactor``), a row product ``y @ [A | I]`` is ``[y @ A, y]``,
-the entering column of a slack is a column of the inverse, and values
-subtract the slacks from ``b - A x`` as they are.
+coefficient lists and sense one of ``"<="``, ``">="``, ``"=="``.  Each row
+has a slack: row i reads ``A_i x + s_i = rhs_i``, with the slack ``s_i``
+(variable ``n + i``) bounded to ``[0, inf)`` for ``<=``, ``(-inf, 0]`` for
+``>=`` and ``[0, 0]`` for ``==``.  Structurals and slacks are then the
+same kind of variable, the columns of ``[A | I]``, and a ``Basis``
+indexes them in that order.  Only the dense ``m x n`` matrix ``A`` is
+stored; the slacks are implicit.  A refactorization inverts only the
+block of the structural basic columns on the rows whose slack is
+nonbasic (see ``_Engine.refactor``), a row product ``y @ [A | I]`` is
+``[y @ A, y]``, the entering column of a slack is a column of the
+inverse, and values subtract the slacks from ``b - A x`` as they are.
 
-Rows only grow.  The dense matrix, right-hand side and slack bounds are
+Rows only grow.  ``A``, the right-hand side and the slack bounds are
 built once per row set and shared, read-only, by every
 ``LinearProgram.copy()``: a bound change leaves them alone, and appended
-rows extend a copy of the matrix instead of refilling it from the sparse
-rows.
+rows extend a copy of ``A`` instead of refilling it from the sparse rows.
 
-A ``Basis`` is the factor a solve ended with: the matrix, the inverse
+A ``Basis`` is the factor a solve ended with: ``A``, the inverse
 of its basic columns as the pivots left it, the basic list, the statuses
 and the number of pivots since that inverse was last computed.  A warm
-start against the same matrix (a bound change, the sibling node of a
-branch) copies the factor; against a matrix that extends it by rows
+start against the same ``A`` (a bound change, the sibling node of a
+branch) copies the factor; against an ``A`` that extends it by rows
 (lazy rows, cut rounds) it extends the factor block-triangularly, with
 the new rows' slacks basic.  Neither inverts a matrix.  The pivot count
 carries along the chain of warm starts, so ``REFACTOR_EVERY`` bounds the
-pivots any carried inverse has accumulated.  A basis whose matrix the
-program's matrix neither equals nor extends by rows is ignored.
+pivots any carried inverse has accumulated.  A basis whose ``A`` the
+program's ``A`` neither equals nor extends by rows is ignored.
 
 Each pivot costs what it must.  The inverse is updated in place by one
 rank-one BLAS step, with no ``m x m`` temporary.  The simplex loops carry
@@ -90,8 +88,8 @@ class SimplexError(RuntimeError):
 
 
 class _Dense(NamedTuple):
-    """``[A | I]``, right-hand side and slack bounds of one row set;
-    read-only, as every copy of the program and every engine shares them."""
+    """``A``, right-hand side and slack bounds of one row set; read-only,
+    as every copy of the program and every engine shares them."""
 
     a: np.ndarray
     b: np.ndarray
@@ -102,13 +100,12 @@ def _build_dense(n: int, rows, prev: _Dense | None) -> _Dense:
     """The dense form of ``rows``, copying the rows of ``prev`` (built
     over a prefix of ``rows``) instead of filling them again."""
     m, k = len(rows), (0 if prev is None else len(prev.b))
-    a = np.zeros((m, n + m))
+    a = np.zeros((m, n))
     if k:
-        a[:k, :n] = prev.a[:, :n]
+        a[:k] = prev.a
     for i in range(k, m):
         for c, v in rows[i][0]:
             a[i, c] += v
-    a[np.arange(m), np.arange(n, n + m)] = 1.0
     b = np.array([rhs for _, _, rhs in rows], dtype=float)
     slack = np.array([_SLACK_BOUNDS[sense] for _, sense, _ in rows]).reshape(m, 2)
     for arr in (a, b, slack):
@@ -184,15 +181,16 @@ class LinearProgram:
 
 
 class Basis(NamedTuple):
-    """The factor a solve ended with, read-only: its matrix ``[A | I]``,
-    the inverse of the basic columns as the pivots left it, the basic
-    variable of each row, the status of every variable, and the pivots
-    since that inverse was last computed.
+    """The factor a solve ended with, read-only: its structural matrix
+    ``A``, the inverse of the basic columns of ``[A | I]`` as the pivots
+    left it, the basic variable of each row, the status of every
+    variable, and the pivots since that inverse was last computed.
 
-    Variable indices cover structurals then one slack per row; statuses
-    are 0 = at lower bound, 1 = at upper, 2 = free at zero, 3 = basic.
-    A warm start copies the factor or extends it by rows instead of
-    inverting; a program whose matrix does not extend ``a`` ignores it.
+    Variable indices cover structurals then the implicit slack of each
+    row; statuses are 0 = at lower bound, 1 = at upper, 2 = free at zero,
+    3 = basic.  A warm start copies the factor or extends it by rows
+    instead of inverting; a program whose ``A`` does not extend ``a``
+    ignores it.
     """
 
     a: np.ndarray
@@ -227,15 +225,15 @@ def add_rows(lp: LinearProgram, rows) -> LinearProgram:
 
 
 class _Engine:
-    """Dense simplex state for one LinearProgram over ``[A | I]``."""
+    """Dense simplex state for one LinearProgram over ``[A | I]``, of
+    which only ``A`` is stored."""
 
     def __init__(self, lp: LinearProgram):
         d = lp.dense()
         n, m = lp.n_cols, lp.n_rows
         self.n, self.m = n, m
         self.N = n + m
-        self.a, self.b = d.a, d.b  # shared and read-only
-        self.A = d.a[:, :n]  # the structural block; the rest is the identity
+        self.A, self.b = d.a, d.b  # shared and read-only
         self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
         self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
         self.movable = 1.0 - (self.lo == self.hi)
@@ -267,10 +265,10 @@ class _Engine:
 
     def install(self, basis: Basis) -> bool:
         """Adopt a warm basis, with the slacks of appended rows basic;
-        False, leaving the engine as it was, if this matrix does not
+        False, leaving the engine as it was, if this ``A`` does not
         extend the basis's.
 
-        A factor over a row prefix of this matrix (the same matrix
+        A factor over a row prefix of this ``A`` (the same ``A``
         included) is copied or extended block-triangularly: with ``R``
         the appended rows on the old basic columns, the inverse of
         ``[[B, 0], [R, I]]`` is ``[[B^-1, 0], [-R B^-1, I]]``.  Nonbasic
@@ -298,14 +296,12 @@ class _Engine:
         return True
 
     def prefix_rows(self, a: np.ndarray) -> int:
-        """The number of rows of ``a`` if it is this matrix's first rows:
-        the same structural columns, equal there, and one slack per row;
-        else -1."""
-        if a is self.a:
+        """The number of rows of ``a`` if it is the first rows of this
+        ``A``, over the same columns; else -1."""
+        if a is self.A:
             return self.m
         k = a.shape[0]
-        if a.shape[1] - k != self.n or k > self.m \
-                or not (a[:, :self.n] == self.a[:k, :self.n]).all():
+        if a.shape[1] != self.n or k > self.m or not (a == self.A[:k]).all():
             return -1
         return k
 
@@ -636,7 +632,7 @@ def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
         return LpSolution(status, None, None, None, eng.iterations, cold, eng.refactorizations)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
-    basis = Basis(eng.a, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
+    basis = Basis(eng.A, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
     return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
                       basis, eng.iterations, cold, eng.refactorizations)
 

@@ -188,6 +188,15 @@ def _check_keys(obj: dict, wanted: set, what: str) -> None:
         raise ValueError(f"{what}: unknown keys {sorted(extra)}")
 
 
+def _typed(obj: dict, key: str, what: str, kind: type):
+    """``obj[key]`` if its JSON type is exactly ``kind`` (int or bool):
+    ``int()`` and ``bool()`` would turn a fraction, a string or a flag
+    into some other valid value."""
+    if type(obj[key]) is not kind:
+        raise ValueError(f"{what}: {key} must be {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _list_at(doc: dict, key: str) -> list:
     if not isinstance(doc[key], list):
         raise ValueError(f"{key}: expected a list, got {type(doc[key]).__name__}")
@@ -210,8 +219,10 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     Raises
     ------
     ValueError
-        On a value of the wrong JSON type, missing/unknown keys or
-        non-numeric fields, naming the offending element.
+        On a value of the wrong JSON type (an id, bus or line end that is
+        not an integer, a ``switchable`` that is not a boolean),
+        missing/unknown keys or non-numeric fields, naming the offending
+        element.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -222,12 +233,13 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     buses = []
     for i, b in enumerate(_list_at(doc, "buses")):
         _check_keys(b, _BUS_KEYS, f"buses[{i}]")
-        buses.append(Bus(int(b["id"]), float(b["load_mw"]) / base, float(b["load_mw"])))
+        buses.append(Bus(_typed(b, "id", f"buses[{i}]", int), float(b["load_mw"]) / base,
+                         float(b["load_mw"])))
     gens = []
     for i, g in enumerate(_list_at(doc, "generators")):
         _check_keys(g, _GEN_KEYS, f"generators[{i}]")
         gens.append(Generator(
-            int(g["bus"]),
+            _typed(g, "bus", f"generators[{i}]", int),
             float(g["pmin_mw"]) / base, float(g["pmax_mw"]) / base,
             float(g["cost_per_mwh"]) * base,
             float(g["pmin_mw"]), float(g["pmax_mw"]), float(g["cost_per_mwh"]),
@@ -236,10 +248,10 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     for i, ln in enumerate(_list_at(doc, "lines")):
         _check_keys(ln, _LINE_KEYS, f"lines[{i}]")
         lines.append(Line(
-            int(ln["id"]), int(ln["from"]), int(ln["to"]),
+            *(_typed(ln, key, f"lines[{i}]", int) for key in ("id", "from", "to")),
             float(ln["susceptance_pu"]),
             float(ln["capacity_mw"]) / base, float(ln["capacity_mw"]),
-            bool(ln["switchable"]),
+            _typed(ln, "switchable", f"lines[{i}]", bool),
         ))
     return PowerNetwork(base, tuple(buses), tuple(gens), tuple(lines))
 
@@ -417,7 +429,7 @@ def validate(net: PowerNetwork) -> ValidationReport:
 
     Verifies unique ids, existing endpoints, no self-loops, positive
     susceptances and capacities, generator bus references, ordered
-    generator bounds, and connectivity.
+    generator bounds, finite generator costs, and connectivity.
 
     Returns
     -------
@@ -454,6 +466,8 @@ def validate(net: PowerNetwork) -> ValidationReport:
         if not (0 <= g.p_min <= g.p_max):
             problems.append(f"generator at bus {g.bus}: "
                             f"need 0 <= p_min <= p_max, got [{g.p_min}, {g.p_max}]")
+        if not math.isfinite(g.cost):
+            problems.append(f"generator at bus {g.bus}: cost must be finite, got {g.cost}")
     if net.buses and not problems:
         find, union = union_find(id_set)
         for ln in net.lines:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from dcots.cyclebasis import cycle_basis
 from dcots.lp import SimplexError
 from dcots.network import build_network, random_connected_network, serialize_native
 from dcots.solver import CSV_HEADER, SolverConfig, solve_ots
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import ladder  # noqa: E402
 
 
 def write_instance(tmp_path, name, seed, **kwargs):
@@ -180,6 +185,37 @@ def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "short.m: gen[0]: needs at least 10 columns, got 9" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf")])
+def test_a_generator_cost_that_is_not_finite_is_exit_4(tmp_path, capsys, cost):
+    inst = ladder.grid_instance(2, 4, 0)
+    bus, lo, hi, _ = inst["gens"][0]
+    inst["gens"][0] = (bus, lo, hi, cost)
+    for name, text in (("grid.json", ladder.to_native(inst)),
+                       ("grid.m", ladder.to_matpower(inst, "grid"))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 4, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name}: generator at bus {bus}: cost must be finite, got {cost}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("switchable", "false", "lines[1]: switchable must be bool, got 'false'"),
+    ("id", 97.9, "lines[1]: id must be int, got 97.9"),
+])
+def test_a_line_field_of_the_wrong_type_is_exit_4(tmp_path, capsys, key, value, says):
+    doc = json.loads(serialize_native(random_connected_network(1, max_buses=4)))
+    doc["lines"][1][key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"typed.json: {says}" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):

@@ -381,7 +381,7 @@ def test_pivot_updates_the_inverse_in_place():
         eng.pivots_since_refactor = 0
         for _ in range(5):
             j = next(j for j in range(eng.n) if eng.stat[j] != 3 and eng.movable[j])
-            w = eng.binv @ eng.a[:, j]
+            w = eng.binv @ eng.A[:, j]
             buf = eng.binv
             assert not eng.pivot(int(np.abs(w).argmax()), j, w, dcots.lp._LOWER)
             assert eng.binv is buf and buf.flags.c_contiguous
@@ -566,14 +566,20 @@ def _close_solve(got, want, lp):
     if _same_basis(got.basis, want.basis):
         np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
     d = lp.dense()
-    slack = d.b - d.a[:, :lp.n_cols] @ got.x
+    slack = d.b - d.a @ got.x
     tol = 1e-7
     assert np.all(slack >= d.slack[:, 0] - tol) and np.all(slack <= d.slack[:, 1] + tol)
     assert np.all(got.x >= np.array(lp.lo) - tol) and np.all(got.x <= np.array(lp.hi) + tol)
 
 
+def _with_slacks(eng):
+    """``[A | I]``, which the engine only indexes, as a reference to test against."""
+    return np.hstack([eng.A, np.eye(eng.m)])
+
+
 def _assert_inverse(eng):
-    np.testing.assert_allclose(eng.binv @ eng.a[:, eng.basic], np.eye(eng.m), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(eng.binv @ _with_slacks(eng)[:, eng.basic], np.eye(eng.m),
+                               rtol=0, atol=1e-9)
 
 
 @pytest.fixture
@@ -637,18 +643,19 @@ def test_row_and_column_products_skip_the_identity_block():
         _set_basis(eng, rng.choice(eng.n, size=k, replace=False),
                    rng.choice(eng.m, size=eng.m - k, replace=False), rng)
         assert eng.refactor()
+        full = _with_slacks(eng)
         y = rng.normal(size=eng.m)
-        np.testing.assert_allclose(eng.row(y), y @ eng.a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eng.row(y), y @ full, rtol=0, atol=1e-12)
         for j in range(eng.N):
             w = eng.column(j)
-            np.testing.assert_allclose(w, eng.binv @ eng.a[:, j], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, eng.binv @ full[:, j], rtol=0, atol=1e-12)
             assert not np.shares_memory(w, eng.binv)  # a pivot writes into the inverse
         x = rng.normal(size=eng.N)
         eng.stat = np.full(eng.N, _LOWER)
         eng.stat[eng.basic] = _BASIC
         eng.lo = x
         want = x.copy()
-        want[eng.basic] = eng.binv @ (eng.b - eng.a @ np.where(eng.stat == _BASIC, 0.0, x))
+        want[eng.basic] = eng.binv @ (eng.b - full @ np.where(eng.stat == _BASIC, 0.0, x))
         np.testing.assert_allclose(eng.values(), want, rtol=0, atol=1e-12)
 
 
@@ -826,6 +833,21 @@ def test_appended_rows_solve_as_a_program_built_afresh():
     warm = solve(bigger, warm=root.basis)
     assert warm.status == "optimal" and not warm.cold_start and warm.iterations > 0
     _same_solve(warm, solve(fresh, warm=root.basis))
+
+
+def test_the_dense_form_stores_a_alone():
+    lp, root, col = _switching_root()
+    d = lp.dense()
+    assert d.a.shape == (lp.n_rows, lp.n_cols) and d.a.flags.c_contiguous
+    assert root.basis.a is d.a  # the basis keeps the program's A, no wider matrix
+    bigger = add_rows(lp, [([(col, 1.0)], ">=", 0.5), ([(col, 1.0), (0, 1.0)], "<=", 3.0)])
+    extended = bigger.dense()
+    fresh = LinearProgram(list(bigger.obj), list(bigger.lo), list(bigger.hi), list(bigger.rows))
+    assert extended.a.shape == (bigger.n_rows, bigger.n_cols) == (lp.n_rows + 2, lp.n_cols)
+    assert np.array_equal(extended.a, fresh.dense().a)
+    assert np.array_equal(extended.a[:lp.n_rows], d.a)
+    warm = solve(bigger, warm=root.basis)
+    assert warm.basis.a is extended.a and not warm.cold_start
 
 
 def test_changes_to_a_copy_leave_the_original_alone():

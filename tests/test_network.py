@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcots.cli import main
 from dcots.network import (
@@ -15,10 +19,14 @@ from dcots.network import (
     parse_matpower,
     parse_native,
     perturb_loads,
+    random_connected_network,
     relocate_generators,
     serialize_native,
     validate,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import ladder  # noqa: E402
 
 NATIVE_DOC = {
     "base_mva": 100.0,
@@ -90,6 +98,46 @@ def test_native_round_trip_is_exact():
 def test_native_round_trip_built_base_one():
     net = triangle()
     assert parse_native(serialize_native(net)) == net
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["plain", "perturbed", "relocated"]))
+def test_native_round_trip_of_random_networks(seed, variant):
+    net = random_connected_network(seed)
+    if variant == "perturbed":
+        net = perturb_loads(net, -5, 5, seed=seed)
+    elif variant == "relocated":
+        net = relocate_generators(net, seed=seed)
+    assert parse_native(serialize_native(net)) == net
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 4), (4, 4), (5, 5), (6, 6)])
+def test_matpower_and_native_files_of_one_grid_parse_alike(rows, cols):
+    for seed in range(3):
+        inst = ladder.grid_instance(rows, cols, seed)
+        assert parse_matpower(ladder.to_matpower(inst, "grid")) == \
+            parse_native(ladder.to_native(inst))
+
+
+@pytest.mark.parametrize("where, key, value, says", [
+    ("lines", "switchable", "false", r"lines\[1\]: switchable must be bool, got 'false'"),
+    ("lines", "switchable", 0, r"lines\[1\]: switchable must be bool, got 0"),
+    ("lines", "id", 97.9, r"lines\[1\]: id must be int, got 97.9"),
+    ("lines", "id", 1.0, r"lines\[1\]: id must be int, got 1.0"),
+    ("lines", "id", "1", r"lines\[1\]: id must be int, got '1'"),
+    ("lines", "id", True, r"lines\[1\]: id must be int, got True"),
+    ("lines", "from", 1.5, r"lines\[1\]: from must be int, got 1.5"),
+    ("lines", "to", "2", r"lines\[1\]: to must be int, got '2'"),
+    ("buses", "id", 1.5, r"buses\[1\]: id must be int, got 1.5"),
+    ("buses", "id", False, r"buses\[1\]: id must be int, got False"),
+    ("generators", "bus", 0.5, r"generators\[0\]: bus must be int, got 0.5"),
+    ("generators", "bus", "0", r"generators\[0\]: bus must be int, got '0'"),
+])
+def test_parse_native_rejects_ids_and_flags_of_the_wrong_type(where, key, value, says):
+    doc = json.loads(json.dumps(NATIVE_DOC))
+    doc[where][min(1, len(doc[where]) - 1)][key] = value
+    with pytest.raises(ValueError, match=says):
+        parse_native(json.dumps(doc))
 
 
 def test_parse_native_rejects_unknown_key():
@@ -220,6 +268,17 @@ def test_validate_flags_problems():
     assert "endpoint" in joined
     assert "self-loop" in joined
     assert "unknown bus 9" in joined
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf")])
+def test_validate_flags_a_generator_cost_that_is_not_finite(cost):
+    net = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, 1.0)],
+        generators=[(0, 0.0, 2.0, 1.0), (2, 0.0, 2.0, cost)],
+        lines=[(0, 0, 1, 1.0, 1.0), (1, 1, 2, 1.0, 1.0), (2, 0, 2, 1.0, 1.0)],
+    )
+    report = validate(net)
+    assert report.problems == (f"generator at bus 2: cost must be finite, got {cost}",)
 
 
 def test_validate_flags_disconnected():
