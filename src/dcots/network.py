@@ -188,13 +188,27 @@ def _check_keys(obj: dict, wanted: set, what: str) -> None:
         raise ValueError(f"{what}: unknown keys {sorted(extra)}")
 
 
-def _typed(obj: dict, key: str, what: str, kind: type):
-    """``obj[key]`` if its JSON type is exactly ``kind`` (int or bool):
-    ``int()`` and ``bool()`` would turn a fraction, a string or a flag
-    into some other valid value."""
-    if type(obj[key]) is not kind:
-        raise ValueError(f"{what}: {key} must be {kind.__name__}, got {obj[key]!r}")
+_NUMBER = (int, float)
+
+
+def _typed(obj: dict, key: str, what: str, kind):
+    """``obj[key]`` if its JSON type is exactly ``kind``: int, bool, or
+    ``_NUMBER`` (an int or a float, never a bool).  ``int()``, ``float()``
+    and ``bool()`` would turn a fraction, a string or a flag into some
+    other valid value."""
+    if type(obj[key]) not in (kind if isinstance(kind, tuple) else (kind,)):
+        name = "a number" if kind == _NUMBER else kind.__name__
+        raise ValueError(f"{what}: {key} must be {name}, got {obj[key]!r}")
     return obj[key]
+
+
+def _number(obj: dict, key: str, what: str) -> float:
+    """``obj[key]`` as a float, if it is a JSON number."""
+    value = _typed(obj, key, what, _NUMBER)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal of hundreds of digits
+        raise ValueError(f"{what}: {key} is too large for a float") from None
 
 
 def _list_at(doc: dict, key: str) -> list:
@@ -220,39 +234,36 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     ------
     ValueError
         On a value of the wrong JSON type (an id, bus or line end that is
-        not an integer, a ``switchable`` that is not a boolean),
-        missing/unknown keys or non-numeric fields, naming the offending
-        element.
+        not an integer, a ``switchable`` that is not a boolean, a numeric
+        field that is a string, a boolean or null) or missing/unknown
+        keys, naming the offending element.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
     _check_keys(doc, {"base_mva", "buses", "generators", "lines"}, "document")
-    base = float(doc["base_mva"])
+    base = _number(doc, "base_mva", "document")
     if not (base > 0 and math.isfinite(base)):
         raise ValueError(f"base_mva must be positive and finite, got {doc['base_mva']!r}")
     buses = []
     for i, b in enumerate(_list_at(doc, "buses")):
-        _check_keys(b, _BUS_KEYS, f"buses[{i}]")
-        buses.append(Bus(_typed(b, "id", f"buses[{i}]", int), float(b["load_mw"]) / base,
-                         float(b["load_mw"])))
+        what = f"buses[{i}]"
+        _check_keys(b, _BUS_KEYS, what)
+        bid, load = _typed(b, "id", what, int), _number(b, "load_mw", what)
+        buses.append(Bus(bid, load / base, load))
     gens = []
     for i, g in enumerate(_list_at(doc, "generators")):
-        _check_keys(g, _GEN_KEYS, f"generators[{i}]")
-        gens.append(Generator(
-            _typed(g, "bus", f"generators[{i}]", int),
-            float(g["pmin_mw"]) / base, float(g["pmax_mw"]) / base,
-            float(g["cost_per_mwh"]) * base,
-            float(g["pmin_mw"]), float(g["pmax_mw"]), float(g["cost_per_mwh"]),
-        ))
+        what = f"generators[{i}]"
+        _check_keys(g, _GEN_KEYS, what)
+        bus = _typed(g, "bus", what, int)
+        lo, hi, cost = (_number(g, key, what) for key in ("pmin_mw", "pmax_mw", "cost_per_mwh"))
+        gens.append(Generator(bus, lo / base, hi / base, cost * base, lo, hi, cost))
     lines = []
     for i, ln in enumerate(_list_at(doc, "lines")):
-        _check_keys(ln, _LINE_KEYS, f"lines[{i}]")
-        lines.append(Line(
-            *(_typed(ln, key, f"lines[{i}]", int) for key in ("id", "from", "to")),
-            float(ln["susceptance_pu"]),
-            float(ln["capacity_mw"]) / base, float(ln["capacity_mw"]),
-            _typed(ln, "switchable", f"lines[{i}]", bool),
-        ))
+        what = f"lines[{i}]"
+        _check_keys(ln, _LINE_KEYS, what)
+        lid, u, v = (_typed(ln, key, what, int) for key in ("id", "from", "to"))
+        sus, cap = (_number(ln, key, what) for key in ("susceptance_pu", "capacity_mw"))
+        lines.append(Line(lid, u, v, sus, cap / base, cap, _typed(ln, "switchable", what, bool)))
     return PowerNetwork(base, tuple(buses), tuple(gens), tuple(lines))
 
 

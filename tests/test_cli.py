@@ -206,6 +206,7 @@ def test_a_generator_cost_that_is_not_finite_is_exit_4(tmp_path, capsys, cost):
 @pytest.mark.parametrize("key, value, says", [
     ("switchable", "false", "lines[1]: switchable must be bool, got 'false'"),
     ("id", 97.9, "lines[1]: id must be int, got 97.9"),
+    ("capacity_mw", "80", "lines[1]: capacity_mw must be a number, got '80'"),
 ])
 def test_a_line_field_of_the_wrong_type_is_exit_4(tmp_path, capsys, key, value, says):
     doc = json.loads(serialize_native(random_connected_network(1, max_buses=4)))

@@ -140,6 +140,33 @@ def test_parse_native_rejects_ids_and_flags_of_the_wrong_type(where, key, value,
         parse_native(json.dumps(doc))
 
 
+@pytest.mark.parametrize("where, key, value, says", [
+    (None, "base_mva", "100", r"document: base_mva must be a number, got '100'"),
+    ("buses", "load_mw", "0.5", r"buses\[1\]: load_mw must be a number, got '0.5'"),
+    ("generators", "pmin_mw", None, r"generators\[0\]: pmin_mw must be a number, got None"),
+    ("generators", "pmax_mw", True, r"generators\[0\]: pmax_mw must be a number, got True"),
+    ("generators", "cost_per_mwh", "40", r"generators\[0\]: cost_per_mwh must be a number, "
+                                         r"got '40'"),
+    ("lines", "susceptance_pu", "2", r"lines\[1\]: susceptance_pu must be a number, got '2'"),
+    ("lines", "capacity_mw", True, r"lines\[1\]: capacity_mw must be a number, got True"),
+    ("lines", "capacity_mw", 10**400, r"lines\[1\]: capacity_mw is too large for a float"),
+])
+def test_parse_native_rejects_numeric_fields_that_are_not_numbers(where, key, value, says):
+    doc = json.loads(json.dumps(NATIVE_DOC))
+    (doc if where is None else doc[where][min(1, len(doc[where]) - 1)])[key] = value
+    with pytest.raises(ValueError, match=says):
+        parse_native(json.dumps(doc))
+
+
+def test_parse_native_takes_integers_and_floats_as_numbers():
+    doc = json.loads(json.dumps(NATIVE_DOC))
+    doc["base_mva"] = 100
+    doc["lines"][1]["capacity_mw"] = 80
+    net = parse_native(doc)
+    assert net == parse_native(NATIVE_DOC)
+    assert type(net.base_mva) is float and type(net.lines[1].capacity_mw) is float
+
+
 def test_parse_native_rejects_unknown_key():
     doc = json.loads(json.dumps(NATIVE_DOC))
     doc["lines"][1]["suceptance_pu"] = doc["lines"][1].pop("susceptance_pu")

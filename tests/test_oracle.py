@@ -1,12 +1,18 @@
 """Tests for the brute-force polyhedral and switching oracles."""
 
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from test_acceptance import switching_prone_network
 
+from dcots import oracle
 from dcots.network import build_network, random_connected_network
 from dcots.oracle import (
+    BATCH,
+    HighsStatusError,
     SubsetSumInstance,
     brute_force_ots,
     check_facets,
@@ -236,3 +242,128 @@ def test_opf_equivalence_has_zero_gap_on_random_networks():
             assert obj >= 0.0
             optimal += 1
     assert optimal >= 5
+
+
+# ---------------------------------------------------------------------------
+# batched LPs against one LP per call
+
+
+def count_linprog(monkeypatch):
+    """Count the oracle's HiGHS calls; returns the running count as a list."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counted)
+    return calls
+
+
+def reference_brute_force(net, early_exit_feasible=False):
+    """The enumeration brute_force_ots batches, one dispatch LP per
+    topology that passes the component screen."""
+    switchable = [ln.id for ln in net.lines if ln.switchable]
+    always_on = {ln.id for ln in net.lines if not ln.switchable}
+    best_obj, best_x = None, None
+    for mask in range(1 << len(switchable)):
+        active = always_on | {switchable[i] for i in range(len(switchable))
+                              if mask >> i & 1}
+        if not oracle._component_screen(net, active):
+            continue
+        obj, _ = dispatch_lp(net, active)
+        if obj is None:
+            continue
+        pattern = {ln.id: (1.0 if ln.id in active else 0.0) for ln in net.lines}
+        if early_exit_feasible:
+            return obj, pattern
+        if best_obj is None or obj < best_obj - 1e-12:
+            best_obj, best_x = obj, pattern
+    return best_obj, best_x
+
+
+BRUTE_NETS = ([("random", s) for s in range(20)]
+              + [("switching-prone", s) for s in range(20)])
+
+
+@pytest.mark.parametrize("kind, seed", BRUTE_NETS, ids=[f"{k}-{s}" for k, s in BRUTE_NETS])
+def test_batched_brute_force_matches_one_lp_per_topology(kind, seed):
+    net = (random_connected_network(seed, max_buses=6) if kind == "random"
+           else switching_prone_network(seed))
+    for early in (False, True):
+        obj, x = brute_force_ots(net, early_exit_feasible=early)
+        want_obj, want_x = reference_brute_force(net, early_exit_feasible=early)
+        assert (obj is None) == (want_obj is None)
+        if want_obj is not None:
+            assert obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
+        assert x == want_x
+
+
+def parallel_lines(n_lines, capacity, p_min=0.0):
+    """One generator feeding one unit of load over ``n_lines`` switchable
+    parallel lines; every topology but the one with all lines open passes
+    the component screen."""
+    lines = [(i, 0, 1, 1.0, capacity) for i in range(n_lines)]
+    return build_network([(0, 0.0), (1, 1.0)], [(0, p_min, 2.0, 1.0)], lines)
+
+
+@pytest.mark.parametrize("n_lines, capacity", [(5, 0.15), (6, 0.15), (5, 0.19999)])
+def test_a_batch_of_only_infeasible_topologies_ends_in_none(monkeypatch, n_lines, capacity):
+    # all lines together carry 0.75, 0.9 or 0.99995 units
+    net = parallel_lines(n_lines, capacity)
+    assert reference_brute_force(net) == (None, None)
+    calls = count_linprog(monkeypatch)
+    assert brute_force_ots(net) == (None, None)
+    assert calls[0] == ceil((2 ** n_lines - 1) / BATCH)  # phase 1 alone
+
+
+def test_brute_force_solves_each_phase_in_batches(monkeypatch):
+    net = parallel_lines(6, 0.3)  # feasible iff four or more lines are closed
+    want_obj, want_x = reference_brute_force(net)
+    calls = count_linprog(monkeypatch)
+    obj, x = brute_force_ots(net)
+    assert obj == pytest.approx(want_obj, rel=1e-9) and x == want_x
+    feasible = sum(bin(mask).count("1") >= 4 for mask in range(1 << 6))
+    assert calls[0] == ceil(63 / BATCH) + ceil(feasible / BATCH)
+
+
+def test_projection_equals_one_linprog_per_trial():
+    w = (0.7, 1.3, 2.2)
+    ext, prj = oracle._projection_systems(w)
+    objectives = np.random.default_rng(8).standard_normal((40, 7))
+    got_ext, got_prj = oracle._projection_maxima(w, objectives)
+    for c, ge, gp in zip(objectives, got_ext, got_prj):
+        c_ext = np.concatenate([c[:3], np.zeros(3), c[3:]])
+        r1 = linprog(-c_ext, A_ub=ext.a_ub, b_ub=ext.b_ub, A_eq=ext.a_eq, b_eq=ext.b_eq,
+                     bounds=list(zip(ext.lo, ext.hi)), method="highs")
+        r2 = linprog(-c, A_ub=prj.a_ub, b_ub=prj.b_ub, bounds=list(zip(prj.lo, prj.hi)),
+                     method="highs")
+        assert ge == pytest.approx(-r1.fun, rel=1e-9, abs=1e-9)
+        assert gp == pytest.approx(-r2.fun, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("trials", [1, BATCH - 1, BATCH, BATCH + 1, 200])
+def test_projection_makes_two_highs_calls_per_batch(monkeypatch, trials):
+    calls = count_linprog(monkeypatch)
+    assert check_projection_prop4((0.9, 1.4), trials=trials, seed=3) <= 1e-7
+    assert calls[0] == 2 * ceil(trials / BATCH)
+
+
+@pytest.mark.parametrize("k", [BATCH - 1, BATCH, BATCH + 1])
+def test_blocks_across_a_batch_boundary_match_single_solves(monkeypatch, k):
+    w = (1.1, 0.6, 1.8)
+    objectives = np.random.default_rng(k).standard_normal((k, 6))
+    calls = count_linprog(monkeypatch)
+    batched = oracle._description_maxima(w, objectives)
+    assert calls[0] == ceil(k / BATCH)
+    single = [oracle._description_maxima(w, c[None, :])[0] for c in objectives]
+    np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-9)
+
+
+def test_a_batch_without_an_optimum_raises_with_the_highs_status():
+    # x0 + x1 <= -1 with both columns in [0, 1]
+    lp = oracle._Template(np.array([[1.0, 1.0]]), np.array([-1.0]), None, None,
+                          np.zeros(2), np.ones(2))
+    with pytest.raises(HighsStatusError, match="HiGHS status 2") as err:
+        oracle._solve_blocks(lp, np.ones((3, 2)))
+    assert err.value.status == 2
