@@ -7,8 +7,8 @@ optional bus angles, and optional on/off line variables:
 * cycle dispatch: angles eliminated, one flow-sum row per basis cycle;
 * angle switching: big-M relaxation of the angle rows plus on/off
   capacity links, binary line variables;
-* cycle switching: balance and capacity links only, with two-sided
-  big-M cycle rows supplied eagerly or lazily; the solver searches it.
+* cycle switching: balance and capacity links only; the solver searches
+  it and adds two-sided big-M cycle rows only lazily, where violated.
 
 Angle big-M values follow the network's total capacity-over-susceptance
 weight, which bounds every angle spread reachable by a connected
@@ -189,12 +189,12 @@ def build_ots_angle(net: PowerNetwork) -> MilpModel:
     return MilpModel(lp, vmap, integer, net)
 
 
-def build_ots_cycle(net: PowerNetwork, cycles: CycleSet = CycleSet()) -> MilpModel:
+def build_ots_cycle(net: PowerNetwork) -> MilpModel:
     """Angle-free switching MILP.
 
     Carries only balance and on/off capacity links; flow consistency
-    around cycles comes from two-sided big-M cycle rows, added here for
-    ``cycles`` and lazily by the solver for whatever else is violated.
+    around cycles comes from two-sided big-M cycle rows (``cycle_cut_rows``)
+    that the solver adds lazily wherever a cycle is violated.
     """
     lp = LinearProgram()
     vmap = _base_columns(lp, net, with_theta=False, with_x=True, theta_bound=None)
@@ -203,12 +203,8 @@ def build_ots_cycle(net: PowerNetwork, cycles: CycleSet = CycleSet()) -> MilpMod
         fcol, xcol = vmap.flow[ln.id], vmap.x[ln.id]
         lp.add_row([(fcol, 1.0), (xcol, -ln.capacity)], "<=", 0.0)
         lp.add_row([(fcol, 1.0), (xcol, ln.capacity)], ">=", 0.0)
-    model = MilpModel(lp, vmap, tuple(vmap.x[ln.id] for ln in net.lines if ln.switchable),
-                      net)
-    for cyc in cycles:
-        for row in cycle_cut_rows(cyc, vmap):
-            lp.add_row(*row)
-    return model
+    return MilpModel(lp, vmap, tuple(vmap.x[ln.id] for ln in net.lines if ln.switchable),
+                     net)
 
 
 def cycle_cut_rows(cycle: Cycle, vmap: VariableMap):

@@ -632,11 +632,15 @@ def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
         return LpSolution(status, None, None, None, eng.iterations, cold, eng.refactorizations)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
+    obj = float(eng.c[:eng.n] @ x[:eng.n])
+    if not np.isfinite(obj):
+        raise SimplexError(f"objective {obj} is not finite")
     basis = Basis(eng.A, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
-    return LpSolution("optimal", float(eng.c[:eng.n] @ x[:eng.n]), x[:eng.n].copy(),
-                      basis, eng.iterations, cold, eng.refactorizations)
+    return LpSolution("optimal", obj, x[:eng.n].copy(), basis, eng.iterations, cold,
+                      eng.refactorizations)
 
 
+@np.errstate(over="raise", invalid="raise")
 def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     """Solve a linear program, optionally warm-starting from a basis.
 
@@ -645,7 +649,11 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     the dual simplex; anything else goes through the primal phases.  A
     basis whose matrix this program's matrix neither equals nor extends
     by rows is ignored, and a stalled or numerically broken warm path
-    falls back to a cold solve on the same engine.
+    falls back to a cold solve on the same engine.  A floating-point
+    overflow or invalid operation (inf - inf, 0 * inf) counts as
+    numerically broken.  Numerical trouble in the cold solve, its
+    iteration limit, or an optimum whose objective is not finite raises
+    SimplexError.
 
     Returns
     -------
@@ -654,8 +662,8 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
         'unbounded'.
     """
     eng = _Engine(lp)
-    if warm is not None and eng.install(warm):
-        try:
+    try:
+        if warm is not None and eng.install(warm):
             x = eng.values()
             viol = eng.violation(x)
             if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
@@ -666,7 +674,10 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
             if status == "infeasible":
                 return _finish(eng, "infeasible")
             # stalled: fall through to the cold start below
-        except SimplexError:
-            pass
+    except (SimplexError, FloatingPointError):
+        pass
     eng.slack_start()
-    return _finish(eng, *eng.primal(eng.values()), cold=True)
+    try:
+        return _finish(eng, *eng.primal(eng.values()), cold=True)
+    except FloatingPointError as err:
+        raise SimplexError(f"floating-point error: {err}") from err

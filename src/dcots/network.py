@@ -548,20 +548,18 @@ def augment_with_cycle(net: PowerNetwork, cycle_len: int, n_lines: int,
     return cur
 
 
-def random_connected_network(seed: int, n_buses: int | None = None,
-                             max_buses: int = 8, max_extra_lines: int = 2,
-                             switchable: bool = True) -> PowerNetwork:
+def random_connected_network(seed: int, max_buses: int = 8,
+                             max_extra_lines: int = 2) -> PowerNetwork:
     """Sample a small connected test network, deterministically per seed.
 
     Buses carry uniform loads; a spanning tree plus a few extra lines
-    (possibly parallel, so the graph is a proper multigraph) carry
-    uniform susceptances and capacities.  A wide-range cheap generator
-    at bus 0 and a pricier one at the last bus make most draws
-    dispatchable while leaving congestion to the line caps.
+    (possibly parallel, so the graph is a proper multigraph), all
+    switchable, carry uniform susceptances and capacities.  A wide-range
+    cheap generator at bus 0 and a pricier one at the last bus make most
+    draws dispatchable while leaving congestion to the line caps.
     """
     rng = np.random.default_rng(seed)
-    if n_buses is None:
-        n_buses = int(rng.integers(3, max_buses + 1))
+    n_buses = int(rng.integers(3, max_buses + 1))
     buses = [(i, float(np.round(rng.uniform(0.0, 1.0), 3))) for i in range(n_buses)]
     total = sum(load for _, load in buses)
     gens = [(0, 0.0, total + 1.0, 1.0),
@@ -573,14 +571,12 @@ def random_connected_network(seed: int, n_buses: int | None = None,
         v = int(order[int(rng.integers(0, k))])
         lines.append((len(lines), u, v,
                       float(np.round(rng.uniform(0.5, 3.0), 3)),
-                      float(np.round(rng.uniform(0.4, 1.6), 3)),
-                      switchable))
+                      float(np.round(rng.uniform(0.4, 1.6), 3))))
     for _ in range(int(rng.integers(1, max_extra_lines + 1))):
         u, v = rng.choice(n_buses, size=2, replace=False)
         lines.append((len(lines), int(u), int(v),
                       float(np.round(rng.uniform(0.5, 3.0), 3)),
-                      float(np.round(rng.uniform(0.4, 1.6), 3)),
-                      switchable))
+                      float(np.round(rng.uniform(0.4, 1.6), 3))))
     return build_network(buses, gens, lines)
 
 

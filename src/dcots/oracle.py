@@ -8,10 +8,12 @@ relaxation S_C is handled in normalized coordinates g_a =
 sigma_a f_a / B_a, where capacities become the weights w_a and the
 all-closed flow-sum condition reads sum(g) = 0.
 
-Independent LPs that share one constraint matrix (hull and projection
-objectives, brute-force topologies) are solved as block-diagonal
-batches of up to BATCH = 32 blocks per HiGHS call, since scipy's fixed
-cost per ``linprog`` call outweighs HiGHS's own on LPs this small.
+Every LP goes through ``_solve_blocks``, the module's one ``linprog``
+call.  Independent LPs that share one constraint matrix (hull and
+projection objectives, brute-force topologies) are solved there as
+block-diagonal batches of up to BATCH = 32 blocks per HiGHS call, since
+scipy's fixed cost per ``linprog`` call outweighs HiGHS's own on LPs
+this small.
 
 The last section turns each headline claim into one seeded routine that
 returns the figures it is judged by; the acceptance tests run them at
@@ -40,7 +42,6 @@ from dcots.cyclebasis import cycle_basis
 from dcots.formulations import build_opf_angle, build_opf_cycle
 from dcots.lp import LinearProgram
 from dcots.network import PowerNetwork, build_network, random_connected_network
-from dcots.solver import recover_angles
 
 __all__ = [
     "BATCH",
@@ -147,30 +148,27 @@ def _chunks(items, size: int):
 
 
 def solve_lp_reference(lp: LinearProgram):
-    """Solve a LinearProgram with scipy's HiGHS as an independent route."""
-    n = lp.n_cols
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs in lp.rows:
-        row = np.zeros(n)
+    """Solve a LinearProgram with scipy's HiGHS as an independent route:
+    (status, objective, x), with objective and x None unless 'optimal'.
+
+    The matrix is built from ``lp.rows`` here, not by the program's own
+    dense form, which the in-repo simplex uses."""
+    a = np.zeros((lp.n_rows, lp.n_cols))
+    for i, (coeffs, _, _) in enumerate(lp.rows):
         for c, v in coeffs:
-            row[c] += v
-        if sense == "<=":
-            a_ub.append(row)
-            b_ub.append(rhs)
-        elif sense == ">=":
-            a_ub.append(-row)
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(row)
-            b_eq.append(rhs)
-    res = linprog(np.asarray(lp.obj),
-                  A_ub=np.array(a_ub) if a_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(a_eq) if a_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=list(zip(lp.lo, lp.hi)), method="highs")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-    return status, (res.fun if res.status == 0 else None), res.x
+            a[i, c] += v
+    sense = np.array([row[1] for row in lp.rows], dtype=object)
+    rhs = np.array([row[2] for row in lp.rows], dtype=float)
+    sign = np.where(sense == ">=", -1.0, 1.0)
+    ub, eq = sense != "==", sense == "=="
+    template = _Template(sign[ub, None] * a[ub], sign[ub] * rhs[ub], a[eq], rhs[eq],
+                         np.asarray(lp.lo, dtype=float), np.asarray(lp.hi, dtype=float))
+    obj = np.asarray(lp.obj, dtype=float)
+    try:
+        x = _solve_blocks(template, obj)[0]
+    except HighsStatusError as err:
+        return {2: "infeasible", 3: "unbounded"}.get(err.status, "error"), None, None
+    return "optimal", float(obj @ x), x
 
 
 def incidence_matrix(net: PowerNetwork) -> np.ndarray:
@@ -292,10 +290,7 @@ def enumerate_S_C_vertices(w) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HullCheckReport:
-    cycle_size: int
-    trials: int
     max_gap: float
-    worst_objective: tuple[float, ...] | None
 
 
 def _description_maxima(w, objectives, drop=None) -> np.ndarray:
@@ -307,18 +302,14 @@ def _description_maxima(w, objectives, drop=None) -> np.ndarray:
     return (objectives * _solve_blocks(box, -objectives)).sum(axis=1)
 
 
-def check_hull_equality(w, trials: int = 200, seed: int = 0,
-                        drop=None) -> HullCheckReport:
+def check_hull_equality(w, trials: int = 200, seed: int = 0) -> HullCheckReport:
     """Random-objective comparison of the vertex hull against the
     inequality description; equal maxima for every objective certify
     that the description is exactly the convex hull."""
-    n = len(w)
-    objectives = np.random.default_rng(seed).standard_normal((trials, 2 * n))
+    objectives = np.random.default_rng(seed).standard_normal((trials, 2 * len(w)))
     vertex_best = (enumerate_S_C_vertices(w) @ objectives.T).max(axis=0)
-    gaps = np.abs(_description_maxima(w, objectives, drop=drop) - vertex_best)
-    i = int(np.argmax(gaps))
-    worst = tuple(objectives[i]) if gaps[i] > 0.0 else None
-    return HullCheckReport(n, trials, float(gaps[i]), worst)
+    return HullCheckReport(float(np.abs(_description_maxima(w, objectives)
+                                        - vertex_best).max()))
 
 
 def directional_gap(w, objective, drop=None) -> float:
@@ -331,37 +322,26 @@ def directional_gap(w, objective, drop=None) -> float:
 def membership_extended(g, x, w) -> bool:
     """Hull membership decided by the extended system's feasibility.
 
-    Free variables are the closed-side flows and the cycle indicator;
-    the split flows on the open side are eliminated as f - f1.
+    The extended system of ``_projection_systems`` with g and x fixed
+    through their bounds; the closed-side flows f1 and the cycle
+    indicator y stay free.  |g| <= w x and 0 <= x <= 1 are checked first
+    to 1e-9, far tighter than HiGHS's feasibility tolerance of 1e-7.
     """
     n = len(w)
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     if (np.abs(g) > w * x + 1e-9).any() or (x < -1e-9).any() or (x > 1 + 1e-9).any():
         return False
-    # columns: f1 (n), y
-    a_ub, b_ub = [], []
-
-    def row(f1_coeffs, y_coeff, rhs):
-        a_ub.append(np.concatenate([f1_coeffs, [y_coeff]]))
-        b_ub.append(rhs)
-
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        row(e, -w[a], 0.0)                      # f1 <= w y
-        row(-e, -w[a], 0.0)                     # -f1 <= w y
-        row(-e, w[a], w[a] * x[a] - g[a])       # g - f1 <= w (x - y)
-        row(e, w[a], w[a] * x[a] + g[a])        # f1 - g <= w (x - y)
-        row(np.zeros(n), 1.0, x[a])             # y <= x_a
-    row(np.zeros(n), -1.0, -(x.sum() - (n - 1)))  # sum x - y <= n - 1
-    a_eq = [np.concatenate([np.ones(n), [0.0]])]
-    b_eq = [0.0]
-    bounds = [(-float(wa), float(wa)) for wa in w] + [(0.0, 1.0)]
-    res = linprog(np.zeros(n + 1), A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=bounds,
-                  method="highs")
-    return res.status == 0
+    ext, _ = _projection_systems(w)
+    lo, hi = ext.lo.copy(), ext.hi.copy()
+    # columns: g (n), f1 (n), x (n), y
+    lo[:n] = hi[:n] = g
+    lo[2 * n:3 * n] = hi[2 * n:3 * n] = x
+    try:
+        _solve_blocks(ext, np.zeros(3 * n + 1), lo, hi)
+    except HighsStatusError:
+        return False
+    return True
 
 
 def check_projection_prop4(w, trials: int = 200, seed: int = 0) -> float:
@@ -817,7 +797,7 @@ def _component_screen(net: PowerNetwork, active_ids) -> bool:
     return all(pmin[r] - 1e-9 <= load[r] <= pmax[r] + 1e-9 for r in load)
 
 
-def brute_force_ots(net: PowerNetwork, early_exit_feasible: bool = False):
+def brute_force_ots(net: PowerNetwork):
     """Ground-truth switching optimum by full topology enumeration.
 
     Iterates every on/off pattern of the switchable lines, screens each
@@ -843,15 +823,11 @@ def brute_force_ots(net: PowerNetwork, early_exit_feasible: bool = False):
                                           <= _OVERLOAD_TOL)
 
     best_obj, best_x = None, None
-    for chunk in _chunks(feasible(), 1 if early_exit_feasible else BATCH):
+    for chunk in _chunks(feasible(), BATCH):
         for closed, obj in zip(chunk, model.costs(np.array(chunk))):
-            if obj is None:
-                continue
-            pattern = {lid: float(on) for lid, on in zip(model.line_ids, closed)}
-            if early_exit_feasible:
-                return obj, pattern
-            if best_obj is None or obj < best_obj - 1e-12:
-                best_obj, best_x = obj, pattern
+            if obj is not None and (best_obj is None or obj < best_obj - 1e-12):
+                best_obj, best_x = obj, {lid: float(on)
+                                         for lid, on in zip(model.line_ids, closed)}
     return best_obj, best_x
 
 
@@ -859,10 +835,11 @@ def check_opf_equivalence(net: PowerNetwork):
     """Angle-vs-cycle dispatch agreement through the reference solver.
 
     Returns (status, objective gap, flow reconstruction gap, objective);
-    the flow gap re-derives flows from recovered angles on the cycle
-    solution and measures the worst line discrepancy.
+    the flow gap fits angles theta to the cycle solution's flows f by
+    least squares on diag(B) A theta = f, A the incidence matrix, and
+    measures the worst line residual.
     """
-    lp_a, vmap_a = build_opf_angle(net)
+    lp_a, _ = build_opf_angle(net)
     lp_c, vmap_c = build_opf_cycle(net, cycle_basis(net))
     st_a, obj_a, _ = solve_lp_reference(lp_a)
     st_c, obj_c, x_c = solve_lp_reference(lp_c)
@@ -870,10 +847,10 @@ def check_opf_equivalence(net: PowerNetwork):
         return f"status-mismatch:{st_a}/{st_c}", None, None, None
     if st_a != "optimal":
         return st_a, None, None, None
-    f_c = {lid: float(x_c[col]) for lid, col in vmap_c.flow.items()}
-    theta = recover_angles(net, {ln.id: 1.0 for ln in net.lines}, f_c)
-    flow_gap = max(abs(ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus])
-                       - f_c[ln.id]) for ln in net.lines)
+    f_c = x_c[[vmap_c.flow[ln.id] for ln in net.lines]]
+    ba = np.array([ln.susceptance for ln in net.lines])[:, None] * incidence_matrix(net)
+    theta = np.linalg.lstsq(ba, f_c, rcond=None)[0]
+    flow_gap = float(np.abs(ba @ theta - f_c).max(initial=0.0))
     return "optimal", abs(obj_a - obj_c), flow_gap, obj_a
 
 

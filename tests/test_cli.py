@@ -203,6 +203,15 @@ def test_a_generator_cost_that_is_not_finite_is_exit_4(tmp_path, capsys, cost):
         assert "Traceback" not in captured.err
 
 
+def test_a_capacity_of_1e308_ends_in_a_status_not_a_traceback(tmp_path, capsys):
+    doc = json.loads(serialize_native(random_connected_network(0)))
+    doc["lines"][0]["capacity_mw"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) in (0, 5)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, says", [
     ("switchable", "false", "lines[1]: switchable must be bool, got 'false'"),
     ("id", 97.9, "lines[1]: id must be int, got 97.9"),

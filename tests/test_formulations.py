@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcots.cyclebasis import CycleSet, cycle_basis
+from dcots.cyclebasis import cycle_basis
 from dcots.formulations import (
     add_switching_budget,
     build_opf_angle,
@@ -183,8 +183,11 @@ def test_ots_angle_opening_a_line_restores_feasibility():
 
 def test_ots_cycle_rows_enforce_consistency_when_closed():
     net = triangle()
-    model = build_ots_cycle(net, cycles=cycle_basis(net))
+    model = build_ots_cycle(net)
     lp = model.lp.copy()
+    for cyc in cycle_basis(net):
+        for row in cycle_cut_rows(cyc, model.vmap):
+            lp.add_row(*row)
     for col in model.vmap.x.values():
         lp.set_bounds(col, 1.0, 1.0)
     sol = solve(lp)
@@ -196,7 +199,7 @@ def test_ots_cycle_without_rows_ignores_consistency():
     # without cycle rows only balance and capacity bind, so the cheap
     # direct line can carry the whole load
     net = triangle()
-    model = build_ots_cycle(net, cycles=CycleSet())
+    model = build_ots_cycle(net)
     lp = model.lp.copy()
     for col in model.vmap.x.values():
         lp.set_bounds(col, 1.0, 1.0)

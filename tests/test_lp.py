@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 import dcots.lp
 from dcots.formulations import build_ots_angle
 from dcots.lp import (FEAS_TOL, PIVOT_TOL, _BASIC, _FREE, _LOWER, _UPPER, LinearProgram,
-                      _Engine, add_rows, solve)
+                      SimplexError, _Engine, add_rows, solve)
 from dcots.network import parse_native, random_connected_network
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -86,6 +86,14 @@ def test_duplicate_coefficients_accumulate():
     lp.add_row([(x, 1.0), (x, 1.0)], ">=", 4.0)
     sol = solve(lp)
     assert sol.obj == pytest.approx(2.0)
+
+
+def test_an_objective_that_overflows_raises_simplex_error():
+    # 1e308 * 2 is past the largest float: no optimum has a finite value
+    lp = LinearProgram()
+    lp.add_col(cost=1e308, lo=2.0, hi=3.0)
+    with pytest.raises(SimplexError, match="floating-point"):
+        solve(lp)
 
 
 def _random_lp(rng):

@@ -9,6 +9,9 @@ from scipy.optimize import linprog
 from test_acceptance import switching_prone_network
 
 from dcots import oracle
+from dcots.formulations import build_opf_angle
+from dcots.lp import LinearProgram
+from dcots.lp import solve as lp_solve
 from dcots.network import build_network, random_connected_network
 from dcots.oracle import (
     BATCH,
@@ -29,6 +32,7 @@ from dcots.oracle import (
     reduce_subset_sum,
     reduction_ots_feasible,
     reduction_witness_angles,
+    solve_lp_reference,
     subset_sum_brute,
     subset_sum_witness,
 )
@@ -103,6 +107,21 @@ def test_membership_rejects_points_outside_the_hull():
     assert not membership_extended([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], w)
 
 
+def test_membership_checks_the_capacity_box_tighter_than_highs():
+    w = np.array([1.0, 1.0, 1.0])
+    g, x = np.array([1.0, -1.0, 0.0]), np.ones(3)  # a vertex: |g_0| = w_0 x_0
+    assert membership_extended(g, x, w)
+    raised = g + [1e-8, 0.0, 0.0]
+    assert not membership_extended(raised, x, w)
+    # the extended system alone accepts it: its rows g <= w x and
+    # sum(f1) = 0 miss by 1e-8, inside HiGHS's 1e-7 feasibility tolerance
+    ext, _ = oracle._projection_systems(w)
+    lo, hi = ext.lo.copy(), ext.hi.copy()
+    lo[:3] = hi[:3] = raised
+    lo[6:9] = hi[6:9] = x
+    oracle._solve_blocks(ext, np.zeros(10), lo, hi)
+
+
 def test_projection_of_extended_formulation_matches_explicit_rows():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
@@ -162,8 +181,7 @@ def test_reduction_feasibility_matches_subset_sum_exhaustively():
 def test_reduction_class_enumeration_agrees_with_raw_enumeration():
     for inst in [SubsetSumInstance((2,), 3), SubsetSumInstance((3,), 3),
                  SubsetSumInstance((1, 3), 4), SubsetSumInstance((2, 2), 3)]:
-        raw_obj, _ = brute_force_ots(reduce_subset_sum(inst),
-                                     early_exit_feasible=True)
+        raw_obj, _ = brute_force_ots(reduce_subset_sum(inst))
         assert (raw_obj is not None) == reduction_ots_feasible(inst)
 
 
@@ -231,6 +249,35 @@ def test_brute_force_matches_branch_and_cut():
     assert agreements >= 5
 
 
+def test_solve_lp_reference_maps_the_highs_status():
+    # x0 + x1 >= 3 with both columns in [0, 1]
+    infeasible = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                               [([(0, 1.0), (1, 1.0)], ">=", 3.0)])
+    assert solve_lp_reference(infeasible) == ("infeasible", None, None)
+    # min -x0 with x0 >= x1 and x0 unbounded above
+    unbounded = LinearProgram([-1.0, 0.0], [0.0, 0.0], [np.inf, 1.0],
+                              [([(0, 1.0), (1, -1.0)], ">=", 0.0)])
+    assert solve_lp_reference(unbounded) == ("unbounded", None, None)
+
+
+def test_solve_lp_reference_matches_the_in_repo_simplex():
+    # one row of each sense; the optimum (0, 3, 2) is unique
+    lp = LinearProgram([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [5.0, 5.0, 5.0],
+                       [([(0, 1.0), (1, 1.0)], ">=", 3.0), ([(1, 1.0)], ">=", 2.0),
+                        ([(0, 1.0), (2, -1.0)], "==", -2.0), ([(0, 1.0)], "<=", 1.0)])
+    programs = [lp] + [build_opf_angle(random_net(seed))[0] for seed in range(6)]
+    optimal = 0
+    for program in programs:
+        want = lp_solve(program)
+        status, obj, _ = solve_lp_reference(program)
+        assert status == want.status
+        if status == "optimal":
+            assert obj == pytest.approx(want.obj, rel=1e-9, abs=1e-9)
+            optimal += 1
+    assert optimal >= 4
+    assert solve_lp_reference(lp)[2] == pytest.approx([0.0, 3.0, 2.0], abs=1e-9)
+
+
 def test_opf_equivalence_has_zero_gap_on_random_networks():
     optimal = 0
     for seed in range(10):
@@ -260,7 +307,7 @@ def count_linprog(monkeypatch):
     return calls
 
 
-def reference_brute_force(net, early_exit_feasible=False):
+def reference_brute_force(net):
     """The enumeration brute_force_ots batches, one dispatch LP per
     topology that passes the component screen."""
     switchable = [ln.id for ln in net.lines if ln.switchable]
@@ -275,8 +322,6 @@ def reference_brute_force(net, early_exit_feasible=False):
         if obj is None:
             continue
         pattern = {ln.id: (1.0 if ln.id in active else 0.0) for ln in net.lines}
-        if early_exit_feasible:
-            return obj, pattern
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj, best_x = obj, pattern
     return best_obj, best_x
@@ -290,13 +335,12 @@ BRUTE_NETS = ([("random", s) for s in range(20)]
 def test_batched_brute_force_matches_one_lp_per_topology(kind, seed):
     net = (random_connected_network(seed, max_buses=6) if kind == "random"
            else switching_prone_network(seed))
-    for early in (False, True):
-        obj, x = brute_force_ots(net, early_exit_feasible=early)
-        want_obj, want_x = reference_brute_force(net, early_exit_feasible=early)
-        assert (obj is None) == (want_obj is None)
-        if want_obj is not None:
-            assert obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
-        assert x == want_x
+    obj, x = brute_force_ots(net)
+    want_obj, want_x = reference_brute_force(net)
+    assert (obj is None) == (want_obj is None)
+    if want_obj is not None:
+        assert obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
+    assert x == want_x
 
 
 def parallel_lines(n_lines, capacity, p_min=0.0):

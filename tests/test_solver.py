@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,30 @@ def test_lazy_kvl_check_on_tree_and_triangle():
     assert cyc.edge_ids == frozenset({0, 1, 2})
     assert lazy_kvl_check(net, {0: 1.0, 1: 1.0, 2: 1.0},
                           {0: 1 / 3, 1: 1 / 3, 2: 2 / 3}) is None
+
+
+def _with_extreme_value(net, field):
+    """``net`` with line 0, 1 or 2's capacity or generator 0's cost at 1e308."""
+    if field == "cost":
+        gens = list(net.generators)
+        gens[0] = replace(gens[0], cost=1e308)
+        return replace(net, generators=tuple(gens))
+    lines = list(net.lines)
+    lines[field] = replace(lines[field], capacity=1e308)
+    return replace(net, lines=tuple(lines))
+
+
+@pytest.mark.parametrize("field", [0, 1, 2, "cost"])
+@pytest.mark.parametrize("seed", [0, 1, 4, 5])
+def test_a_capacity_or_cost_of_1e308_ends_in_a_status(seed, field):
+    # floating-point overflow in the simplex must end the solve as
+    # numerical-error, never as a traceback or a false "infeasible"
+    net = random_connected_network(seed)
+    assert solve_ots(net).status == "optimal-within-gap"
+    res = solve_ots(_with_extreme_value(net, field))
+    assert res.status in ("optimal-within-gap", "numerical-error")
+    if res.status == "optimal-within-gap":
+        assert np.isfinite(res.objective)
 
 
 def test_recover_angles_matches_hand_solution():

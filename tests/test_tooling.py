@@ -72,6 +72,23 @@ def test_the_cli_does_not_load_networkx():
     assert out.strip() == "False"
 
 
+def _linprog_calls(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "linprog"]
+
+
+def test_the_oracle_does_not_load_the_solver_and_calls_highs_in_one_place():
+    # an oracle that ran the solver's code would agree with its bugs
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dcots.oracle; print('dcots.solver' in sys.modules)"],
+        env=_env_with_src(), capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+    tree = ast.parse((SRC / "dcots" / "oracle.py").read_text())
+    site = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_solve_blocks")
+    assert len(_linprog_calls(tree)) == len(_linprog_calls(site)) == 1
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=_env_with_src(), cwd=ROOT,
