@@ -5,7 +5,7 @@ Certifying that cut rows are facets
 A subset inequality is not just valid for the single-cycle hull; when
 its subset is heavy enough it supports a facet.  The certificate is a
 list of affinely independent hull points that all satisfy the
-inequality with equality, checked in exact rational arithmetic.
+inequality with equality, checked exactly in integer arithmetic.
 """
 
 from fractions import Fraction
@@ -30,11 +30,12 @@ for mask in range(1, 1 << len(w)):
 # certificate there is a usage error and says so.
 try:
     check_facets(w, {1})
-except AssertionError as exc:
+except ValueError as exc:
     print("light subset rejected:", exc)
 
-# The rank computation underneath runs over Fractions, so certificates
-# never hinge on floating-point luck.
+# The rank computation underneath scales each rational row to integers
+# and eliminates without fractions, so certificates never hinge on
+# floating-point luck.
 rows = [
     [Fraction(1), Fraction(2), Fraction(3)],
     [Fraction(2), Fraction(4), Fraction(6)],

@@ -1,8 +1,8 @@
 """Independent brute-force and LP verification of the polyhedral claims.
 
 Everything here is deliberately redundant with the main solver: LPs go
-through scipy's HiGHS rather than the in-repo simplex, ranks are
-computed in exact rational arithmetic, and ground truth for switching
+through scipy's HiGHS rather than the in-repo simplex, facet checks and
+ranks are computed exactly over integers, and ground truth for switching
 instances comes from enumerating topologies outright.  The cycle
 relaxation S_C is handled in normalized coordinates g_a =
 sigma_a f_a / B_a, where capacities become the weights w_a and the
@@ -23,6 +23,7 @@ full size and ``dcots verify`` (``VERIFY_SUITES``) at smaller counts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -206,10 +207,48 @@ def _gauss_jordan(mat, n_cols: int) -> int:
     return rank
 
 
+def _scaled(values, scale: int) -> list[int]:
+    """``scale`` times each rational value, where every denominator divides
+    ``scale``, as ints."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def exact_rank(rows) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    return _gauss_jordan(mat, len(mat[0]) if mat else 0)
+    """Rank of a rational matrix by fraction-free (Bareiss) elimination.
+
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the rank unchanged, so the elimination runs over ints.
+    ``_gauss_jordan`` is the tests' reference for the same rank.
+    """
+    mat = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        mat.append(_scaled(row, math.lcm(*(v.denominator for v in row))))
+    return _integer_rank(mat)
+
+
+def _integer_rank(mat: list[list[int]]) -> int:
+    """Rank of an integer matrix, reducing its rows in place (Bareiss).
+
+    After k pivots each entry below them is, up to sign, a (k + 1)-minor
+    of the input, so the division by the previous pivot is exact.
+    """
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            a = mat[r][col]
+            mat[r] = [(p * v - a * t) // prev for v, t in zip(mat[r], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +459,7 @@ def _projection_systems(w) -> tuple[_Template, _Template]:
 
 
 # ---------------------------------------------------------------------------
-# facet verification in exact arithmetic
-
-
-def _cut_row_exact(w, subset):
-    n = len(w)
-    d = 2 * sum(w[a] for a in subset) - sum(w)
-    g_coeff = [Fraction(1) if a in subset else Fraction(0) for a in range(n)]
-    x_coeff = [d - w[a] if a in subset else d for a in range(n)]
-    return g_coeff, x_coeff, d * (n - 1)
+# facet verification in integer arithmetic
 
 
 def _witness_points(w, subset):
@@ -474,37 +505,47 @@ def _witness_points(w, subset):
 def check_facets(w, subset) -> bool:
     """Certify one cut as facet-defining by explicit witness points.
 
-    Builds the proof's point families in exact arithmetic, verifies
-    each lies in S_C and on the cut's face, and checks the required
-    affine (or, with a single complement line, linear) rank.
+    Builds the proof's point families in rational arithmetic, verifies
+    each lies in S_C (x binary, |f_a| <= w_a x_a, zero flow sum when
+    closed) and on the cut's face, and checks the required affine (or,
+    with a single complement line, linear) rank.  Raises ValueError for
+    a subset that is not heavy.
+
+    The checks and the rank run over ints.  With L the lcm of the
+    denominators of w and of every witness flow, W = L w and F = L f are
+    integral.  For fixed x each check is homogeneous of degree 1 in
+    (w, f), so it holds on (W, F) exactly when it holds on (w, f), and
+    scaling the flow columns by L leaves the rank unchanged.
     """
     n = len(w)
     w = [Fraction(v) for v in w]
     subset = frozenset(subset)
-    comp_size = n - len(subset)
-    d = 2 * sum(w[a] for a in subset) - sum(w)
-    assert d > 0, "facet check requires a heavy subset"
-    g_coeff, x_coeff, rhs = _cut_row_exact(w, subset)
+    if 2 * sum(w[a] for a in subset) <= sum(w):
+        raise ValueError(f"facet check requires a heavy subset, got {sorted(subset)}")
     points = _witness_points(w, subset)
-    expected = 2 * n if comp_size != 1 else 2 * n - 1
-    if len(points) != expected:
-        return False
+    scale = math.lcm(*(v.denominator for v in w),
+                     *(fa.denominator for f, _ in points for fa in f))
+    big_w = _scaled(w, scale)
+    d = 2 * sum(big_w[a] for a in subset) - sum(big_w)
+    # the cut: sum_{a in S} g_a + sum_a x_coeff_a x_a <= d (n - 1)
+    x_coeff = [d - wa if a in subset else d for a, wa in enumerate(big_w)]
+    rows = []
     for f, x in points:
-        if any(abs(fa) > wa * xa for fa, wa, xa in zip(f, w, x)):
+        if any(xa not in (0, 1) for xa in x):
             return False
-        if all(xa == 1 for xa in x) and sum(f) != 0:
+        big_f, x = _scaled(f, scale), [int(xa) for xa in x]
+        if any(abs(fa) > wa * xa for fa, wa, xa in zip(big_f, big_w, x)):
             return False
-        lhs = sum(gc * fa for gc, fa in zip(g_coeff, f))
-        lhs += sum(xc * xa for xc, xa in zip(x_coeff, x))
-        if lhs != rhs:
+        if all(x) and sum(big_f) != 0:
             return False
-    if comp_size == 1:
-        mat = [list(f) + list(x) for f, x in points]
-        return exact_rank(mat) == 2 * n - 1
-    base = points[0]
-    mat = [[fa - f0 for fa, f0 in zip(f, base[0])]
-           + [xa - x0 for xa, x0 in zip(x, base[1])] for f, x in points[1:]]
-    return exact_rank(mat) == 2 * n - 1
+        lhs = sum(big_f[a] for a in subset) + sum(c * xa for c, xa in zip(x_coeff, x))
+        if lhs != d * (n - 1):
+            return False
+        rows.append(big_f + x)
+    # a single complement line gives only 2n - 1 points, ranked as they are
+    if len(subset) != n - 1:
+        rows = [[v - v0 for v, v0 in zip(row, rows[0])] for row in rows[1:]]
+    return _integer_rank(rows) == 2 * n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1056,8 @@ def _verify_hull(seed):
 
 
 def _verify_facets(seed):
-    certified, failed = facet_certificates(np.random.default_rng(seed), (3, 4), draws=2)
+    certified, failed = facet_certificates(np.random.default_rng(seed), (3, 4, 5, 6),
+                                           draws=2)
     return failed is None, (f"{certified} facet certificates verified" if failed is None
                             else f"facet rank failed for (w, S) = {failed}")
 
@@ -1085,10 +1127,15 @@ def negative_controls():
     inside = membership_extended([0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
                                  np.array([1.0, 1.0, 1.0]))
     feasible = reduction_ots_feasible(SubsetSumInstance((2,), 3))
+    # a single complement line: the 5 witness rows must be linearly independent
+    rows = [f + x for f, x in _witness_points([Fraction(1)] * 3, {0, 1})]
+    rows[-1] = [(u + v) / 2 for u, v in zip(rows[0], rows[1])]
+    rank = exact_rank(rows)
     return [
         ("dropped-facet-row-reopens-gap", gap > 1e-6, f"gap {gap:.3e}"),
         ("circulation-point-rejected", not inside,
          "membership said " + ("inside" if inside else "outside")),
         ("unreachable-target-stays-infeasible", not feasible,
          "enumeration said " + ("feasible" if feasible else "infeasible")),
+        ("dependent-witness-drops-rank", rank < 5, f"rank {rank} of 5 witness rows"),
     ]

@@ -103,7 +103,7 @@ def test_criterion_01_convex_hull_equality():
 
 def test_criterion_02_facets_certified():
     t0 = time.perf_counter()
-    certified, failed = facet_certificates(np.random.default_rng(102), (3, 4, 5),
+    certified, failed = facet_certificates(np.random.default_rng(102), (3, 4, 5, 6, 7),
                                            draws=5)
     assert failed is None, f"w={failed[0]} S={sorted(failed[1])}"
     elapsed = time.perf_counter() - t0

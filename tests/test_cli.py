@@ -241,7 +241,7 @@ def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):
 def test_verify_negative_controls_are_detected(capsys):
     assert main(["verify", "--negative-controls"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS negative-control") == 3
+    assert out.count("PASS negative-control") == 4
 
 
 def test_bench_writes_sorted_rows_and_profile(tmp_path, capsys):

@@ -5,6 +5,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from test_acceptance import switching_prone_network
 
@@ -142,8 +144,88 @@ def test_facet_certificates_for_every_heavy_subset():
 
 
 def test_facet_check_requires_a_heavy_subset():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"heavy subset, got \[0\]"):
         check_facets((1.0, 1.0, 1.0), {0})
+
+
+def test_facet_certificates_on_the_benchmark_weights():
+    # perfbench's oracle weights: uniform(0.3, 2.5) times 2^k, k = -2..2
+    base = np.random.default_rng(404)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            draw = base.uniform(0.3, 2.5, size=n)
+            for k in range(-2, 3):
+                w = tuple(float(v) for v in draw * 2.0 ** k)
+                for subset in oracle._positive_delta_subsets(w):
+                    assert check_facets(w, subset), (w, subset)
+
+
+def _closed(points):
+    return [i for i, (_, x) in enumerate(points) if all(xa == 1 for xa in x)]
+
+
+def _opened_complement_line(points, w, subset):
+    """(point, line) of the first point that opens a line outside S."""
+    return next((i, a) for i, (_, x) in enumerate(points) for a in range(len(w))
+                if x[a] == 0 and a not in subset)
+
+
+def _move_off_the_face(points, w, subset):
+    # half of a closed point stays in S_C: same x, zero flow sum, |f| <= w
+    i = _closed(points)[0]
+    points[i] = ([fa / 2 for fa in points[i][0]], points[i][1])
+
+
+def _exceed_a_capacity(points, w, subset):
+    # flow on an opened line outside S, which the face row does not read
+    i, a = _opened_complement_line(points, w, subset)
+    points[i][0][a] = w[a] / 2
+
+
+def _unbalance_a_closed_point(points, w, subset):
+    # a complement flow moved inside its capacity; the face row reads only S
+    c = min(a for a in range(len(w)) if a not in subset)
+    points[_closed(points)[0]][0][c] /= 2
+
+
+def _half_open_a_line(points, w, subset):
+    # x outside {0, 1} on a line outside S that carries no flow
+    i, a = _opened_complement_line(points, w, subset)
+    points[i][1][a] = Fraction(1, 2)
+
+
+def _replace_by_a_midpoint(points, w, subset):
+    (f0, x0), (f1, _) = (points[i] for i in _closed(points)[:2])
+    points[-1] = ([(u + v) / 2 for u, v in zip(f0, f1)], list(x0))
+
+
+def _drop_a_point(points, w, subset):
+    # the rank falls: no count of points is checked
+    points.pop()
+
+
+# heavy subsets of two or more lines with one or two complement lines
+TAMPER_CASES = [((1.0, 1.0, 1.0), {0, 1}), ((1.0, 1.0, 1.0, 1.0), {0, 1, 2}),
+                ((1.3, 0.9, 0.4, 0.7), {0, 1}), ((2.0, 1.0, 0.5, 0.5, 0.75), {0, 1, 2})]
+
+
+@pytest.mark.parametrize("w, subset", TAMPER_CASES,
+                         ids=[f"n{len(w)}-S{len(s)}-{i}" for i, (w, s) in enumerate(TAMPER_CASES)])
+@pytest.mark.parametrize("tamper", [_move_off_the_face, _exceed_a_capacity,
+                                    _unbalance_a_closed_point, _half_open_a_line,
+                                    _replace_by_a_midpoint, _drop_a_point],
+                         ids=lambda t: t.__name__.strip("_"))
+def test_tampered_witness_points_fail_the_facet_check(monkeypatch, w, subset, tamper):
+    assert check_facets(w, subset)
+    witness = oracle._witness_points
+
+    def tampered(w, subset):
+        points = [(list(f), list(x)) for f, x in witness(w, subset)]
+        tamper(points, w, subset)
+        return points
+
+    monkeypatch.setattr(oracle, "_witness_points", tampered)
+    assert not check_facets(w, subset)
 
 
 def test_exact_rank_on_known_matrices():
@@ -152,6 +234,42 @@ def test_exact_rank_on_known_matrices():
     assert exact_rank([[Fraction(1, 3), Fraction(2, 3)],
                        [Fraction(1, 2), Fraction(1, 1)]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
+
+
+# a float's exact value times 2^-2..2^2, a small ratio, or zero
+_ENTRIES = st.one_of(
+    st.builds(lambda v, k: Fraction(v) * Fraction(2) ** k, st.floats(-2.5, 2.5),
+              st.integers(-2, 2)),
+    st.fractions(-5, 5, max_denominator=12),
+    st.just(Fraction(0)))
+
+
+@st.composite
+def _rational_matrices(draw):
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    mat = [[draw(_ENTRIES) for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(1, n_rows):
+        if draw(st.booleans()):  # an integer combination of the rows above
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i))
+            mat[i] = [sum(c * row[j] for c, row in zip(coeffs, mat)) for j in range(n_cols)]
+    for i in draw(st.sets(st.integers(0, n_rows - 1))) if n_rows else ():
+        mat[i] = [Fraction(0)] * n_cols
+    for j in draw(st.sets(st.integers(0, n_cols - 1))) if n_cols else ():
+        for row in mat:
+            row[j] = Fraction(0)
+    return draw(st.permutations(mat))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mat=_rational_matrices())
+@example(mat=[])
+@example(mat=[[]])
+@example(mat=[[Fraction(0)]])
+@example(mat=[[Fraction(0.3)]])
+@example(mat=[[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+def test_exact_rank_matches_gauss_jordan(mat):
+    expected = oracle._gauss_jordan([list(row) for row in mat], len(mat[0]) if mat else 0)
+    assert exact_rank(mat) == expected
 
 
 def test_reduction_network_shape_and_values():
