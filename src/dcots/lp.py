@@ -24,6 +24,13 @@ Rows only grow.  ``A``, the right-hand side and the slack bounds are
 built once per row set and shared, read-only, by every
 ``LinearProgram.copy()``: a bound change leaves them alone, and appended
 rows extend a copy of ``A`` instead of refilling it from the sparse rows.
+The per-variable arrays a solve reads (bounds and costs over structurals
+and slacks, the movable mask, where each variable rests when nonbasic,
+the finite-upper mask and whether any variable rests free) belong to the
+program, not to a solve: built once per row set, dropped by ``add_col``,
+and updated in place, one column at a time, by ``set_bounds``.  A copy
+builds its own.  A branch-and-bound node that changes a few bounds then
+rebuilds nothing before its solve.
 
 A ``Basis`` is the factor a solve ended with: ``A``, the inverse
 of its basic columns as the pivots left it, the basic list, the statuses
@@ -37,24 +44,30 @@ pivots any carried inverse has accumulated.  A basis whose ``A`` the
 program's ``A`` neither equals nor extends by rows is ignored.
 
 Each pivot costs what it must.  The inverse is updated in place by one
-rank-one BLAS step, with no ``m x m`` temporary.  The simplex loops carry
-the values ``x`` of the variables through each step instead of
-evaluating them again: the basic ones move along the entering column,
-the leaving variable is set exactly to its bound, and a bound flip sets
-its variable exactly to the other bound.  The dual simplex carries its
-reduced costs the same way, along the pivot row it computes anyway.
-Values and reduced costs are evaluated from scratch after every
-refactorization and once more before a loop returns, so every status is
-decided, and every ``x`` returned, on a full evaluation.  Evaluated
-values pass from the warm-start checks of ``solve`` to the dual simplex,
-from the dual simplex to the closing primal check, and from there to the
-solution.  A primal step checks the basic variables against their bounds
-once, in ``sides``; that one check decides feasibility, prices phase 1
-and tells the ratio test which bound each row can reach.
+rank-one BLAS step, with no ``m x m`` temporary.  The engine carries the
+state of the basic variables by row: their values ``xb`` and bounds
+``lob`` and ``hib``, beside ``sgn``, the direction in which each
+variable can leave its bound.  A pivot or a bound flip updates the
+entries it changes, so no step gathers values or bounds through the
+basic list.  The simplex loops carry ``xb`` through each step instead of
+evaluating it again: the basic values move along the entering column and
+the entering variable takes row ``r``; a nonbasic value is the bound its
+status names, so the leaving variable and a flipped one need no value.
+The dual simplex carries its reduced costs the same way, along the pivot
+row it computes anyway.  Values and reduced costs are evaluated from
+scratch after every refactorization and once more before a loop returns,
+so every status is decided, and every ``x`` returned, on a full
+evaluation.  Evaluated values pass from the warm-start checks of
+``solve`` to the dual simplex, from the dual simplex to the closing
+primal check, and from there to the solution.  A primal step checks the
+basic variables against their bounds once, in ``sides``; that one check
+decides feasibility, prices phase 1 and tells the ratio test which bound
+each row can reach.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,7 +91,7 @@ PIVOT_TOL = 1e-9
 REFACTOR_EVERY = 100
 
 _LOWER, _UPPER, _FREE, _BASIC = 0, 1, 2, 3
-_SIGN = np.array([1.0, -1.0, 0.0, 0.0])  # per status, see _Engine.signs
+_SIGN = np.array([1.0, -1.0, 0.0, 0.0])  # per status, see _Engine.set_basis
 _INF = float("inf")
 _SLACK_BOUNDS = {"<=": (0.0, _INF), ">=": (-_INF, 0.0), "==": (0.0, 0.0)}
 
@@ -113,18 +126,59 @@ def _build_dense(n: int, rows, prev: _Dense | None) -> _Dense:
     return _Dense(a, b, slack)
 
 
+class _Vars:
+    """The per-variable arrays the engine reads, over the structurals and
+    then the slacks of one row set: bounds, costs, the mask of variables
+    that can move, where each rests when nonbasic and the mask of finite
+    upper bounds.  One program owns them, and ``set`` keeps them in step
+    with its bound changes."""
+
+    __slots__ = ("lo", "hi", "c", "movable", "natural", "finite_hi", "any_free")
+
+    def __init__(self, lp: "LinearProgram", d: _Dense):
+        self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
+        self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
+        self.c = np.concatenate([lp.obj, np.zeros(len(d.b))])
+        self.movable = 1.0 - (self.lo == self.hi)
+        self.finite_hi = np.isfinite(self.hi)
+        # where a nonbasic variable rests: a finite lower bound, else a
+        # finite upper bound, else free at zero
+        self.natural = np.where(np.isfinite(self.lo), _LOWER,
+                                np.where(self.finite_hi, _UPPER, _FREE))
+        # only a variable that rests free is ever free: without one, the
+        # tests for free variables are skipped
+        self.any_free = bool((self.natural == _FREE).any())
+
+    def set(self, col: int, lo: float, hi: float) -> None:
+        """Column ``col``'s entries for the bounds ``lo`` and ``hi``."""
+        self.lo[col], self.hi[col] = lo, hi
+        self.movable[col] = 1.0 - (lo == hi)
+        self.finite_hi[col] = math.isfinite(hi)
+        was_free = self.natural[col] == _FREE
+        self.natural[col] = _LOWER if math.isfinite(lo) else _UPPER if math.isfinite(hi) else _FREE
+        if was_free != (self.natural[col] == _FREE):
+            self.any_free = bool((self.natural == _FREE).any())
+
+
 class LinearProgram:
     """Minimize ``obj @ x`` subject to rows and variable bounds.
 
     Rows only grow: ``add_row`` appends one, and ``rows`` is a tuple, so
-    a row cannot be edited or removed in place.
+    a row cannot be edited or removed in place.  ``obj``, ``lo`` and
+    ``hi`` are changed only through ``add_col`` and ``set_bounds``, which
+    keep the engine's arrays (``arrays()``) in step with them.  A NaN
+    cost, bound, coefficient or right-hand side is refused.
     """
 
     def __init__(self, obj=(), lo=(), hi=(), rows=()):
-        self.obj, self.lo, self.hi = list(obj), list(lo), list(hi)
+        self.obj, self.lo, self.hi = [], [], []
         self._rows: list[tuple[tuple[tuple[int, float], ...], str, float]] = []
         # the dense form of the rows (or of a prefix of them), shared with copies
         self._dense: _Dense | None = None
+        # the engine's arrays for the current columns and row set; never shared
+        self._vars: _Vars | None = None
+        for col in zip(obj, lo, hi, strict=True):
+            self.add_col(*col)
         for row in rows:
             self.add_row(*row)
 
@@ -141,29 +195,43 @@ class LinearProgram:
         return len(self._rows)
 
     def add_col(self, cost: float = 0.0, lo: float = -_INF, hi: float = _INF) -> int:
-        if lo > hi:
-            raise ValueError(f"column bounds crossed: [{lo}, {hi}]")
-        self.obj.append(float(cost))
-        self.lo.append(float(lo))
-        self.hi.append(float(hi))
-        self._dense = None
-        return len(self.obj) - 1
+        col, cost, lo, hi = self.n_cols, float(cost), float(lo), float(hi)
+        if math.isnan(cost):
+            raise ValueError(f"column {col}: cost is NaN")
+        # written as `not lo <= hi` so that a NaN bound is refused too
+        if not lo <= hi:
+            raise ValueError(f"column {col}: bounds [{lo}, {hi}] are crossed or NaN")
+        self.obj.append(cost)
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self._dense = self._vars = None
+        return col
 
     def add_row(self, coeffs, sense: str, rhs: float) -> int:
+        row = self.n_rows
         if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
+            raise ValueError(f"row {row}: unknown sense {sense!r}")
         coeffs = tuple((int(c), float(v)) for c, v in coeffs)
-        for c, _ in coeffs:
+        for c, v in coeffs:
             if not 0 <= c < self.n_cols:
-                raise ValueError(f"row references unknown column {c}")
-        self._rows.append((coeffs, sense, float(rhs)))
-        return len(self._rows) - 1
+                raise ValueError(f"row {row} references unknown column {c}")
+            if math.isnan(v):
+                raise ValueError(f"row {row}: coefficient of column {c} is NaN")
+        rhs = float(rhs)
+        if math.isnan(rhs):
+            raise ValueError(f"row {row}: right-hand side is NaN")
+        self._rows.append((coeffs, sense, rhs))
+        return row
 
     def set_bounds(self, col: int, lo: float, hi: float) -> None:
-        if lo > hi:
-            raise ValueError(f"column bounds crossed: [{lo}, {hi}]")
-        self.lo[col] = float(lo)
-        self.hi[col] = float(hi)
+        lo, hi = float(lo), float(hi)
+        if not 0 <= col < self.n_cols:
+            raise ValueError(f"unknown column {col}")
+        if not lo <= hi:
+            raise ValueError(f"column {col}: bounds [{lo}, {hi}] are crossed or NaN")
+        self.lo[col], self.hi[col] = lo, hi
+        if self._vars is not None:
+            self._vars.set(col, lo, hi)
 
     def dense(self) -> _Dense:
         """The dense form of the rows, built at most once per row set: as
@@ -173,9 +241,19 @@ class LinearProgram:
             d = self._dense = _build_dense(self.n_cols, self._rows, d)
         return d
 
+    def arrays(self) -> _Vars:
+        """The engine's per-variable arrays, built at most once per row
+        set; ``set_bounds`` updates them in place."""
+        v = self._vars
+        if v is None or len(v.lo) != self.n_cols + self.n_rows:
+            v = self._vars = _Vars(self, self.dense())
+        return v
+
     def copy(self) -> "LinearProgram":
-        """An independent program that shares this one's dense form."""
-        out = LinearProgram(self.obj, self.lo, self.hi)
+        """An independent program that shares this one's dense form and
+        builds its own arrays."""
+        out = LinearProgram()
+        out.obj, out.lo, out.hi = list(self.obj), list(self.lo), list(self.hi)
         out._rows, out._dense = list(self._rows), self.dense()
         return out
 
@@ -226,25 +304,23 @@ def add_rows(lp: LinearProgram, rows) -> LinearProgram:
 
 class _Engine:
     """Dense simplex state for one LinearProgram over ``[A | I]``, of
-    which only ``A`` is stored."""
+    which only ``A`` is stored.
+
+    Besides the basic list and the statuses it carries, by row, what the
+    loops read of the basic variables: their values ``xb`` and bounds
+    ``lob`` and ``hib``; and, per variable, ``sgn`` (see ``set_basis``).
+    """
 
     def __init__(self, lp: LinearProgram):
-        d = lp.dense()
+        d, v = lp.dense(), lp.arrays()
         n, m = lp.n_cols, lp.n_rows
         self.n, self.m = n, m
         self.N = n + m
         self.A, self.b = d.a, d.b  # shared and read-only
-        self.lo = np.concatenate([lp.lo, d.slack[:, 0]])
-        self.hi = np.concatenate([lp.hi, d.slack[:, 1]])
-        self.movable = 1.0 - (self.lo == self.hi)
-        # where a nonbasic variable rests: a finite lower bound, else a
-        # finite upper bound, else free at zero
-        self.natural = np.where(np.isfinite(self.lo), _LOWER,
-                                np.where(np.isfinite(self.hi), _UPPER, _FREE))
-        # only a variable that rests free is ever free: without one, the
-        # tests for free variables are skipped
-        self.any_free = bool((self.natural == _FREE).any())
-        self.c = np.concatenate([lp.obj, np.zeros(m)])
+        # the program's arrays, which the engine only reads
+        self.lo, self.hi, self.c = v.lo, v.hi, v.c
+        self.movable, self.natural, self.finite_hi = v.movable, v.natural, v.finite_hi
+        self.any_free = v.any_free
         self.iterations = 0
         self.refactorizations = 0
         self.degenerate_run = 0
@@ -252,11 +328,25 @@ class _Engine:
 
     # -- basis management ---------------------------------------------------
 
+    def set_basis(self, basic: np.ndarray, stat: np.ndarray,
+                  xb: np.ndarray | None = None) -> None:
+        """Take the basic variable of each row and the status of every
+        variable, and derive what is carried with them: ``sgn`` is +1 at
+        a lower bound, -1 at an upper bound, 0 when basic, free or fixed
+        (the direction in which each variable can leave its bound), and
+        ``lob`` and ``hib`` are the bounds of the basic variables by row.
+        ``xb``, the basic values by row, is left for ``values()`` to
+        evaluate unless given."""
+        self.basic, self.stat = basic, stat
+        self.sgn = _SIGN[stat] * self.movable
+        self.lob, self.hib = self.lo[basic], self.hi[basic]
+        self.xb = xb
+
     def slack_start(self) -> None:
         """Cold start: every slack basic, every structural at rest."""
-        self.basic = np.arange(self.n, self.N)
-        self.stat = self.natural.copy()
-        self.stat[self.n:] = _BASIC
+        stat = self.natural.copy()
+        stat[self.n:] = _BASIC
+        self.set_basis(np.arange(self.n, self.N), stat)
         self.binv = np.eye(self.m)
         self.pivots_since_refactor = 0
         self.iterations = 0  # a cold fallback after a failed warm start counts afresh
@@ -279,20 +369,20 @@ class _Engine:
         if k < 0:
             return False
         if k == self.m:  # no rows appended: copy
-            self.binv, self.basic, stat = basis.binv.copy(), basis.basic.copy(), basis.stat
+            self.binv, basic, stat = basis.binv.copy(), basis.basic.copy(), basis.stat
         else:
             # only the old structural basics have entries in the new rows
             struct = basis.basic < self.n
             self.binv = np.eye(self.m)
             self.binv[:k, :k] = basis.binv
             self.binv[k:, :k] = -(self.A[k:, basis.basic[struct]] @ basis.binv[struct])
-            self.basic = np.concatenate([basis.basic, np.arange(self.n + k, self.N)])
+            basic = np.concatenate([basis.basic, np.arange(self.n + k, self.N)])
             stat = np.concatenate([basis.stat, np.full(self.m - k, _BASIC)])
         self.pivots_since_refactor = basis.age
         # the bounds allow a status that is basic, at a finite upper bound,
         # or where the variable rests anyway; every other one moves there
-        keep = (stat == _BASIC) | ((stat == _UPPER) & np.isfinite(self.hi))
-        self.stat = np.where(keep, stat, self.natural)
+        keep = (stat == _BASIC) | ((stat == _UPPER) & self.finite_hi)
+        self.set_basis(basic, np.where(keep, stat, self.natural))
         return True
 
     def prefix_rows(self, a: np.ndarray) -> int:
@@ -338,27 +428,32 @@ class _Engine:
 
     # -- values and prices --------------------------------------------------
 
-    def values(self) -> np.ndarray:
-        """The values of all variables at the current basis, evaluated from
-        scratch.  The simplex loops carry them through their steps instead
-        and call this only after the inverse was recomputed and before
-        they return."""
+    def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values of all variables at the current basis, and those of
+        the basic ones by row, evaluated from scratch; changes nothing."""
         x = np.where(self.stat == _LOWER, self.lo, np.where(self.stat == _UPPER, self.hi, 0.0))
-        x[self.basic] = self.binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
+        xb = self.binv @ (self.b - self.A @ x[:self.n] - x[self.n:])
+        x[self.basic] = xb
+        return x, xb
+
+    def values(self) -> np.ndarray:
+        """The values of all variables, from ``evaluate()``, whose basic
+        values become the carried ``xb``.  The simplex loops carry ``xb``
+        through their steps instead and call this only after the inverse
+        was recomputed and before they return."""
+        x, self.xb = self.evaluate()
         return x
 
-    def sides(self, x: np.ndarray) -> np.ndarray:
-        """Where each row's basic variable lies at ``x``: -1 below its lower
-        bound, +1 above its upper bound, 0 within them, to ``FEAS_TOL``.
-        It is also the phase-1 cost of the basic variables."""
-        xb = x[self.basic]
-        return ((xb > self.hi[self.basic] + FEAS_TOL).astype(float)
-                - (xb < self.lo[self.basic] - FEAS_TOL))
+    def sides(self) -> np.ndarray:
+        """Where each row's basic variable lies: -1 below its lower bound,
+        +1 above its upper bound, 0 within them, to ``FEAS_TOL``.  It is
+        also the phase-1 cost of the basic variables."""
+        return ((self.xb > self.hib + FEAS_TOL).astype(float)
+                - (self.xb < self.lob - FEAS_TOL))
 
-    def violation(self, x: np.ndarray) -> np.ndarray:
-        """How far each basic variable lies outside its bounds at ``x``."""
-        xb, lob, hib = x[self.basic], self.lo[self.basic], self.hi[self.basic]
-        return np.maximum(lob - xb, 0.0) + np.maximum(xb - hib, 0.0)
+    def violation(self) -> np.ndarray:
+        """How far each basic variable lies outside its bounds."""
+        return np.maximum(self.lob - self.xb, 0.0) + np.maximum(self.xb - self.hib, 0.0)
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
         return cost - self.row(cost[self.basic] @ self.binv)
@@ -373,11 +468,6 @@ class _Engine:
         if j < self.n:
             return self.binv @ self.A[:, j]
         return self.binv[:, j - self.n].copy()
-
-    def signs(self) -> np.ndarray:
-        """+1 at a lower bound, -1 at an upper bound, 0 when basic, free or
-        fixed: the direction in which each variable can leave its bound."""
-        return _SIGN[self.stat] * self.movable
 
     # -- pivoting -----------------------------------------------------------
 
@@ -399,9 +489,13 @@ class _Engine:
             piv = w[r]
             if abs(piv) < 10 * PIVOT_TOL:
                 raise SimplexError("pivot element vanished")
-        self.stat[self.basic[r]] = leave_stat
+        leaving = self.basic[r]
+        self.stat[leaving] = leave_stat
+        self.sgn[leaving] = _SIGN[leave_stat] * self.movable[leaving]
         self.basic[r] = j
         self.stat[j] = _BASIC
+        self.sgn[j] = 0.0
+        self.lob[r], self.hib[r] = self.lo[j], self.hi[j]
         binv = self.binv
         # binv -= w row^T in place, through binv.T: a Fortran-ordered view.
         # dger would write into a copy of any other layout, and it writes
@@ -418,24 +512,24 @@ class _Engine:
             refactored = True
         return refactored
 
-    def step(self, x: np.ndarray, j: int, theta: float, w: np.ndarray,
-             r: int, leave_stat: int) -> bool:
-        """Carry ``x`` through one simplex step, then change the basis.
+    def step(self, j: int, theta: float, w: np.ndarray, r: int, leave_stat: int) -> bool:
+        """Carry ``xb`` through one simplex step, then change the basis.
 
         The entering variable ``j`` moves by ``theta`` and the basic ones
         by ``-theta * w``.  With ``r >= 0``, ``j`` replaces row ``r``'s
-        basic variable, which is set exactly to the bound ``leave_stat``
-        names; with ``r < 0``, ``j`` flips exactly to its other bound.
-        Returns ``pivot``'s answer: whether ``x`` must be evaluated afresh.
+        basic variable, which rests at the bound ``leave_stat`` names;
+        with ``r < 0``, ``j`` flips to its other bound.  A nonbasic value
+        is its status's bound, so neither is carried.  Returns ``pivot``'s
+        answer: whether the values must be evaluated afresh.
         """
-        x[self.basic] -= theta * w  # the basic list before the pivot
+        self.xb -= theta * w
         if r < 0:
-            self.stat[j] = _UPPER if self.stat[j] == _LOWER else _LOWER
-            x[j] = self.hi[j] if self.stat[j] == _UPPER else self.lo[j]
+            flipped = _UPPER if self.stat[j] == _LOWER else _LOWER
+            self.stat[j] = flipped
+            self.sgn[j] = _SIGN[flipped] * self.movable[j]
             return False
-        leaving = self.basic[r]
-        x[j] += theta
-        x[leaving] = self.hi[leaving] if leave_stat == _UPPER else self.lo[leaving]
+        at = self.stat[j]
+        self.xb[r] = (self.lo[j] if at == _LOWER else self.hi[j] if at == _UPPER else 0.0) + theta
         return self.pivot(r, j, w, leave_stat)
 
     def note_step(self, t: float) -> None:
@@ -458,14 +552,14 @@ class _Engine:
         """Primal phases from the current basis, whose ``values()`` are
         ``x``; returns the status and the values it ends at.
 
-        ``x`` is carried through each step, and ``sides(x)`` is the one
+        ``xb`` is carried through each step, and ``sides()`` is the one
         check of the bounds per step.  Before a status is returned the
-        values are evaluated afresh, and the status decided on them.
+        values are evaluated afresh, and the status decided on them;
+        ``x`` is None while they are carried.
         """
-        fresh = True
         while True:
             self.check_budget()
-            side = self.sides(x)
+            side = self.sides()
             feasible = not side.any()
             if feasible:
                 cost = self.c
@@ -478,10 +572,10 @@ class _Engine:
                 up = self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)
                 delta = 1.0 if up else -1.0
                 w = self.column(j)
-                t, r, leave_stat = self.ratio(j, delta, w, x, side)
+                t, r, leave_stat = self.ratio(j, delta, w, side)
             if j < 0 or t == _INF:
-                if not fresh:
-                    x, fresh = self.values(), True
+                if x is None:
+                    x = self.values()
                     continue
                 if j < 0:
                     return ("optimal" if feasible else "infeasible"), x
@@ -489,13 +583,11 @@ class _Engine:
                     raise SimplexError("unblocked improving step in phase 1")
                 return "unbounded", x
             self.note_step(t)
-            fresh = self.step(x, j, delta * t, w, r, leave_stat)
-            if fresh:
-                x = self.values()
+            x = self.values() if self.step(j, delta * t, w, r, leave_stat) else None
 
     def price(self, d: np.ndarray) -> int:
         """Entering variable: most violating reduced cost, or -1 if none."""
-        score = np.maximum(-(self.signs() * d) - OPT_TOL, 0.0)
+        score = np.maximum(-(self.sgn * d) - OPT_TOL, 0.0)
         if self.any_free:
             free = self.stat == _FREE
             score[free] = np.maximum(np.abs(d[free]) - OPT_TOL, 0.0)
@@ -506,11 +598,11 @@ class _Engine:
             return int(elig[0])
         return int(elig[np.argmax(score[elig])])
 
-    def ratio(self, j: int, delta: float, w: np.ndarray, x: np.ndarray, side: np.ndarray):
+    def ratio(self, j: int, delta: float, w: np.ndarray, side: np.ndarray):
         """Largest step for entering j: (t, blocking row, leaving status).
 
         ``j`` moves by ``delta`` per unit and the basic variables by
-        ``-delta * w``, from ``x``, where they lie on ``side`` of their
+        ``-delta * w``, from ``xb``, where they lie on ``side`` of their
         bounds.  A row blocks at the bound its variable moves towards:
         from within, the bound ahead; from outside (phase 1), the bound it
         violates.  Ties go to the largest ``|w|``, or in Bland mode to the
@@ -520,10 +612,11 @@ class _Engine:
         """
         rate = -delta * w
         rows = ((np.abs(rate) > PIVOT_TOL) & (side * rate <= 0.0)).nonzero()[0]
-        rate, var = rate[rows], self.basic[rows]
+        rate = rate[rows]
         # rising from within, or falling from above, ends at the upper bound
         upper = (rate > 0.0) == (side[rows] == 0.0)
-        t = np.maximum((np.where(upper, self.hi[var], self.lo[var]) - x[var]) / rate, 0.0)
+        t = np.maximum((np.where(upper, self.hib[rows], self.lob[rows]) - self.xb[rows]) / rate,
+                       0.0)
         t_row_min = float(t.min()) if t.size else _INF
         t_flip = (self.hi[j] - self.lo[j]) if self.stat[j] != _FREE else _INF
         if t_flip == _INF and t_row_min == _INF:
@@ -531,7 +624,10 @@ class _Engine:
         if t_flip < t_row_min - PIVOT_TOL:
             return t_flip, -1, 0
         ties = (t <= t_row_min + PIVOT_TOL).nonzero()[0]
-        k = ties[np.argmin(var[ties])] if self.bland else ties[np.argmax(np.abs(rate[ties]))]
+        if self.bland:
+            k = ties[np.argmin(self.basic[rows[ties]])]
+        else:
+            k = ties[np.argmax(np.abs(rate[ties]))]
         return float(t[k]), int(rows[k]), _UPPER if upper[k] else _LOWER
 
     # -- dual simplex -------------------------------------------------------
@@ -539,23 +635,23 @@ class _Engine:
     def dual(self, x: np.ndarray, viol: np.ndarray,
              d: np.ndarray) -> tuple[str, np.ndarray]:
         """Restore primal feasibility from a dual-feasible basis whose
-        ``values()`` are ``x``, with ``violation(x)`` ``viol``, and whose
+        ``values()`` are ``x``, with ``violation()`` ``viol``, and whose
         reduced costs are ``d``.
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
         caller should fall back to a cold primal solve), and the values
-        it ends at.  ``x`` and ``d`` are carried through each step; before
-        a status is returned they are evaluated afresh, and the status
-        decided on them.
+        it ends at.  ``xb`` and ``d`` are carried through each step, with
+        ``x`` None; before a status is returned they are evaluated
+        afresh, and the status decided on them.
         """
         best = _INF
         stall = 0
-        fresh = True
         while True:
             self.check_budget()
             status = None
             total = float(viol.sum())
-            if float(viol.max(initial=0.0)) <= FEAS_TOL:
+            r = int(viol.argmax())
+            if float(viol[r]) <= FEAS_TOL:
                 status = "optimal"
             elif total < best - FEAS_TOL:
                 best = total
@@ -565,9 +661,7 @@ class _Engine:
                 if stall > 2 * (self.m + self.N):
                     status = "stalled"
             if status is None:
-                r = int(viol.argmax())
-                leaving = int(self.basic[r])
-                going_up = x[leaving] < self.lo[leaving]
+                going_up = self.xb[r] < self.lob[r]
                 alpha = self.row(self.binv[r])
                 if d is None:
                     d = self.reduced(self.c)
@@ -575,24 +669,24 @@ class _Engine:
                 if jcol < 0:
                     status = "infeasible"
             if status is not None:
-                if fresh:
+                if x is not None:
                     return status, x
-                x, d, fresh = self.values(), None, True
-                viol = self.violation(x)
+                x, d = self.values(), None
+                viol = self.violation()
                 continue
             w = self.column(jcol)
             self.iterations += 1
             # the leaving variable moves to the bound it violates; the
             # entering one's reduced cost goes to zero
-            bound = self.lo[leaving] if going_up else self.hi[leaving]
-            theta = (x[leaving] - bound) / alpha[jcol]
+            bound = self.lob[r] if going_up else self.hib[r]
+            theta = (self.xb[r] - bound) / alpha[jcol]
             ratio = d[jcol] / alpha[jcol]
             d -= ratio * alpha
-            d[leaving], d[jcol] = -ratio, 0.0
-            fresh = self.step(x, jcol, theta, w, r, _LOWER if going_up else _UPPER)
-            if fresh:
+            d[self.basic[r]], d[jcol] = -ratio, 0.0
+            x = None
+            if self.step(jcol, theta, w, r, _LOWER if going_up else _UPPER):
                 x, d = self.values(), None
-            viol = self.violation(x)
+            viol = self.violation()
 
     def dual_ratio(self, alpha: np.ndarray, d: np.ndarray, going_up: bool) -> int:
         """Entering variable of a dual step whose leaving variable's row of
@@ -602,22 +696,21 @@ class _Engine:
         -1 if there is none."""
         # a nonbasic variable enters if moving it off its bound moves
         # the leaving variable towards the bound it violates
-        step = self.signs() * alpha
-        abs_alpha = np.abs(alpha)
+        step = self.sgn * alpha
         elig = (step < -PIVOT_TOL) if going_up else (step > PIVOT_TOL)
         if self.any_free:
-            elig |= (self.stat == _FREE) & (abs_alpha > PIVOT_TOL)
+            elig |= (self.stat == _FREE) & (np.abs(alpha) > PIVOT_TOL)
         cand = elig.nonzero()[0]
         if cand.size == 0:
             return -1
-        ratios = np.abs(d[cand]) / abs_alpha[cand]
-        rmin = float(ratios.min())
-        ties = cand[ratios <= rmin + OPT_TOL]
-        return int(ties[abs_alpha[ties].argmax()])
+        abs_alpha = np.abs(alpha[cand])
+        ratios = np.abs(d[cand]) / abs_alpha
+        ties = (ratios <= float(ratios.min()) + OPT_TOL).nonzero()[0]
+        return int(cand[ties[abs_alpha[ties].argmax()]])
 
     def dual_feasible(self, d: np.ndarray) -> bool:
         """Whether the reduced costs ``d`` of the current basis are dual feasible."""
-        bad = self.signs() * d < -10 * OPT_TOL
+        bad = self.sgn * d < -10 * OPT_TOL
         if self.any_free:
             bad |= (self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL)
         return not bool(bad.any())
@@ -665,7 +758,7 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     try:
         if warm is not None and eng.install(warm):
             x = eng.values()
-            viol = eng.violation(x)
+            viol = eng.violation()
             if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
                 return _finish(eng, *eng.primal(x))
             status, x = eng.dual(x, viol, d)

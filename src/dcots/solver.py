@@ -109,7 +109,10 @@ class SolveStats:
     started, simplex iterations of those that returned, how many of them
     ran from a slack basis (first solves and warm starts that fell back)
     and the basis inverses they computed afresh, cut rows added at tree
-    nodes and lazy KVL rows added at integral ones."""
+    nodes and lazy KVL rows added at integral ones; and the node (counted
+    from 1 in the order the search takes them) and the seconds since the
+    solve started at which the first incumbent was found, None until one
+    is."""
 
     lp_calls: int = 0
     simplex_iterations: int = 0
@@ -117,6 +120,8 @@ class SolveStats:
     refactorizations: int = 0
     tree_cuts: int = 0
     lazy_rows: int = 0
+    first_incumbent_node: int | None = None
+    first_incumbent_s: float | None = None
 
     def count(self, sol) -> None:
         """Count the work of an LP solve that returned ``sol``."""
@@ -382,6 +387,9 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             cyc = lazy_source(x_hat, f_hat)
             if cyc is None:
                 if node_obj < inc_obj:
+                    if incumbent is None:
+                        stats.first_incumbent_node = nodes
+                        stats.first_incumbent_s = time.monotonic() - start
                     inc_obj = node_obj
                     incumbent = sol
                 break

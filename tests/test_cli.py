@@ -82,8 +82,11 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
     assert set(doc["stats"]) == {"lp_calls", "simplex_iterations", "cold_starts",
-                                 "refactorizations", "tree_cuts", "lazy_rows"}
+                                 "refactorizations", "tree_cuts", "lazy_rows",
+                                 "first_incumbent_node", "first_incumbent_s"}
     assert doc["stats"]["lp_calls"] >= 1
+    assert 1 <= doc["stats"]["first_incumbent_node"] <= doc["nodes"]
+    assert 0.0 <= doc["stats"]["first_incumbent_s"] <= doc["wall_time_s"]
 
 
 def test_gen_subset_sum_emits_the_reduction_network(tmp_path, capsys):

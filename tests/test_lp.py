@@ -221,12 +221,15 @@ def test_large_random_lps_match_reference(monkeypatch, refactor_every):
 @pytest.fixture
 def carried_state(monkeypatch):
     """Checks, at every simplex step, the state the loops carry against a
-    fresh evaluation.  Where a loop checks ``x`` against the bounds
-    (``sides`` in the primal, ``violation`` in the dual), ``x`` must equal
-    ``values()`` (nonbasic values exactly, basic ones to 1e-9), and no
-    refactorization may have happened since the last ``values()``; at
-    every dual ratio test, the dual's reduced costs must equal
-    ``reduced(c)`` to 1e-9.  Yields the counts of checks made."""
+    fresh evaluation.  Where a loop checks the basic values against their
+    bounds (``sides`` in the primal, ``violation`` in the dual), the
+    values the engine holds (each nonbasic one at the bound its status
+    names, the basic ones in ``xb`` by row) must equal ``evaluate()``
+    (nonbasic values exactly, basic ones to 1e-9), the evaluation must
+    leave ``xb`` as it was, and no refactorization may have happened
+    since the last ``values()``; at every dual ratio test, the dual's
+    reduced costs must equal ``reduced(c)`` to 1e-9.  Yields the counts
+    of checks made."""
     seen = {"x": 0, "d": 0, "refreshed": 0}
     real_values, real_sides, real_violation = _Engine.values, _Engine.sides, _Engine.violation
     real_refactor, real_dual_ratio = _Engine.refactor, _Engine.dual_ratio
@@ -236,21 +239,26 @@ def carried_state(monkeypatch):
         self.stale = False
         return real_values(self)
 
-    def check(self, x):
+    def check(self):
         assert not getattr(self, "stale", False), "values carried past a refactorization"
-        fresh = values(self)
-        nonbasic = self.stat != 3
-        assert np.array_equal(x[nonbasic], fresh[nonbasic])
-        np.testing.assert_allclose(x[self.basic], fresh[self.basic], rtol=1e-9, atol=1e-9)
+        xb, carried = self.xb, self.xb.copy()
+        fresh, _ = self.evaluate()
+        assert self.xb is xb and np.array_equal(xb, carried)  # evaluating changed nothing
+        held = np.array([self.lo[v] if s == _LOWER else self.hi[v] if s == _UPPER else 0.0
+                         for v, s in enumerate(self.stat)])
+        held[self.basic] = xb
+        nonbasic = self.stat != _BASIC
+        assert np.array_equal(held[nonbasic], fresh[nonbasic])
+        np.testing.assert_allclose(xb, fresh[self.basic], rtol=1e-9, atol=1e-9)
         seen["x"] += 1
 
-    def sides(self, x):
-        check(self, x)
-        return real_sides(self, x)
+    def sides(self):
+        check(self)
+        return real_sides(self)
 
-    def violation(self, x):
-        check(self, x)
-        return real_violation(self, x)
+    def violation(self):
+        check(self)
+        return real_violation(self)
 
     def refactor(self):
         self.stale = True
@@ -280,6 +288,85 @@ def test_the_loops_carry_what_a_fresh_evaluation_gives(monkeypatch, carried_stat
             assert not warm.cold_start and warm.iterations > 0  # the dual simplex
     assert carried_state["x"] > 300 and carried_state["d"] > 10
     assert carried_state["refreshed"] > 0  # refactorizations inside the loops
+
+
+@pytest.fixture
+def carried_by_row(monkeypatch):
+    """Checks before and after every simplex step that the state carried
+    by row and by variable is what the basic list and the statuses give:
+    ``sgn``, ``lob`` and ``hib`` equal ``_SIGN[stat] * movable``,
+    ``lo[basic]`` and ``hi[basic]`` exactly.  Yields counts of the steps
+    checked, the bound flips and steps in Bland mode among them, installs
+    that extend a factor by appended rows, and cold starts after an
+    install (fallbacks)."""
+    seen = dict.fromkeys(("steps", "flips", "bland", "extended", "fallbacks"), 0)
+    real_step, real_install, real_slack_start = _Engine.step, _Engine.install, _Engine.slack_start
+
+    def check(self):
+        assert np.array_equal(self.sgn, dcots.lp._SIGN[self.stat] * self.movable)
+        assert np.array_equal(self.lob, self.lo[self.basic])
+        assert np.array_equal(self.hib, self.hi[self.basic])
+        assert self.xb.shape == self.basic.shape == (self.m,)
+
+    def step(self, j, theta, w, r, leave_stat):
+        check(self)
+        seen["steps"] += 1
+        seen["flips"] += r < 0
+        seen["bland"] += self.bland
+        fresh = real_step(self, j, theta, w, r, leave_stat)
+        check(self)
+        return fresh
+
+    def install(self, basis):
+        done = real_install(self, basis)
+        seen["extended"] += done and basis.a.shape[0] < self.m
+        self.installed = done
+        return done
+
+    def slack_start(self):
+        seen["fallbacks"] += getattr(self, "installed", False)
+        real_slack_start(self)
+
+    for name, fn in (("step", step), ("install", install), ("slack_start", slack_start)):
+        monkeypatch.setattr(_Engine, name, fn)
+    yield seen
+
+
+@pytest.mark.parametrize("bland", [False, True])
+@pytest.mark.parametrize("refactor_every", [dcots.lp.REFACTOR_EVERY, 3])
+def test_the_state_carried_by_row_follows_the_basis(monkeypatch, carried_by_row,
+                                                    refactor_every, bland):
+    monkeypatch.setattr(dcots.lp, "REFACTOR_EVERY", refactor_every)
+    if bland:  # the first steps of each solve in Bland mode, which is slow on these sizes
+        real_note_step = _Engine.note_step
+
+        def note_step(self, t):
+            real_note_step(self, t)
+            self.bland |= self.iterations <= 40
+        monkeypatch.setattr(_Engine, "note_step", note_step)
+    rng = np.random.default_rng(48)
+    for _ in range(3):
+        lp = _random_large_lp(rng)
+        sol = solve(lp)
+        if sol.status == "optimal":
+            bigger = _cut_through(lp, sol, rng, k=8)
+            solve(bigger, warm=sol.basis)  # an install that extends by rows
+    # a warm start that fails after a few dual steps falls back to a cold start
+    real_check_budget, failures = _Engine.check_budget, [1]
+
+    def check_budget(self):
+        if self.iterations >= 3 and failures:
+            failures.pop()
+            raise SimplexError("iteration limit exceeded (simulated)")
+        real_check_budget(self)
+    monkeypatch.setattr(_Engine, "check_budget", check_budget)
+    fallback = solve(bigger, warm=sol.basis)
+    assert fallback.cold_start and not failures
+    _same_solve(fallback, solve(bigger))
+    seen = carried_by_row
+    assert seen["steps"] > 300 and seen["flips"] > 0 and seen["extended"] >= 2
+    assert seen["fallbacks"] == 1
+    assert (seen["bland"] > 100) if bland else (seen["bland"] == 0)
 
 
 def _ratio_by_row(eng, j, delta, w, x):
@@ -322,19 +409,20 @@ def _ratio_state(eng, rng):
     kinds = rng.integers(len(_RATIO_BOUNDS), size=n_vars)
     eng.lo = np.array([_RATIO_BOUNDS[k][0] for k in kinds])
     eng.hi = np.array([_RATIO_BOUNDS[k][1] for k in kinds])
-    eng.basic = rng.permutation(n_vars)[:m]
-    eng.stat = np.where(np.isfinite(eng.lo), _LOWER, np.where(np.isfinite(eng.hi), _UPPER, _FREE))
-    eng.stat[eng.basic] = _BASIC
+    eng.movable = 1.0 - (eng.lo == eng.hi)
+    basic = rng.permutation(n_vars)[:m]
+    stat = np.where(np.isfinite(eng.lo), _LOWER, np.where(np.isfinite(eng.hi), _UPPER, _FREE))
+    stat[basic] = _BASIC
     eng.bland = bool(rng.random() < 0.3)
-    j = int(rng.choice([v for v in range(n_vars) if eng.stat[v] != _BASIC
+    j = int(rng.choice([v for v in range(n_vars) if stat[v] != _BASIC
                         and eng.lo[v] < eng.hi[v]]))
-    if eng.stat[j] == _LOWER and np.isfinite(eng.hi[j]) and rng.random() < 0.5:
-        eng.stat[j] = _UPPER
-    delta = {_LOWER: 1.0, _UPPER: -1.0}.get(int(eng.stat[j]), float(rng.choice([-1.0, 1.0])))
+    if stat[j] == _LOWER and np.isfinite(eng.hi[j]) and rng.random() < 0.5:
+        stat[j] = _UPPER
+    delta = {_LOWER: 1.0, _UPPER: -1.0}.get(int(stat[j]), float(rng.choice([-1.0, 1.0])))
     w = rng.choice([0.0, 0.5e-9, 0.5, 1.0, 2.0], size=m) * rng.choice([-1.0, 1.0], size=m)
     x = np.zeros(n_vars)
     t_common = float(rng.choice([0.5, 1.5]))
-    for r, v in enumerate(eng.basic):
+    for r, v in enumerate(basic):
         lo, hi, rate = eng.lo[v], eng.hi[v], -delta * w[r]
         finite = [b for b in (lo, hi) if np.isfinite(b)]
         place = rng.integers(6)
@@ -348,6 +436,7 @@ def _ratio_state(eng, rng):
             x[v] = rng.choice(finite) + rng.uniform(-0.5, 0.5) * FEAS_TOL
         else:  # a step of t_common from a bound, tying with other rows
             x[v] = rng.choice(finite) - t_common * rate
+    eng.set_basis(basic, stat, x[basic])
     return j, delta, w, x
 
 
@@ -360,7 +449,7 @@ def test_the_ratio_test_matches_a_row_by_row_reference():
                           "ties on |w|", "Bland ties"), 0)
     for _ in range(3000):
         j, delta, w, x = _ratio_state(eng, rng)
-        got = eng.ratio(j, delta, w, x, eng.sides(x))
+        got = eng.ratio(j, delta, w, eng.sides())
         want, ties = _ratio_by_row(eng, j, delta, w, x)
         assert got == want and type(got[1]) is int and type(got[2]) is int
         t, r, _ = got
@@ -604,9 +693,16 @@ def _dense_engine(rng, n=12, m=8):
     return _Engine(LinearProgram([0.0] * n, [0.0] * n, [1.0] * n, rows))
 
 
+def _make_basic(eng, basic):
+    """Make ``basic`` the basic list, with every other variable at its lower bound."""
+    stat = np.full(eng.N, _LOWER)
+    stat[basic] = _BASIC
+    eng.set_basis(np.asarray(basic), stat)
+
+
 def _set_basis(eng, structurals, slack_rows, rng):
     """Make the given structurals and slacks basic, in a random row order."""
-    eng.basic = rng.permutation(np.concatenate([structurals, eng.n + slack_rows]))
+    _make_basic(eng, rng.permutation(np.concatenate([structurals, eng.n + slack_rows])))
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 7, 8])
@@ -631,16 +727,16 @@ def test_refactor_of_a_singular_structural_block_fails():
         [([(0, 1.0), (1, -1.0)], "<=", 1.0)]
     eng = _Engine(LinearProgram([0.0] * 3, [0.0] * 3, [1.0] * 3, rows))
     for slacks in ([3, 0], [1, 3]):
-        eng.basic = np.array([0, 1, *(eng.n + r for r in slacks)])
+        _make_basic(eng, [0, 1, *(eng.n + r for r in slacks)])
         before = eng.binv = np.eye(eng.m)
         assert not eng.refactor()
         assert eng.binv is before
-    eng.basic = np.array([0, 1, eng.n + 2, eng.n + 0])
+    _make_basic(eng, [0, 1, eng.n + 2, eng.n + 0])
     assert eng.refactor()
     _assert_inverse(eng)
     # a block whose inverse overflows fails too
     tiny = _Engine(LinearProgram([0.0], [0.0], [1.0], [([(0, 1e-320)], "<=", 1.0)]))
-    tiny.basic = np.array([0])
+    _make_basic(tiny, [0])
     assert not tiny.refactor()
 
 
@@ -659,9 +755,8 @@ def test_row_and_column_products_skip_the_identity_block():
             np.testing.assert_allclose(w, eng.binv @ full[:, j], rtol=0, atol=1e-12)
             assert not np.shares_memory(w, eng.binv)  # a pivot writes into the inverse
         x = rng.normal(size=eng.N)
-        eng.stat = np.full(eng.N, _LOWER)
-        eng.stat[eng.basic] = _BASIC
         eng.lo = x
+        _make_basic(eng, eng.basic)
         want = x.copy()
         want[eng.basic] = eng.binv @ (eng.b - full @ np.where(eng.stat == _BASIC, 0.0, x))
         np.testing.assert_allclose(eng.values(), want, rtol=0, atol=1e-12)
@@ -887,3 +982,112 @@ def test_dense_form_follows_new_columns_and_rows_refuse_edits():
     w = lp.add_col(cost=-3.0, lo=0.0, hi=1.0)
     lp.add_row([(0, 1.0), (w, 1.0)], "<=", 4.0)
     assert solve(lp).obj == pytest.approx(-9.0)  # w = 1, u + v = 6
+
+
+NAN = float("nan")
+
+
+def test_a_nan_cost_bound_coefficient_or_rhs_is_refused_and_named():
+    lp = LinearProgram()
+    u = lp.add_col(cost=1.0, lo=0.0, hi=1.0)
+    for cost, lo, hi, what in ((NAN, 0.0, 1.0, "cost"), (1.0, NAN, 1.0, "bounds"),
+                               (1.0, 0.0, NAN, "bounds"), (1.0, 2.0, 1.0, "bounds")):
+        with pytest.raises(ValueError, match=f"column 1: {what}"):
+            lp.add_col(cost=cost, lo=lo, hi=hi)
+    for lo, hi in ((NAN, 1.0), (0.0, NAN), (NAN, NAN), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="column 0: bounds"):
+            lp.set_bounds(u, lo, hi)
+    for col in (-1, 1):
+        with pytest.raises(ValueError, match=f"unknown column {col}"):
+            lp.set_bounds(col, 0.0, 1.0)
+    lp.add_row([(u, 1.0)], ">=", 0.5)
+    with pytest.raises(ValueError, match="row 1: coefficient of column 0 is NaN"):
+        lp.add_row([(u, NAN)], ">=", 0.5)
+    with pytest.raises(ValueError, match="row 1: right-hand side is NaN"):
+        lp.add_row([(u, 1.0)], "<=", NAN)
+    with pytest.raises(ValueError, match="column 1: bounds"):
+        LinearProgram([0.0, 0.0], [0.0, NAN], [1.0, 1.0])
+    with pytest.raises(ValueError, match="row 0: coefficient"):
+        LinearProgram([0.0], [0.0], [1.0], [([(0, NAN)], "<=", 1.0)])
+    # the program is as the refused calls found it
+    assert (lp.obj, lp.lo, lp.hi, lp.n_rows) == ([1.0], [0.0], [1.0], 1)
+    sol = solve(lp)
+    assert sol.status == "optimal" and sol.x.tolist() == [0.5]
+    # infinite values are not NaN: they still reach the solve, which ends
+    # in a status or, at an invalid operation, raises SimplexError
+    lp.add_row([(u, INF)], "<=", INF)
+    lp.add_col(cost=0.0, lo=-INF, hi=INF)
+    with pytest.raises(SimplexError, match="floating-point"):
+        solve(lp)
+
+
+def _solve_key(sol):
+    """Everything a solve returns, floats by ``repr``."""
+    basis = sol.basis
+    return repr((sol.status, sol.obj, None if sol.x is None else sol.x.tolist(),
+                 sol.iterations, sol.cold_start, sol.refactorizations,
+                 None if basis is None else (basis.basic.tolist(), basis.stat.tolist(),
+                                             basis.binv.tolist(), basis.age)))
+
+
+_ARRAY_NAMES = ("lo", "hi", "c", "movable", "natural", "finite_hi", "any_free")
+
+
+def _afresh(lp):
+    return LinearProgram(list(lp.obj), list(lp.lo), list(lp.hi), list(lp.rows))
+
+
+def _assert_solves_as_built_afresh(lp, warm=None):
+    """Solves of ``lp``, cold and from ``warm``, equal those of a program
+    built afresh from its data, and so do its arrays; returns the cold one."""
+    fresh = _afresh(lp)
+    got, want = lp.arrays(), fresh.arrays()
+    for name in _ARRAY_NAMES:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    cold = solve(lp)
+    assert _solve_key(cold) == _solve_key(solve(fresh))
+    if warm is not None:
+        assert _solve_key(solve(lp, warm=warm)) == _solve_key(solve(fresh, warm=warm))
+    return cold
+
+
+def test_the_program_arrays_follow_bound_changes_new_columns_and_rows():
+    rng = np.random.default_rng(21)
+    moved = 0
+    for _ in range(30):
+        lp = _random_lp(rng)
+        sol = _assert_solves_as_built_afresh(lp)
+        col = int(rng.integers(lp.n_cols))
+        # to free, to a box, to half-infinite either way, to fixed: the
+        # resting status changes, and with it any_free
+        for lo, hi in ((-INF, INF), (-1.0, 1.0), (-INF, 0.5), (0.25, INF), (0.5, 0.5)):
+            free_before = lp.arrays().any_free
+            lp.set_bounds(col, lo, hi)
+            moved += lp.arrays().any_free != free_before
+            sol = _assert_solves_as_built_afresh(lp, warm=sol.basis)
+        # a column after a solve
+        new = lp.add_col(cost=float(rng.normal()), lo=-1.0, hi=2.0)
+        assert lp._vars is None  # dropped: the next solve builds them again
+        sol = _assert_solves_as_built_afresh(lp)
+        # a row after a solve, on the new column; its basis warm-starts both
+        lp.add_row([(new, 1.0), (0, float(rng.normal()))], "<=", float(rng.normal()))
+        _assert_solves_as_built_afresh(lp, warm=sol.basis)
+    assert moved >= 10
+
+
+def test_bounds_set_on_a_copy_leave_the_original_arrays_alone():
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        lp = _random_lp(rng)
+        before = _solve_key(solve(lp))
+        mine = {name: repr(getattr(lp.arrays(), name)) for name in _ARRAY_NAMES}
+        copy = lp.copy()
+        for name in _ARRAY_NAMES[:-1]:
+            assert not np.shares_memory(getattr(copy.arrays(), name), getattr(lp.arrays(), name))
+        for col in range(lp.n_cols):
+            copy.set_bounds(col, -INF, INF)
+        assert copy.arrays().any_free
+        solve(copy)
+        assert {name: repr(getattr(lp.arrays(), name)) for name in _ARRAY_NAMES} == mine
+        assert _solve_key(solve(lp)) == before

@@ -137,6 +137,22 @@ def test_infeasible_when_nothing_helps():
     assert res.objective is None
 
 
+def test_stats_report_the_node_and_time_of_the_first_incumbent():
+    none = solve_ots(build_network(buses=[(0, 0.0), (1, 1.0)], generators=[(0, 0.0, 2.0, 1.0)],
+                                   lines=[(0, 0, 1, 1.0, 0.5)]))
+    assert none.status == "infeasible"
+    assert none.stats.first_incumbent_node is none.stats.first_incumbent_s is None
+    assert solve_ots(triangle()).stats.first_incumbent_node == 1  # the root is integral
+    later = 0
+    for seed in (2, 5, 13, 17):
+        res = solve_ots(_random_instance(seed))
+        assert res.status == "optimal-within-gap"
+        assert 1 <= res.stats.first_incumbent_node <= res.nodes
+        assert 0.0 <= res.stats.first_incumbent_s <= res.wall_time_s
+        later += res.stats.first_incumbent_node > 1
+    assert later
+
+
 def test_budget_sweep_on_bottleneck():
     net = triangle(direct_cap=0.1)
     assert solve_ots(net, n_off=0).status == "infeasible"
@@ -410,7 +426,9 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert result_to_doc(res)["stats"] == {
         "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
         "cold_starts": 1, "refactorizations": counted["refactorizations"],
-        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows}
+        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows,
+        "first_incumbent_node": res.stats.first_incumbent_node,
+        "first_incumbent_s": res.stats.first_incumbent_s}
 
 
 def test_the_search_starts_from_the_root_basis(monkeypatch):
