@@ -10,6 +10,9 @@ optional bus angles, and optional on/off line variables:
 * cycle switching: balance and capacity links only; the solver searches
   it and adds two-sided big-M cycle rows only lazily, where violated.
 
+``bus_cover_rows`` gives the switching models' cut-set covers on single
+buses: a bus that cannot balance itself needs enough lines closed.
+
 Angle big-M values follow the network's total capacity-over-susceptance
 weight, which bounds every angle spread reachable by a connected
 dispatch; a cycle row's big-M is the weight of its cycle.
@@ -35,7 +38,13 @@ __all__ = [
     "build_ots_cycle",
     "cycle_cut_rows",
     "add_switching_budget",
+    "bus_cover_rows",
 ]
+
+# relative slack on a bus's deficit in ``bus_cover_rows``; it can only
+# lower a cover's right-hand side, so no row cuts off a topology whose
+# dispatch is feasible within solver tolerances
+_COVER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -234,3 +243,45 @@ def add_switching_budget(model: MilpModel, n_off: int) -> MilpModel:
     lp.add_row(coeffs, ">=", float(len(model.net.lines) - n_off))
     return replace(model, lp=lp)
 
+
+def bus_cover_rows(model: MilpModel):
+    """Cover rows sum_{a at b} x_a >= k(b) for buses that cannot balance
+    themselves.
+
+    A bus b whose load exceeds its generators' total p_max must import
+    the deficit over its lines, and one whose generators' total p_min
+    exceeds its load must export the surplus.  Since |f_a| <= cap_a x_a,
+    at least k(b) of its lines are closed, k(b) the fewest of their
+    capacities whose sum reaches the deficit less ``_COVER_TOL`` times
+    (1 + deficit).  A row is kept only when k(b) exceeds the number of
+    b's non-switchable lines by 2 or more; a bus whose lines cannot carry
+    the deficit at all gets none, as the relaxation is then infeasible
+    already.  One pass over the buses and
+    lines; each bus sorts only its own capacities.
+    """
+    net = model.net
+    supply = {b.id: [0.0, 0.0] for b in net.buses}  # bus -> [sum p_min, sum p_max]
+    for g in net.generators:
+        supply[g.bus][0] += g.p_min
+        supply[g.bus][1] += g.p_max
+    incident: dict[int, list] = {b.id: [] for b in net.buses}
+    for ln in net.lines:
+        incident[ln.from_bus].append(ln)
+        incident[ln.to_bus].append(ln)
+    rows = []
+    for b in net.buses:
+        p_min, p_max = supply[b.id]
+        deficit = max(b.load - p_max, p_min - b.load)
+        need = deficit - _COVER_TOL * (1.0 + deficit)
+        if need <= 0.0:
+            continue
+        lines = incident[b.id]
+        k, reach = 0, 0.0
+        for cap in sorted((ln.capacity for ln in lines), reverse=True):
+            if reach >= need:
+                break
+            k, reach = k + 1, reach + cap
+        fixed = sum(not ln.switchable for ln in lines)
+        if reach >= need and k - fixed >= 2:
+            rows.append(([(model.vmap.x[ln.id], 1.0) for ln in lines], ">=", float(k)))
+    return rows

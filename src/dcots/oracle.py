@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -97,9 +96,13 @@ class HighsStatusError(RuntimeError):
         self.status = status
 
 
-class _Template(NamedTuple):
+@dataclass
+class _Template:
     """Constraints that a batch of LPs shares: a_ub x <= b_ub, a_eq x =
-    b_eq (either pair may be None), and default bounds lo <= x <= hi."""
+    b_eq (either pair may be None), and default bounds lo <= x <= hi.
+
+    ``batch`` gives the block-diagonal system of ``size`` copies, built
+    once per size and kept with the template."""
 
     a_ub: object
     b_ub: object
@@ -107,6 +110,18 @@ class _Template(NamedTuple):
     b_eq: object
     lo: np.ndarray
     hi: np.ndarray
+    _batches: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def batch(self, size: int):
+        """(A_ub, b_ub, A_eq, b_eq) of ``size`` blocks, for ``linprog``."""
+        if size not in self._batches:
+            eye = sparse.identity(size, format="csr")
+            a_ub, a_eq = (None if a is None else sparse.kron(eye, a, format="csr")
+                          for a in (self.a_ub, self.a_eq))
+            b_ub, b_eq = (None if b is None else np.tile(b, size)
+                          for b in (self.b_ub, self.b_eq))
+            self._batches[size] = a_ub, b_ub, a_eq, b_eq
+        return self._batches[size]
 
 
 def _solve_blocks(lp: _Template, costs, lo=None, hi=None) -> np.ndarray:
@@ -126,10 +141,7 @@ def _solve_blocks(lp: _Template, costs, lo=None, hi=None) -> np.ndarray:
     for start in range(0, k, BATCH):
         blk = slice(start, min(k, start + BATCH))
         size = blk.stop - start
-        eye = sparse.identity(size, format="csr")
-        a_ub, a_eq = (None if a is None else sparse.kron(eye, a, format="csr")
-                      for a in (lp.a_ub, lp.a_eq))
-        b_ub, b_eq = (None if b is None else np.tile(b, size) for b in (lp.b_ub, lp.b_eq))
+        a_ub, b_ub, a_eq, b_eq = lp.batch(size)
         # through the module attribute, so a wrapper on linprog sees each call
         res = linprog(costs[blk].ravel(), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=np.column_stack([lo[blk].ravel(), hi[blk].ravel()]),

@@ -3,8 +3,13 @@
 The search runs the cycle formulation: balance rows and on/off capacity
 links only, with Kirchhoff's voltage law (KVL) enforced by big-M cycle
 rows added lazily.  ``solve_ots`` strengthens the root relaxation of that
-model (its value is z_LP) with separated cycle inequalities, then runs a
-deterministic best-bound branch-and-bound on the binary line variables.
+model (its value is z_LP) with separated cycle inequalities, then appends
+a cover row for every bus that cannot balance itself (at least k of its
+lines closed, ``formulations.bus_cover_rows``) and runs a deterministic
+best-bound branch-and-bound on the binary line variables.  The cover rows
+come after the root's cut rounds, so z_LP and z_LP_cuts are values of the
+paper's relaxation; as rows of the search's program, the covers hold at
+every node.
 At fractional nodes up to ``TREE_DEPTH`` branchings deep the search
 separates the same inequalities again, over the shortest cycles under
 weights 1 - x of the node's relaxation.  Integral candidates are
@@ -45,7 +50,13 @@ from dcots.cyclebasis import (
     lp_guided_cycles,
     spanning_forest,
 )
-from dcots.formulations import MilpModel, add_switching_budget, build_ots_cycle, cycle_cut_rows
+from dcots.formulations import (
+    MilpModel,
+    add_switching_budget,
+    build_ots_cycle,
+    bus_cover_rows,
+    cycle_cut_rows,
+)
 from dcots.formulations import build_ots_angle  # unused here; perfbench/layers.py wraps it by name
 from dcots.lp import SimplexError, add_rows, solve
 from dcots.network import PowerNetwork, union_find
@@ -108,8 +119,9 @@ class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
     started, simplex iterations of those that returned, how many of them
     ran from a slack basis (first solves and warm starts that fell back)
-    and the basis inverses they computed afresh, cut rows added at tree
-    nodes and lazy KVL rows added at integral ones; and the node (counted
+    and the basis inverses they computed afresh, bus cover rows added
+    before the search, cut rows added at tree nodes and lazy KVL rows
+    added at integral ones; and the node (counted
     from 1 in the order the search takes them) and the seconds since the
     solve started at which the first incumbent was found, None until one
     is."""
@@ -118,6 +130,7 @@ class SolveStats:
     simplex_iterations: int = 0
     cold_starts: int = 0
     refactorizations: int = 0
+    cover_rows: int = 0
     tree_cuts: int = 0
     lazy_rows: int = 0
     first_incumbent_node: int | None = None
@@ -448,9 +461,11 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     """Solve the switching problem end to end.
 
     Builds the cycle formulation, optionally caps the number of open
-    lines at ``n_off``, strengthens the root per the cycle mode, runs
-    branch-and-bound with lazy KVL rows, and post-processes the
-    incumbent into a connected topology with recovered angles.
+    lines at ``n_off``, strengthens the root per the cycle mode, appends
+    the bus cover rows (the root's basis extends to them with their
+    slacks basic), runs branch-and-bound with lazy KVL rows, and
+    post-processes the incumbent into a connected topology with
+    recovered angles.
     """
     if config is None:
         config = SolverConfig()
@@ -472,6 +487,9 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     except SimplexError:
         return SolveResult(status="numerical-error", wall_time_s=time.monotonic() - t0,
                            stats=stats)
+    covers = bus_cover_rows(model)
+    stats.cover_rows = len(covers)
+    model = replace(model, lp=add_rows(model.lp, covers))
     res = branch_and_bound(model, config, lambda x, f: lazy_kvl_check(net, x, f),
                            t0=t0, root_cuts=n_cuts, root_lp_values=(z_lp, z_cuts),
                            stats=stats)

@@ -8,6 +8,7 @@ from dcots.formulations import (
     build_opf_cycle,
     build_ots_angle,
     build_ots_cycle,
+    bus_cover_rows,
     compute_big_m,
     cycle_big_m,
     cycle_cut_rows,
@@ -252,3 +253,54 @@ def test_budget_zero_forces_all_closed():
         lp.set_bounds(col, 1.0, 1.0)
     assert solve(lp).status == "infeasible"
 
+
+
+def _star(load, gens, caps, switchable=None):
+    """Bus 0 with ``load`` and ``gens``, joined by one line per capacity
+    to a supply bus 1 that can absorb any imbalance."""
+    switchable = switchable or [True] * len(caps)
+    return build_network(
+        buses=[(0, load), (1, 0.0)],
+        generators=list(gens) + [(1, 0.0, 10.0, 1.0)],
+        lines=[(i, 1, 0, 1.0, cap, sw) for i, (cap, sw) in enumerate(zip(caps, switchable))])
+
+
+def _covers(net):
+    model = build_ots_cycle(net)
+    line_of = {col: lid for lid, col in model.vmap.x.items()}
+    return [(sorted(line_of[c] for c, _ in coeffs), sense, rhs)
+            for coeffs, sense, rhs in bus_cover_rows(model)]
+
+
+def test_a_bus_short_of_supply_needs_its_largest_lines_closed():
+    # 1.0 to import over 0.6, 0.5 and 0.3: 0.6 + 0.5 reach it, so two
+    # lines may do, though 0.5 + 0.3 would not
+    assert _covers(_star(1.0, [], [0.6, 0.5, 0.3])) == [([0, 1, 2], ">=", 2.0)]
+    # 1.2 reaches past the two largest: all three lines
+    assert _covers(_star(1.2, [], [0.6, 0.5, 0.3])) == [([0, 1, 2], ">=", 3.0)]
+    # a local generator lowers the deficit to 0.5: one line is enough
+    assert _covers(_star(1.0, [(0, 0.0, 0.5, 1.0)], [0.6, 0.5, 0.3])) == []
+
+
+def test_a_bus_with_surplus_needs_lines_to_export_it():
+    # p_min of 1.5 against a load of 0.5 leaves 1.0 to export
+    assert _covers(_star(0.5, [(0, 1.5, 2.0, 1.0)], [0.4, 0.4, 0.4])) == \
+        [([0, 1, 2], ">=", 3.0)]
+
+
+def test_a_deficit_reached_within_the_tolerance_keeps_the_smaller_count():
+    # two lines of 0.5 reach 1 + 1e-9 up to the tolerance, which only ever
+    # lowers k; a deficit further off needs the third line
+    assert _covers(_star(1.0 + 1e-9, [], [0.5, 0.5, 0.5])) == [([0, 1, 2], ">=", 2.0)]
+    assert _covers(_star(1.0 + 1e-3, [], [0.5, 0.5, 0.5])) == [([0, 1, 2], ">=", 3.0)]
+
+
+def test_cover_rows_need_two_switchable_lines_beyond_the_fixed_ones():
+    caps = [0.4, 0.4, 0.4, 0.4]
+    fixed_first = [False, True, True, True]
+    assert _covers(_star(0.7, [], caps)) == [([0, 1, 2, 3], ">=", 2.0)]
+    assert _covers(_star(0.7, [], caps, fixed_first)) == []  # k = 2, one of them fixed
+    assert _covers(_star(1.0, [], caps, fixed_first)) == [([0, 1, 2, 3], ">=", 3.0)]
+    # a bus its lines cannot serve at all gets no row: the relaxation is
+    # already infeasible
+    assert _covers(_star(2.0, [], caps)) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dcots.cuts import CycleInequality, SeparationTable, inequality_row
 from dcots.cyclebasis import CycleSet, cycle_basis, lp_guided_cycles
-from dcots.formulations import build_ots_angle, build_ots_cycle
+from dcots.formulations import build_ots_angle, build_ots_cycle, bus_cover_rows
 from dcots.lp import SimplexError, add_rows
 from dcots.lp import solve as lp_solve
 from dcots.solver import (
@@ -426,9 +426,35 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert result_to_doc(res)["stats"] == {
         "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
         "cold_starts": 1, "refactorizations": counted["refactorizations"],
-        "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows,
+        "cover_rows": res.stats.cover_rows, "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows,
         "first_incumbent_node": res.stats.first_incumbent_node,
         "first_incumbent_s": res.stats.first_incumbent_s}
+
+
+def test_cover_rows_join_the_search_after_the_root(monkeypatch):
+    # bus 2 imports 1.5 over lines of 1.0, 0.8 and 0.6: two must be closed
+    net = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, 1.5)],
+        generators=[(0, 0.0, 2.0, 1.0), (1, 0.0, 2.0, 3.0)],
+        lines=[(0, 0, 1, 1.0, 1.0), (1, 1, 2, 2.0, 1.0), (2, 0, 2, 1.0, 0.8),
+               (3, 0, 2, 3.0, 0.6)])
+    model = build_ots_cycle(net)
+    assert [rhs for _, _, rhs in bus_cover_rows(model)] == [2.0]
+    programs = []
+
+    def recording(lp, warm=None):
+        programs.append(lp.n_rows)
+        return lp_solve(lp, warm=warm)
+
+    monkeypatch.setattr("dcots.solver.solve", recording)
+    res = solve_ots(net)
+    want, _ = brute_force_ots(net)
+    assert res.status == "optimal-within-gap" and res.stats.cover_rows == 1
+    assert res.objective == pytest.approx(want, rel=1e-3)
+    # the root solves the paper's relaxation; the search adds the cover
+    assert res.root_lp_values[0] == lp_solve(model.lp).obj
+    assert programs[0] == model.lp.n_rows and programs[1] == model.lp.n_rows + 1
+    assert res.cuts_added == res.stats.tree_cuts + res.stats.lazy_rows
 
 
 def test_the_search_starts_from_the_root_basis(monkeypatch):

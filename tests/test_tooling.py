@@ -77,8 +77,19 @@ def _linprog_calls(node):
             and isinstance(n.func, ast.Name) and n.func.id == "linprog"]
 
 
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def test_the_oracle_does_not_load_the_solver_and_calls_highs_in_one_place():
-    # an oracle that ran the solver's code would agree with its bugs
+    # an oracle that ran the solver's code would agree with its bugs; the
+    # bus cover rows are checked against it, so it must not build them
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dcots.oracle; print('dcots.solver' in sys.modules)"],
         env=_env_with_src(), capture_output=True, text=True, check=True).stdout
@@ -87,6 +98,9 @@ def test_the_oracle_does_not_load_the_solver_and_calls_highs_in_one_place():
     site = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_solve_blocks")
     assert len(_linprog_calls(tree)) == len(_linprog_calls(site)) == 1
+    assert "bus_cover_rows" not in set(_names(tree))
+    # the name is live, so a rename cannot leave the check above vacuous
+    assert "bus_cover_rows" in set(_names(ast.parse((SRC / "dcots" / "solver.py").read_text())))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
