@@ -19,7 +19,6 @@ from dcots.network import Line, PowerNetwork, union_find
 
 __all__ = [
     "Cycle",
-    "CycleSet",
     "spanning_forest",
     "cycle_basis",
     "cycle_of_chord",
@@ -50,26 +49,6 @@ class Cycle:
     def weight(self) -> float:
         """Total capacity/susceptance weight of the cycle."""
         return sum(ln.w for ln, _ in self.members)
-
-
-@dataclass(frozen=True)
-class CycleSet:
-    """An ordered, duplicate-free collection of cycles.
-
-    Two cycles are duplicates when they use the same unsigned set of line
-    ids, regardless of orientation or starting point.
-    """
-
-    cycles: tuple[Cycle, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-    def edge_sets(self) -> set[frozenset[int]]:
-        return {c.edge_ids for c in self.cycles}
 
 
 def _orient_cycle(edges: list[Line]) -> tuple[tuple[Line, int], ...] | None:
@@ -107,7 +86,7 @@ def spanning_forest(net: PowerNetwork, lines) -> tuple[list[Line], list[Line]]:
     return tree, chords
 
 
-def cycle_basis(net: PowerNetwork) -> CycleSet:
+def cycle_basis(net: PowerNetwork) -> tuple[Cycle, ...]:
     """Fundamental cycle basis of the network, one cycle per chord.
 
     Each chord of the spanning forest of the lines, in line order, closes
@@ -125,7 +104,7 @@ def cycle_basis(net: PowerNetwork) -> CycleSet:
         raise ValueError(f"spanning forest has {len(tree)} lines < |B| - 1; "
                          "network disconnected")
     parent = _tree_parents(net, tree)
-    return CycleSet(tuple(Cycle(_from_lowest(_chord_walk(parent, ch))) for ch in chords))
+    return tuple(Cycle(_from_lowest(_chord_walk(parent, ch))) for ch in chords)
 
 
 def _from_lowest(walk: list[tuple[Line, int]]) -> tuple[tuple[Line, int], ...]:
@@ -209,7 +188,7 @@ def combine_cycles(c1: Cycle, c2: Cycle) -> Cycle | None:
     return Cycle(members)
 
 
-def expand_cycle_set(cs: CycleSet) -> CycleSet:
+def expand_cycle_set(cs: tuple[Cycle, ...]) -> tuple[Cycle, ...]:
     """One round of pairwise combination, keeping only new edge sets.
 
     Gives what ``combine_cycles`` over every pair i < j gives, in that
@@ -218,11 +197,11 @@ def expand_cycle_set(cs: CycleSet) -> CycleSet:
     difference is oriented at most once, whether or not it turns out to
     be one simple cycle.
     """
-    lines = [ln for _, ln in sorted({ln.id: ln for c in cs.cycles for ln, _ in c.members}.items())]
+    lines = [ln for _, ln in sorted({ln.id: ln for c in cs for ln, _ in c.members}.items())]
     bit = {ln.id: 1 << r for r, ln in enumerate(lines)}
-    masks = [sum(bit[ln.id] for ln, _ in c.members) for c in cs.cycles]
+    masks = [sum(bit[ln.id] for ln, _ in c.members) for c in cs]
     seen = set(masks)
-    out = list(cs.cycles)
+    out = list(cs)
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             keep = a ^ b
@@ -232,10 +211,10 @@ def expand_cycle_set(cs: CycleSet) -> CycleSet:
             members = _orient_cycle([ln for r, ln in enumerate(lines) if keep >> r & 1])
             if members is not None:
                 out.append(Cycle(members))
-    return CycleSet(tuple(out))
+    return tuple(out)
 
 
-def lp_guided_cycles(net: PowerNetwork, x_hat) -> CycleSet:
+def lp_guided_cycles(net: PowerNetwork, x_hat) -> tuple[Cycle, ...]:
     """Cycles on which a relaxation point has K_C > 0.
 
     Weights each line by 1 - x_hat, so a cycle's weight is 1 - K_C.  For
@@ -265,7 +244,7 @@ def lp_guided_cycles(net: PowerNetwork, x_hat) -> CycleSet:
         if cyc.edge_ids not in seen:
             seen.add(cyc.edge_ids)
             out.append(cyc)
-    return CycleSet(tuple(out))
+    return tuple(out)
 
 
 def _shortest_path(adj, weight, line: Line, cutoff: float):

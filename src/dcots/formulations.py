@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from dcots.cyclebasis import Cycle, CycleSet
+from dcots.cyclebasis import Cycle
 from dcots.lp import Basis, LinearProgram
 from dcots.network import PowerNetwork
 
@@ -157,7 +157,8 @@ def build_opf_angle(net: PowerNetwork) -> tuple[LinearProgram, VariableMap]:
     return lp, vmap
 
 
-def build_opf_cycle(net: PowerNetwork, cycles: CycleSet) -> tuple[LinearProgram, VariableMap]:
+def build_opf_cycle(net: PowerNetwork,
+                    cycles: tuple[Cycle, ...]) -> tuple[LinearProgram, VariableMap]:
     """Cycle-based dispatch LP: angles replaced by per-cycle flow sums.
 
     Equivalent to the angle LP when ``cycles`` is a cycle basis of the

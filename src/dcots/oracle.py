@@ -35,7 +35,6 @@ from dcots.cuts import (
     VIOL_TOL,
     delta,
     make_context,
-    separate_all,
     separate_closed_form,
 )
 from dcots.cyclebasis import cycle_basis
@@ -64,6 +63,7 @@ __all__ = [
     "reduction_witness_angles",
     "fixed_injection_feasible",
     "dispatch_lp",
+    "dispatchable",
     "brute_force_ots",
     "check_opf_equivalence",
     "hull_gap",
@@ -850,33 +850,37 @@ def _component_screen(net: PowerNetwork, active_ids) -> bool:
     return all(pmin[r] - 1e-9 <= load[r] <= pmax[r] + 1e-9 for r in load)
 
 
+def dispatchable(net: PowerNetwork, topologies):
+    """The topologies, sets of closed line ids, that have a dispatch, as
+    closed-line masks over ``net.lines``, lazily and in the order given.
+
+    A topology must pass the per-component supply screen, then its least
+    overload (phase 1, BATCH topologies per HiGHS call) must be within
+    HiGHS's feasibility tolerance.
+    """
+    model = _Dispatch(net)
+    screened = (model.closed(active) for active in topologies
+                if _component_screen(net, active))
+    for chunk in _chunks(screened, BATCH):
+        yield from itertools.compress(chunk, model.max_overload(np.array(chunk))
+                                      <= _OVERLOAD_TOL)
+
+
 def brute_force_ots(net: PowerNetwork):
     """Ground-truth switching optimum by full topology enumeration.
 
-    Iterates every on/off pattern of the switchable lines, screens each
-    for per-component supply bounds, keeps those whose least overload
-    (phase 1) is within HiGHS's feasibility tolerance, solves their
-    dispatch LPs (phase 2), and returns (best objective, best pattern) or
-    (None, None).  Each phase solves BATCH topologies per HiGHS call.
+    Iterates every on/off pattern of the switchable lines, keeps the
+    ``dispatchable`` ones, solves their dispatch LPs (phase 2, BATCH
+    topologies per HiGHS call), and returns (best objective, best
+    pattern) or (None, None).
     """
     model = _Dispatch(net)
     switchable = [ln.id for ln in net.lines if ln.switchable]
     always_on = {ln.id for ln in net.lines if not ln.switchable}
-
-    def screened():
-        for mask in range(1 << len(switchable)):
-            active = always_on | {switchable[i] for i in range(len(switchable))
-                                  if mask >> i & 1}
-            if _component_screen(net, active):
-                yield model.closed(active)
-
-    def feasible():
-        for chunk in _chunks(screened(), BATCH):
-            yield from itertools.compress(chunk, model.max_overload(np.array(chunk))
-                                          <= _OVERLOAD_TOL)
-
+    topologies = (always_on | {switchable[i] for i in range(len(switchable)) if mask >> i & 1}
+                  for mask in range(1 << len(switchable)))
     best_obj, best_x = None, None
-    for chunk in _chunks(feasible(), BATCH):
+    for chunk in _chunks(dispatchable(net, topologies), BATCH):
         for closed, obj in zip(chunk, model.costs(np.array(chunk))):
             if obj is not None and (best_obj is None or obj < best_obj - 1e-12):
                 best_obj, best_x = obj, {lid: float(on)
@@ -1001,7 +1005,9 @@ def separation_agreement(rng, contexts: int, max_len: int):
 
 def cuts_under_nonpositive_k(rng, contexts: int, max_len: int) -> int:
     """Random ring contexts, with one line opened outright wherever K_C
-    is positive; counts those with K_C <= 0 that either separator cuts."""
+    is positive; counts those with K_C <= 0 that some cycle inequality
+    cuts off, found by enumerating every subset, which never looks at
+    K_C's sign."""
     exceptions = 0
     for _ in range(contexts):
         n = int(rng.integers(2, max_len + 1))
@@ -1014,7 +1020,7 @@ def cuts_under_nonpositive_k(rng, contexts: int, max_len: int) -> int:
             x_hat = {ln.id: 0.0 if pos == victim else ctx.x_hat[pos]
                      for pos, (ln, _) in enumerate(ctx.cycle.members)}
             ctx = make_context(ctx.cycle, f_hat, x_hat)
-        if ctx.k_value <= 0.0 and (separate_closed_form(ctx) or separate_all(ctx)):
+        if ctx.k_value <= 0.0 and _exhaustive_best_violation(ctx) > VIOL_TOL:
             exceptions += 1
     return exceptions
 
@@ -1143,6 +1149,13 @@ def negative_controls():
     rows = [f + x for f, x in _witness_points([Fraction(1)] * 3, {0, 1})]
     rows[-1] = [(u + v) / 2 for u, v in zip(rows[0], rows[1])]
     rank = exact_rank(rows)
+    # a unit 3-ring at K_C = 0 with |g_a| > w_a x_a on lines 0 and 1:
+    # the inequality of S = {0, 1} is violated by 1.0
+    cycle = _ring_cycle((1.0, 1.0, 1.0))
+    point = make_context(cycle, {ln.id: s * g * ln.susceptance
+                                 for (ln, s), g in zip(cycle.members, (1.0, 1.0, -2.0))},
+                         {ln.id: x for (ln, _), x in zip(cycle.members, (0.5, 0.5, 1.0))})
+    viol = float(_exhaustive_best_violation(point))
     return [
         ("dropped-facet-row-reopens-gap", gap > 1e-6, f"gap {gap:.3e}"),
         ("circulation-point-rejected", not inside,
@@ -1150,4 +1163,6 @@ def negative_controls():
         ("unreachable-target-stays-infeasible", not feasible,
          "enumeration said " + ("feasible" if feasible else "infeasible")),
         ("dependent-witness-drops-rank", rank < 5, f"rank {rank} of 5 witness rows"),
+        ("overloaded-point-is-cut-at-nonpositive-k", point.k_value <= 0.0 and viol > VIOL_TOL,
+         f"K_C {point.k_value:.3g}, violation {viol:.3g}"),
     ]

@@ -43,7 +43,6 @@ from dcots.cuts import SeparationTable
 from dcots.cuts import inequality_row, make_context, separate_all
 from dcots.cyclebasis import (
     Cycle,
-    CycleSet,
     cycle_basis,
     cycle_of_chord,
     expand_cycle_set,
@@ -171,7 +170,7 @@ class RootRelaxationError(RuntimeError):
         self.z_lp = z_lp
 
 
-def strengthen_root(model: MilpModel, cycles: CycleSet, rounds: int,
+def strengthen_root(model: MilpModel, cycles: tuple[Cycle, ...], rounds: int,
                     deadline: float | None = None, stats: SolveStats | None = None):
     """Add separated cycle inequalities to the root until none violate.
 
@@ -286,28 +285,33 @@ def _gap(obj: float, bound: float) -> float:
 
 
 def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
-                     t0: float | None = None, root_cuts: int = 0,
-                     root_lp_values=(None, None),
-                     stats: SolveStats | None = None) -> SolveResult:
+                     t0: float | None = None, stats: SolveStats | None = None) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
 
     The search works on one copy of ``model.lp``: each node sets on it
     the integer-column bounds that differ from the previous node's, and
-    lazy rows are appended to it in place, so they hold at every later
-    node.  Branches on the most fractional variable (ties to the lowest
-    line id).  A fractional node at most ``TREE_DEPTH`` branchings deep
-    first runs up to ``TREE_ROUNDS`` rounds of closed-form separation
-    over ``lp_guided_cycles``, each appending its cuts and re-solving.  Integral candidates pass
+    rows are appended to it in place, so they hold at every later node.
+    A node loops: solve, prune, then either add rows and solve again,
+    branch, or take the incumbent.  A fractional node at most
+    ``TREE_DEPTH`` branchings deep gets up to ``TREE_ROUNDS`` rounds of
+    rows from closed-form separation over ``lp_guided_cycles``; when
+    those are spent or find nothing, it branches on the most fractional
+    variable (ties to the lowest line id).  An integral node passes
     through ``lazy_source``, and a returned cycle contributes its two
-    big-M rows instead of an incumbent.  A node LP that fails
-    numerically, or an integral node still cut off after ``10 * |L|``
-    rounds of lazy rows, ends the search with status ``numerical-error``
-    or ``lazy-rows-stalled``; rounds of tree cuts are not counted there.
-    The time limit is checked before each node and between rounds of
-    tree cuts or lazy rows.  The first node's LP starts from
+    big-M rows instead of an incumbent.
+
+    Besides ``optimal-within-gap`` and ``infeasible``, the search ends
+    early with ``unbounded`` when a node LP is unbounded (only the first
+    can be: every later program restricts it), ``numerical-error`` when
+    one fails, ``lazy-rows-stalled`` when an integral node is still cut
+    off after ``10 * |L|`` rounds of lazy rows (rounds of tree cuts are
+    not counted there), or a time-limit status.  The time limit is
+    checked before each node, after each batch of rows, and after each
+    node while nodes remain.  The first node's LP starts from
     ``model.warm``, if set.  LP solves and added rows are counted in
     ``stats`` (a new counter if None), which the result carries.  The
-    result carries no angles.
+    result carries no angles, and ``cuts_added`` counts the rows the
+    search added.
     """
     start = time.monotonic() if t0 is None else t0
     stats = SolveStats() if stats is None else stats
@@ -318,12 +322,11 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     int_idx = np.array(int_cols, dtype=np.int64)
     root_bounds = {c: (lp.lo[c], lp.hi[c]) for c in int_cols}
     overridden = {}  # the previous node's overrides: column -> (lo, hi)
+    lazy_cap = 10 * max(1, len(model.net.lines))
 
     incumbent = None
     inc_obj = float("inf")
-    nodes = 0
-    cuts = root_cuts
-    counter = 0
+    nodes = cuts = counter = 0
     heap = [(-float("inf"), counter, (), model.warm)]
     status = None
     best_bound = -float("inf")
@@ -334,14 +337,14 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             return None
         return "feasible-time-limit" if incumbent is not None else "infeasible-unknown"
 
-    while heap:
+    def pruned(bound: float) -> bool:
+        return incumbent is not None and bound >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj))
+
+    while heap and status is None:
         bound, _, overrides, warm = heapq.heappop(heap)
         best_bound = bound
-        if incumbent is not None:
-            if _gap(inc_obj, bound) <= config.rel_gap:
-                break
-            if bound >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj)):
-                break
+        if incumbent is not None and (_gap(inc_obj, bound) <= config.rel_gap or pruned(bound)):
+            break
         status = time_limit_status()
         if status is not None:
             break
@@ -354,7 +357,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         overridden = node_bounds
         nodes += 1
         lazy_rounds = tree_rounds = 0
-        while True:
+        while status is None:
             stats.lp_calls += 1
             try:
                 sol = solve(lp, warm=warm)
@@ -363,92 +366,71 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 break
             stats.count(sol)
             if sol.status == "unbounded":
-                return SolveResult(status="unbounded", nodes=nodes, cuts_added=cuts,
-                                   root_lp_values=root_lp_values,
-                                   wall_time_s=time.monotonic() - start, stats=stats)
-            if sol.status != "optimal":
+                status = "unbounded"
                 break
-            node_obj = sol.obj
-            if incumbent is not None and node_obj >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj)):
+            if sol.status != "optimal" or pruned(sol.obj):
                 break
             x_int = sol.x[int_idx]
             frac = np.abs(x_int - np.round(x_int))
             if frac.size and frac.max() > _INT_TOL:
+                rows = []
                 if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
+                    tree_rounds += 1
                     x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
                     rows = SeparationTable(lp_guided_cycles(model.net, x_hat), vmap).rows(sol.x)
-                    if rows:
-                        tree_rounds += 1
-                        for row in rows:
-                            lp.add_row(*row)
-                        stats.tree_cuts += len(rows)
-                        cuts += len(rows)
-                        warm = sol.basis
-                        status = time_limit_status()
-                        if status is not None:
-                            break
-                        continue
-                branch_col = int_cols[int(frac.argmax())]  # the first of the most fractional
-                for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
-                    counter += 1
-                    heapq.heappush(heap, (node_obj, counter,
-                                          overrides + ((branch_col, lo, hi),),
-                                          sol.basis))
-                break
-            x_hat = {lid: float(round(sol.x[col])) for lid, col in vmap.x.items()}
-            f_hat = {lid: sol.x[col] for lid, col in vmap.flow.items()}
-            cyc = lazy_source(x_hat, f_hat)
-            if cyc is None:
-                if node_obj < inc_obj:
-                    if incumbent is None:
-                        stats.first_incumbent_node = nodes
-                        stats.first_incumbent_s = time.monotonic() - start
-                    inc_obj = node_obj
-                    incumbent = sol
-                break
-            lazy_rounds += 1
-            if lazy_rounds > 10 * max(1, len(model.net.lines)):
-                status = "lazy-rows-stalled"
-                break
-            for row in cycle_cut_rows(cyc, vmap):
+                    stats.tree_cuts += len(rows)
+                if not rows:
+                    branch_col = int_cols[int(frac.argmax())]  # the first of the most fractional
+                    for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
+                        counter += 1
+                        heapq.heappush(heap, (sol.obj, counter,
+                                              overrides + ((branch_col, lo, hi),), sol.basis))
+                    break
+            else:
+                x_hat = {lid: float(round(sol.x[col])) for lid, col in vmap.x.items()}
+                f_hat = {lid: sol.x[col] for lid, col in vmap.flow.items()}
+                cyc = lazy_source(x_hat, f_hat)
+                if cyc is None:
+                    if sol.obj < inc_obj:
+                        if incumbent is None:
+                            stats.first_incumbent_node = nodes
+                            stats.first_incumbent_s = time.monotonic() - start
+                        inc_obj = sol.obj
+                        incumbent = sol
+                    break
+                lazy_rounds += 1
+                if lazy_rounds > lazy_cap:
+                    status = "lazy-rows-stalled"
+                    break
+                rows = cycle_cut_rows(cyc, vmap)
+                stats.lazy_rows += len(rows)
+            for row in rows:
                 lp.add_row(*row)
-                stats.lazy_rows += 1
-                cuts += 1
+            cuts += len(rows)
             warm = sol.basis
             status = time_limit_status()
-            if status is not None:
-                break
         if status is None and heap:
             status = time_limit_status()
-        if status is not None:
-            break
 
-    wall = time.monotonic() - start
     if status is None:
-        if incumbent is None:
-            return SolveResult(status="infeasible", nodes=nodes, cuts_added=cuts,
-                               root_lp_values=root_lp_values, wall_time_s=wall, stats=stats)
-        status = "optimal-within-gap"
+        status = "infeasible" if incumbent is None else "optimal-within-gap"
         if not heap:
             best_bound = inc_obj  # search exhausted: the incumbent is the bound
-    if incumbent is None:
-        return SolveResult(status=status, nodes=nodes, cuts_added=cuts,
-                           root_lp_values=root_lp_values, wall_time_s=wall, stats=stats)
-    x_out = {lid: float(round(incumbent.x[col])) for lid, col in vmap.x.items()}
-    f_out = {lid: incumbent.x[col] for lid, col in vmap.flow.items()}
-    p_out = {gi: incumbent.x[col] for gi, col in vmap.pg.items()}
-    bound_out = best_bound if best_bound > -float("inf") else inc_obj
-    bound_out = min(bound_out, inc_obj)
-    return SolveResult(status=status, x=x_out, f=f_out, p=p_out,
-                       objective=inc_obj, best_bound=bound_out,
-                       gap=max(0.0, _gap(inc_obj, bound_out)), nodes=nodes,
-                       cuts_added=cuts, root_lp_values=root_lp_values, wall_time_s=wall,
-                       stats=stats)
+    res = SolveResult(status=status, nodes=nodes, cuts_added=cuts, stats=stats)
+    if incumbent is not None:
+        res.x = {lid: float(round(incumbent.x[col])) for lid, col in vmap.x.items()}
+        res.f = {lid: incumbent.x[col] for lid, col in vmap.flow.items()}
+        res.p = {gi: incumbent.x[col] for gi, col in vmap.pg.items()}
+        res.objective = inc_obj
+        res.best_bound = min(best_bound, inc_obj)
+        res.gap = max(0.0, _gap(inc_obj, res.best_bound))
+    res.wall_time_s = time.monotonic() - start
+    return res
 
 
-def _cycles_for_mode(net: PowerNetwork, config: SolverConfig) -> CycleSet:
+def _cycles_for_mode(net: PowerNetwork, config: SolverConfig) -> tuple[Cycle, ...]:
     if config.cycle_mode == "default":
-        return CycleSet()
+        return ()
     cs = cycle_basis(net)
     if config.cycle_mode == "more":
         for _ in range(config.expansion_k):
@@ -474,10 +456,9 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     model = build_ots_cycle(net)
     if n_off is not None:
         model = add_switching_budget(model, n_off)
-    cycles = _cycles_for_mode(net, config)
-    rounds = 0 if config.cycle_mode == "default" else config.strengthen_rounds
     try:
-        model, z_lp, z_cuts, n_cuts = strengthen_root(model, cycles, rounds,
+        model, z_lp, z_cuts, n_cuts = strengthen_root(model, _cycles_for_mode(net, config),
+                                                      config.strengthen_rounds,
                                                       deadline=t0 + config.time_limit_s,
                                                       stats=stats)
     except RootRelaxationError as err:
@@ -491,8 +472,9 @@ def solve_ots(net: PowerNetwork, config: SolverConfig | None = None,
     stats.cover_rows = len(covers)
     model = replace(model, lp=add_rows(model.lp, covers))
     res = branch_and_bound(model, config, lambda x, f: lazy_kvl_check(net, x, f),
-                           t0=t0, root_cuts=n_cuts, root_lp_values=(z_lp, z_cuts),
-                           stats=stats)
+                           t0=t0, stats=stats)
+    res.cuts_added += n_cuts
+    res.root_lp_values = (z_lp, z_cuts)
     if res.x is not None:
         res.x, res.f, res.p = repair_connected(net, res.x, res.f, res.p)
         res.theta = recover_angles(net, res.x, res.f)

@@ -61,7 +61,7 @@ def test_solve_exit_code_when_the_search_gives_up(tmp_path, capsys, monkeypatch)
     path = write_instance(tmp_path, "net.json", 1, max_buses=4)  # 3 buses, 4 lines
     # every integral candidate is cut off by the same cycle, forever
     monkeypatch.setattr("dcots.solver.lazy_kvl_check",
-                        lambda net, x, f: cycle_basis(net).cycles[0])
+                        lambda net, x, f: cycle_basis(net)[0])
     assert main(["solve", path]) == 5
     assert json.loads(capsys.readouterr().out)["status"] == "lazy-rows-stalled"
 
@@ -244,7 +244,8 @@ def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):
 def test_verify_negative_controls_are_detected(capsys):
     assert main(["verify", "--negative-controls"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS negative-control") == 4
+    assert out.count("PASS negative-control") == 5
+    assert "PASS negative-control overloaded-point-is-cut-at-nonpositive-k" in out
 
 
 def test_bench_writes_sorted_rows_and_profile(tmp_path, capsys):

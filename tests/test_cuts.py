@@ -304,7 +304,6 @@ def _table_against_scalar(net, x_of, f_of, expansions=2):
     cycles = cycle_basis(net)
     for _ in range(expansions):
         cycles = expand_cycle_set(cycles)
-    cycles = cycles.cycles
     vmap = build_ots_cycle(net).vmap
     point = np.zeros(1 + max(max(vmap.flow.values()), max(vmap.x.values())))
     f_hat, x_hat = {}, {}

@@ -7,9 +7,10 @@ status, objective and solution are checked by
 ``perfbench/check.check_solve``, and the oracle's optimum by
 ``check.close``, against the HiGHS ``milp`` reference stored in
 ``perfbench/refs.json``; neither the check nor the reference uses dcots
-code.  Cover rows and budgeted optima are checked against
-``oracle.dispatch_lp`` and ``oracle.brute_force_ots``, which solve each
-topology's dispatch with HiGHS.
+code.  Cover rows are checked against ``oracle.dispatchable``, and
+budgeted optima against ``oracle.dispatch_lp`` and
+``oracle.brute_force_ots``; all three solve dispatch LPs of each
+topology with HiGHS.
 """
 
 import itertools
@@ -26,7 +27,7 @@ import ladder  # noqa: E402
 
 from dcots.formulations import build_ots_cycle, bus_cover_rows  # noqa: E402
 from dcots.network import parse_native, random_connected_network  # noqa: E402
-from dcots.oracle import brute_force_ots, dispatch_lp  # noqa: E402
+from dcots.oracle import brute_force_ots, dispatch_lp, dispatchable  # noqa: E402
 from dcots.solver import SolverConfig, solve_ots  # noqa: E402
 
 REFS = json.loads((PERFBENCH / "refs.json").read_text())
@@ -92,10 +93,11 @@ def test_every_bus_cover_row_holds_at_every_feasible_topology(spec):
     model = build_ots_cycle(net)
     covers = bus_cover_rows(model)
     line_of = {col: lid for lid, col in model.vmap.x.items()}
-    for closed in _topologies(net):
-        if any(sum(v for col, v in coeffs if line_of[col] in closed) < rhs
-               for coeffs, _, rhs in covers):
-            assert dispatch_lp(net, closed) == (None, None), sorted(closed)
+    cut_off = [closed for closed in _topologies(net)
+               if any(sum(v for col, v in coeffs if line_of[col] in closed) < rhs
+                      for coeffs, _, rhs in covers)]
+    assert [[ln.id for ln, on in zip(net.lines, mask) if on]
+            for mask in dispatchable(net, cut_off)] == []
 
 
 def test_the_cover_sample_has_rows_that_need_two_lines():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcots.cuts import CycleInequality, SeparationTable, inequality_row
-from dcots.cyclebasis import CycleSet, cycle_basis, lp_guided_cycles
+from dcots.cyclebasis import cycle_basis, lp_guided_cycles
 from dcots.formulations import build_ots_angle, build_ots_cycle, bus_cover_rows
 from dcots.lp import SimplexError, add_rows
 from dcots.lp import solve as lp_solve
@@ -250,7 +250,7 @@ def test_cycle_formulation_converges_via_lazy_rows():
 
 def test_strengthen_root_empty_cycles_is_identity():
     model = build_ots_angle(two_gen_triangle())
-    model2, z_lp, z_cuts, n_cuts = strengthen_root(model, CycleSet(), 5)
+    model2, z_lp, z_cuts, n_cuts = strengthen_root(model, (), 5)
     assert n_cuts == 0
     assert z_cuts == z_lp
     assert model2.lp.n_rows == model.lp.n_rows
@@ -263,7 +263,7 @@ def test_strengthen_root_infeasible_propagates():
         lines=[(0, 0, 1, 1.0, 1.0)],
     )
     with pytest.raises(RootRelaxationError):
-        strengthen_root(build_ots_angle(net), CycleSet(), 5)
+        strengthen_root(build_ots_angle(net), (), 5)
 
 
 def _triangle_with_three_violated_subsets():
@@ -279,7 +279,7 @@ def test_each_root_round_adds_at_most_two_cuts_per_cycle(monkeypatch):
     net = _triangle_with_three_violated_subsets()
     basis = cycle_basis(net)
     rounds = 0
-    for cycles in [basis, *(CycleSet((c,)) for c in basis)]:
+    for cycles in [basis, *((c,) for c in basis)]:
         added.clear()
         strengthen_root(build_ots_angle(net), cycles, 5)
         assert all(n <= 2 * len(cycles) for n in added), (len(cycles), added)
@@ -380,15 +380,36 @@ def test_time_limit_stops_the_root_cut_rounds():
 
 def test_lazy_rows_that_never_settle_end_with_a_status():
     net = triangle()
-    same = cycle_basis(net).cycles[0]
+    same = cycle_basis(net)[0]
     res = branch_and_bound(build_ots_angle(net), SolverConfig(), lambda x, f: same)
     assert res.status == "lazy-rows-stalled"
     assert res.objective is None and res.nodes >= 1
 
 
+def test_an_unbounded_first_node_ends_the_search():
+    model = build_ots_cycle(triangle())
+    model.lp.add_col(cost=-1.0, lo=0.0)  # in no row, with no upper bound
+    res = branch_and_bound(model, SolverConfig(), lambda x, f: None)
+    assert res.status == "unbounded" and res.nodes == 1
+    assert (res.x, res.f, res.p, res.objective, res.best_bound, res.gap) == (None,) * 6
+
+
+def test_a_search_without_a_feasible_topology_ends_infeasible():
+    # the relaxation can split the load 0.5/0.5, but the angles split it
+    # 0.25/0.75 over both lines and send all of it over either one: only
+    # rows the search adds rule the relaxation's point out
+    net = build_network(buses=[(0, 0.0), (1, 1.0)], generators=[(0, 0.0, 2.0, 1.0)],
+                        lines=[(0, 0, 1, 1.0, 0.6), (1, 0, 1, 3.0, 0.6)])
+    assert brute_force_ots(net) == (None, None)
+    res = branch_and_bound(build_ots_cycle(net), SolverConfig(),
+                           lambda x, f: lazy_kvl_check(net, x, f))
+    assert res.status == "infeasible" and res.nodes >= 1 and res.cuts_added > 0
+    assert (res.x, res.f, res.p, res.objective, res.best_bound, res.gap) == (None,) * 6
+
+
 def test_time_limit_ends_the_lazy_rows_of_a_node(monkeypatch):
     net = triangle()
-    same = cycle_basis(net).cycles[0]
+    same = cycle_basis(net)[0]
     now = [0.0]
     monkeypatch.setattr("dcots.solver.time.monotonic", lambda: now[0])
     calls = []
@@ -543,7 +564,7 @@ def test_time_limit_ends_the_tree_rounds_of_a_node(monkeypatch):
 def test_tree_rounds_do_not_count_as_lazy_rounds(monkeypatch):
     net = _random_instance(3)
     expected = solve_ots(net)
-    cycle = cycle_basis(net).cycles[0]
+    cycle = cycle_basis(net)[0]
     # the cycle inequality of the whole cycle: valid, and the same row every round
     whole = CycleInequality(cycle, "right", cycle.edge_ids, cycle.weight, 1.0)
     rounds = 10 * len(net.lines) + 5

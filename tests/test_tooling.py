@@ -3,8 +3,9 @@
 rather than in ``perfbench/run.py --trace 1``, and a rename must not leave
 a stale name in a module's ``__all__``.  The declared dependencies must
 cover what ``src/dcots`` imports, importing the command line must not
-load networkx, which only the tests use, every demo must run, and every
-command line that README shows must parse."""
+load networkx, which only the tests use, the oracle must not run the code
+it checks, every demo must run, and every command line that README shows
+must parse."""
 
 import ast
 import importlib
@@ -101,6 +102,17 @@ def test_the_oracle_does_not_load_the_solver_and_calls_highs_in_one_place():
     assert "bus_cover_rows" not in set(_names(tree))
     # the name is live, so a rename cannot leave the check above vacuous
     assert "bus_cover_rows" in set(_names(ast.parse((SRC / "dcots" / "solver.py").read_text())))
+
+
+def test_criterion_4_does_not_run_the_separators_it_checks():
+    # both separators return [] when K_C <= 0, so a count of their cuts
+    # there would be 0 by construction
+    tree = ast.parse((SRC / "dcots" / "oracle.py").read_text())
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "cuts_under_nonpositive_k")
+    names = set(_names(check))
+    assert "_exhaustive_best_violation" in names
+    assert not [name for name in names if name.startswith("separate_")]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
