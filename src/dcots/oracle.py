@@ -858,7 +858,11 @@ def dispatchable(net: PowerNetwork, topologies):
     overload (phase 1, BATCH topologies per HiGHS call) must be within
     HiGHS's feasibility tolerance.
     """
-    model = _Dispatch(net)
+    return _dispatchable(net, _Dispatch(net), topologies)
+
+
+def _dispatchable(net: PowerNetwork, model: _Dispatch, topologies):
+    """``dispatchable`` on the network's template ``model``."""
     screened = (model.closed(active) for active in topologies
                 if _component_screen(net, active))
     for chunk in _chunks(screened, BATCH):
@@ -880,7 +884,7 @@ def brute_force_ots(net: PowerNetwork):
     topologies = (always_on | {switchable[i] for i in range(len(switchable)) if mask >> i & 1}
                   for mask in range(1 << len(switchable)))
     best_obj, best_x = None, None
-    for chunk in _chunks(dispatchable(net, topologies), BATCH):
+    for chunk in _chunks(_dispatchable(net, model, topologies), BATCH):
         for closed, obj in zip(chunk, model.costs(np.array(chunk))):
             if obj is not None and (best_obj is None or obj < best_obj - 1e-12):
                 best_obj, best_x = obj, {lid: float(on)

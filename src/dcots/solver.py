@@ -12,8 +12,10 @@ paper's relaxation; as rows of the search's program, the covers hold at
 every node.
 At fractional nodes up to ``TREE_DEPTH`` branchings deep the search
 separates the same inequalities again, over the shortest cycles under
-weights 1 - x of the node's relaxation.  Integral candidates are
-screened by a lazy flow-consistency check: a spanning forest of the
+weights 1 - x of the node's relaxation.  It branches by reliability
+branching: pseudocosts per line and direction, and strong branching on
+lines whose pseudocosts have too few observations.  Integral candidates
+are screened by a lazy flow-consistency check: a spanning forest of the
 active lines fixes angles, and any active chord whose implied angle
 difference disagrees with its flow yields a cycle whose big-M rows are
 appended to the search's program before the search continues.
@@ -70,6 +72,8 @@ __all__ = [
     "RootRelaxationError",
     "TREE_DEPTH",
     "TREE_ROUNDS",
+    "RELIABLE",
+    "STRONG_CANDIDATES",
     "strengthen_root",
     "branch_and_bound",
     "lazy_kvl_check",
@@ -85,6 +89,9 @@ _INT_TOL = 1e-6
 _GAP_EPS = 1e-9
 TREE_DEPTH = 2   # nodes at most this many branchings deep separate cuts
 TREE_ROUNDS = 2  # rounds of cuts at each such node
+RELIABLE = 1     # observations per line and direction before its pseudocost is trusted
+STRONG_CANDIDATES = 8  # unreliable lines strong-branched at one branching
+_SCORE_EPS = 1e-6
 
 CSV_HEADER = ["instance", "mode", "status", "objective", "bound", "gap",
               "nodes", "cuts", "z_LP", "z_LP_cuts", "wall_time_s"]
@@ -116,16 +123,17 @@ class SolverConfig:
 @dataclass
 class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
-    started, simplex iterations of those that returned, how many of them
-    ran from a slack basis (first solves and warm starts that fell back)
-    and the basis inverses they computed afresh, bus cover rows added
-    before the search, cut rows added at tree nodes and lazy KVL rows
-    added at integral ones; and the node (counted
-    from 1 in the order the search takes them) and the seconds since the
-    solve started at which the first incumbent was found, None until one
-    is."""
+    started, the strong-branching ones among them, simplex iterations of
+    those that returned, how many of them ran from a slack basis (first
+    solves and warm starts that fell back) and the basis inverses they
+    computed afresh, bus cover rows added before the search, cut rows
+    added at tree nodes and lazy KVL rows added at integral ones; and the
+    node (counted from 1 in the order the search takes them) and the
+    seconds since the solve started at which the first incumbent was
+    found, None until one is."""
 
     lp_calls: int = 0
+    strong_branch_solves: int = 0
     simplex_iterations: int = 0
     cold_starts: int = 0
     refactorizations: int = 0
@@ -284,6 +292,93 @@ def _gap(obj: float, bound: float) -> float:
     return (obj - bound) / max(abs(obj), _GAP_EPS)
 
 
+class _Pseudocosts:
+    """Objective gain per unit of change in x, observed per line and
+    direction (0: fixed at 0, 1: fixed at 1), as sums and counts.  Python
+    floats, so that gains near the float maximum sum to inf, not to a
+    floating-point error."""
+
+    def __init__(self, n: int):
+        self.total = [[0.0] * n, [0.0] * n]
+        self.count = [[0] * n, [0] * n]
+        self.largest = [0.0, 0.0]  # the largest gain per unit seen in each direction
+
+    def observe(self, d: int, k: int, unit_gain: float) -> None:
+        self.total[d][k] += unit_gain
+        self.count[d][k] += 1
+        self.largest[d] = max(self.largest[d], unit_gain)
+
+    def estimate(self, d: int, k: int) -> float:
+        """The mean gain per unit of line ``k`` in direction ``d``, or of
+        every line in that direction while ``k`` has none."""
+        if self.count[d][k]:
+            return self.total[d][k] / self.count[d][k]
+        n = sum(self.count[d])
+        return sum(self.total[d]) / n if n else 0.0
+
+
+def _reliability_branch(lp, sol, int_cols, x_int, pseudo: _Pseudocosts, cut_off, out_of_time,
+                        stats: SolveStats):
+    """Choose the line to branch on at a node whose LP solution ``sol`` has
+    integer-column values ``x_int`` (columns ``int_cols``, in line order).
+
+    Up to ``STRONG_CANDIDATES`` fractional lines, most fractional first
+    (ties to the lowest line id), that have fewer than ``RELIABLE``
+    observations in a direction are strong-branched: each child is solved
+    on ``lp`` warm from ``sol.basis``, and the column's bounds are restored
+    after it.  Every such solve is a pseudocost observation.  A child that
+    is infeasible or ``cut_off`` counts as one observation at the largest
+    gain per unit seen in its direction, and ends strong branching once
+    its sibling is solved too: that line is chosen, and the child is not
+    returned.  Otherwise every fractional line is scored by
+    max(gain down, eps) * max(gain up, eps), with solved gains where
+    strong branching ran and pseudocost estimates elsewhere; ties go to
+    the most fractional line, then to the lowest line id.
+
+    Returns (k, children), the chosen index into ``int_cols`` and a list
+    of (direction, child solution or None where the child was not solved),
+    or None once ``out_of_time()`` holds before a strong-branching solve.
+    A SimplexError of a solve propagates, with the bounds restored.
+    """
+    frac = np.abs(x_int - np.round(x_int))
+    cands = [int(k) for k in np.argsort(-frac, kind="stable") if frac[k] > _INT_TOL]
+    dist = (x_int.tolist(), (1.0 - x_int).tolist())  # the change in x down and up
+    solved: dict[int, list] = {}
+    unreliable = [k for k in cands if min(pseudo.count[0][k], pseudo.count[1][k]) < RELIABLE]
+    for k in unreliable[:STRONG_CANDIDATES]:
+        col = int_cols[k]
+        bounds = lp.lo[col], lp.hi[col]
+        children = []
+        for d in (0, 1):
+            if out_of_time():
+                return None
+            lp.set_bounds(col, float(d), float(d))
+            stats.lp_calls += 1
+            stats.strong_branch_solves += 1
+            try:
+                child = solve(lp, warm=sol.basis)
+            finally:
+                lp.set_bounds(col, *bounds)
+            stats.count(child)
+            if child.status == "optimal" and not cut_off(child.obj):
+                pseudo.observe(d, k, max(child.obj - sol.obj, 0.0) / dist[d][k])
+                children.append((d, child))
+            else:
+                pseudo.observe(d, k, pseudo.largest[d])
+        if len(children) < 2:
+            return k, children
+        solved[k] = [child for _, child in children]
+
+    def gain(k, d):
+        if k in solved:
+            return solved[k][d].obj - sol.obj
+        return pseudo.estimate(d, k) * dist[d][k]
+
+    k = max(cands, key=lambda k: (max(gain(k, 0), _SCORE_EPS) * max(gain(k, 1), _SCORE_EPS),
+                                  frac[k], -k))
+    return k, list(enumerate(solved.get(k, (None, None))))
+
+
 def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                      t0: float | None = None, stats: SolveStats | None = None) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
@@ -295,10 +390,15 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     branch, or take the incumbent.  A fractional node at most
     ``TREE_DEPTH`` branchings deep gets up to ``TREE_ROUNDS`` rounds of
     rows from closed-form separation over ``lp_guided_cycles``; when
-    those are spent or find nothing, it branches on the most fractional
-    variable (ties to the lowest line id).  An integral node passes
-    through ``lazy_source``, and a returned cycle contributes its two
-    big-M rows instead of an incumbent.
+    those are spent or find nothing, it branches on the line that
+    ``_reliability_branch`` chooses.  A child that strong branching
+    solved enters the heap with its own objective as bound and its own
+    basis as warm start, one that it proved infeasible or cut off is not
+    pushed, and the rest start from their parent's.  Pseudocosts are
+    observed by strong branching and by the first solve of every child
+    that ends optimal.  An integral node passes through ``lazy_source``,
+    and a returned cycle contributes its two big-M rows instead of an
+    incumbent.
 
     Besides ``optimal-within-gap`` and ``infeasible``, the search ends
     early with ``unbounded`` when a node LP is unbounded (only the first
@@ -306,9 +406,9 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     one fails, ``lazy-rows-stalled`` when an integral node is still cut
     off after ``10 * |L|`` rounds of lazy rows (rounds of tree cuts are
     not counted there), or a time-limit status.  The time limit is
-    checked before each node, after each batch of rows, and after each
-    node while nodes remain.  The first node's LP starts from
-    ``model.warm``, if set.  LP solves and added rows are counted in
+    checked before each node, before each strong-branching solve, after
+    each batch of rows, and after each node while nodes remain.  The
+    first node's LP starts from ``model.warm``, if set.  LP solves and added rows are counted in
     ``stats`` (a new counter if None), which the result carries.  The
     result carries no angles, and ``cuts_added`` counts the rows the
     search added.
@@ -320,6 +420,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     col_to_lid = {col: lid for lid, col in vmap.x.items()}
     int_cols = sorted(model.integer_cols, key=lambda c: col_to_lid[c])
     int_idx = np.array(int_cols, dtype=np.int64)
+    pseudo = _Pseudocosts(len(int_cols))
     root_bounds = {c: (lp.lo[c], lp.hi[c]) for c in int_cols}
     overridden = {}  # the previous node's overrides: column -> (lo, hi)
     lazy_cap = 10 * max(1, len(model.net.lines))
@@ -327,7 +428,10 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     incumbent = None
     inc_obj = float("inf")
     nodes = cuts = counter = 0
-    heap = [(-float("inf"), counter, (), model.warm)]
+    # (bound, counter, branchings, warm basis, origin); origin is the
+    # parent's objective, the index of the branched line, the direction
+    # and the change in x, or None at the root
+    heap = [(-float("inf"), counter, (), model.warm, None)]
     status = None
     best_bound = -float("inf")
 
@@ -341,7 +445,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         return incumbent is not None and bound >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj))
 
     while heap and status is None:
-        bound, _, overrides, warm = heapq.heappop(heap)
+        bound, _, overrides, warm, origin = heapq.heappop(heap)
         best_bound = bound
         if incumbent is not None and (_gap(inc_obj, bound) <= config.rel_gap or pruned(bound)):
             break
@@ -365,6 +469,10 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                 status = "numerical-error"
                 break
             stats.count(sol)
+            if origin is not None and sol.status == "optimal":
+                parent_obj, k, d, change = origin
+                pseudo.observe(d, k, max(sol.obj - parent_obj, 0.0) / change)
+            origin = None
             if sol.status == "unbounded":
                 status = "unbounded"
                 break
@@ -380,11 +488,24 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                     rows = SeparationTable(lp_guided_cycles(model.net, x_hat), vmap).rows(sol.x)
                     stats.tree_cuts += len(rows)
                 if not rows:
-                    branch_col = int_cols[int(frac.argmax())]  # the first of the most fractional
-                    for lo, hi in ((0.0, 0.0), (1.0, 1.0)):
+                    try:
+                        choice = _reliability_branch(lp, sol, int_cols, x_int, pseudo, pruned,
+                                                     lambda: time_limit_status() is not None,
+                                                     stats)
+                    except SimplexError:
+                        status = "numerical-error"
+                        break
+                    if choice is None:
+                        status = time_limit_status()
+                        break
+                    k, children = choice
+                    for d, child in children:
                         counter += 1
-                        heapq.heappush(heap, (sol.obj, counter,
-                                              overrides + ((branch_col, lo, hi),), sol.basis))
+                        seed = sol if child is None else child
+                        heapq.heappush(heap, (seed.obj, counter,
+                                              overrides + ((int_cols[k], float(d), float(d)),),
+                                              seed.basis,
+                                              (sol.obj, k, d, abs(d - float(x_int[k])))))
                     break
             else:
                 x_hat = {lid: float(round(sol.x[col])) for lid, col in vmap.x.items()}

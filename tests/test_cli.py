@@ -81,9 +81,9 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
-    assert set(doc["stats"]) == {"lp_calls", "simplex_iterations", "cold_starts",
-                                 "refactorizations", "cover_rows", "tree_cuts", "lazy_rows",
-                                 "first_incumbent_node", "first_incumbent_s"}
+    assert set(doc["stats"]) == {"lp_calls", "strong_branch_solves", "simplex_iterations",
+                                 "cold_starts", "refactorizations", "cover_rows", "tree_cuts",
+                                 "lazy_rows", "first_incumbent_node", "first_incumbent_s"}
     assert doc["stats"]["lp_calls"] >= 1
     assert 1 <= doc["stats"]["first_incumbent_node"] <= doc["nodes"]
     assert 0.0 <= doc["stats"]["first_incumbent_s"] <= doc["wall_time_s"]

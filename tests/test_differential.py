@@ -121,7 +121,7 @@ def _budgeted_optimum(net, n_off, best, pattern):
     return min((c for c in costs if c is not None), default=None)
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(40))
 def test_solve_agrees_with_enumeration_with_and_without_a_budget(seed):
     net = random_connected_network(seed)
     best, pattern = brute_force_ots(net)

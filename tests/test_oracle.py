@@ -489,6 +489,20 @@ def test_brute_force_solves_each_phase_in_batches(monkeypatch):
     assert calls[0] == ceil(63 / BATCH) + ceil(feasible / BATCH)
 
 
+def test_brute_force_builds_one_dispatch_template(monkeypatch):
+    built = []
+
+    class Counted(oracle._Dispatch):
+        def __init__(self, net):
+            built.append(1)
+            super().__init__(net)
+
+    monkeypatch.setattr(oracle, "_Dispatch", Counted)
+    net = parallel_lines(6, 0.3)
+    assert brute_force_ots(net)[0] is not None
+    assert len(built) == 1
+
+
 def test_projection_equals_one_linprog_per_trial():
     w = (0.7, 1.3, 2.2)
     ext, prj = oracle._projection_systems(w)

@@ -1,11 +1,14 @@
+import heapq
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dcots.solver as dcots_solver
 from dcots.cuts import CycleInequality, SeparationTable, inequality_row
 from dcots.cyclebasis import cycle_basis, lp_guided_cycles
 from dcots.formulations import build_ots_angle, build_ots_cycle, bus_cover_rows
@@ -444,8 +447,10 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
         (counted["calls"], counted["iterations"], counted["cold"])
     assert counted["calls"] > res.nodes  # the root solves count too
     assert counted["cold"] == 1  # the root's first solve; the search starts warm
+    assert 0 < res.stats.strong_branch_solves < counted["calls"] - res.nodes
     assert result_to_doc(res)["stats"] == {
-        "lp_calls": counted["calls"], "simplex_iterations": counted["iterations"],
+        "lp_calls": counted["calls"], "strong_branch_solves": res.stats.strong_branch_solves,
+        "simplex_iterations": counted["iterations"],
         "cold_starts": 1, "refactorizations": counted["refactorizations"],
         "cover_rows": res.stats.cover_rows, "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows,
         "first_incumbent_node": res.stats.first_incumbent_node,
@@ -639,3 +644,130 @@ def test_result_serialization_round_trip():
     infeas = SolveResult(status="infeasible")
     row2 = result_csv_row(infeas, "bad", "basic")
     assert row2[3] == "" and row2[5] == ""
+
+
+# strong branching on the search's program
+
+
+def _int_bounds(lp, cols):
+    return tuple((lp.lo[c], lp.hi[c]) for c in cols)
+
+
+def _watch_strong_branching(monkeypatch, after_solve=None):
+    """Wrap the search's branching and LP solves.  The log holds the
+    integer columns' bounds at the first branching (the root node's), the
+    bounds and solution of every strong-branching solve, whether each
+    branching left every bound of the program as it found it, and the
+    bounds of each child that a solve proved infeasible or cut off.
+    ``after_solve(sol)`` runs after each strong-branching solve."""
+    log = {"cols": None, "root": None, "solves": [], "restored": [], "proven": set()}
+    real_solve, real_branch = dcots_solver.solve, dcots_solver._reliability_branch
+    inside = []
+
+    def solving(lp, warm=None):
+        sol = real_solve(lp, warm=warm)
+        if inside:
+            log["solves"].append((_int_bounds(lp, log["cols"]), sol))
+            if sol.status != "optimal":
+                log["proven"].add(log["solves"][-1][0])
+            if after_solve is not None:
+                after_solve(sol)
+        return sol
+
+    def branching(lp, sol, int_cols, x_int, pseudo, cut_off, *rest):
+        def recording_cut_off(obj):
+            if cut_off(obj):
+                log["proven"].add(log["solves"][-1][0])
+                return True
+            return False
+
+        log["cols"] = list(int_cols)
+        if log["root"] is None:
+            log["root"] = _int_bounds(lp, int_cols)
+        before = (list(lp.lo), list(lp.hi))
+        inside.append(True)
+        try:
+            return real_branch(lp, sol, int_cols, x_int, pseudo, recording_cut_off, *rest)
+        finally:
+            inside.pop()
+            log["restored"].append((list(lp.lo), list(lp.hi)) == before)
+
+    monkeypatch.setattr("dcots.solver.solve", solving)
+    monkeypatch.setattr("dcots.solver._reliability_branch", branching)
+    return log
+
+
+# strong branching proves children infeasible or cut off on each, and
+# random_connected_network(2, ...) is an infeasible instance
+STRONG_NETS = {"ri-0": lambda: _random_instance(0), "ri-7": lambda: _random_instance(7),
+               **{f"rcn-{seed}": (lambda seed=seed: random_connected_network(
+                   seed, max_buses=8, max_extra_lines=4)) for seed in (2, 15)}}
+
+
+@pytest.mark.parametrize("name", STRONG_NETS)
+def test_strong_branching_leaves_every_bound_as_it_found_it(monkeypatch, name):
+    log = _watch_strong_branching(monkeypatch)
+    res = solve_ots(STRONG_NETS[name]())
+    assert res.status in ("optimal-within-gap", "infeasible")
+    assert len(log["solves"]) == res.stats.strong_branch_solves > 0
+    assert log["restored"] and all(log["restored"])
+
+
+def test_no_strong_branching_solve_starts_past_the_time_limit(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr("dcots.solver.time.monotonic", lambda: now[0])
+
+    def late(sol):
+        now[0] += 100.0  # the limit passes during the first strong-branching solve
+
+    log = _watch_strong_branching(monkeypatch, late)
+    res = solve_ots(_random_instance(0), SolverConfig(time_limit_s=10.0))
+    assert res.status in ("feasible-time-limit", "infeasible-unknown")
+    assert len(log["solves"]) == res.stats.strong_branch_solves == 1
+    assert log["restored"] == [True]
+
+
+def test_a_failing_strong_branching_solve_restores_the_bounds(monkeypatch):
+    log = _watch_strong_branching(monkeypatch)
+    watched = dcots_solver.solve
+
+    def flaky(lp, warm=None):
+        if log["cols"] is not None:  # the first strong-branching solve
+            raise SimplexError("iteration limit exceeded")
+        return watched(lp, warm=warm)
+
+    monkeypatch.setattr("dcots.solver.solve", flaky)
+    res = solve_ots(_random_instance(0))
+    assert res.status == "numerical-error"
+    assert log["restored"] == [True]
+
+
+@pytest.mark.parametrize("name", STRONG_NETS)
+def test_a_child_that_strong_branching_proved_is_never_pushed(monkeypatch, name):
+    log = _watch_strong_branching(monkeypatch)
+    pushed = []
+
+    def pushing(heap, item):
+        pushed.append(item[2])  # the node's branchings: (column, lo, hi)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr("dcots.solver.heapq", SimpleNamespace(heappop=heapq.heappop,
+                                                              heappush=pushing))
+    res = solve_ots(STRONG_NETS[name]())
+    assert res.status in ("optimal-within-gap", "infeasible")
+    children = set()
+    for overrides in pushed:
+        node = dict(zip(log["cols"], log["root"]))
+        node.update({col: (lo, hi) for col, lo, hi in overrides})
+        children.add(tuple(node[col] for col in log["cols"]))
+    assert log["proven"] and children
+    assert not log["proven"] & children
+
+
+@pytest.mark.parametrize("name", STRONG_NETS)
+def test_repeat_solves_branch_alike(name):
+    net = STRONG_NETS[name]()
+    r1, r2 = solve_ots(net), solve_ots(net)
+    assert r1.stats.strong_branch_solves > 0
+    assert (r1.nodes, r1.stats.strong_branch_solves, repr(r1.objective)) == \
+        (r2.nodes, r2.stats.strong_branch_solves, repr(r2.objective))

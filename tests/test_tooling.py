@@ -4,8 +4,9 @@ rather than in ``perfbench/run.py --trace 1``, and a rename must not leave
 a stale name in a module's ``__all__``.  The declared dependencies must
 cover what ``src/dcots`` imports, importing the command line must not
 load networkx, which only the tests use, the oracle must not run the code
-it checks, every demo must run, and every command line that README shows
-must parse."""
+it checks, the solver must reach the LP through one interface, no module
+may read the environment, every demo must run, and every command line
+that README shows must parse."""
 
 import ast
 import importlib
@@ -113,6 +114,28 @@ def test_criterion_4_does_not_run_the_separators_it_checks():
     names = set(_names(check))
     assert "_exhaustive_best_violation" in names
     assert not [name for name in names if name.startswith("separate_")]
+
+
+def test_the_solver_uses_one_lp_interface():
+    tree = ast.parse((SRC / "dcots" / "solver.py").read_text())
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dcots.lp"
+             for alias in node.names}
+    assert taken == {"SimplexError", "add_rows", "solve"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("dcots.lp") for alias in node.names)]
+
+
+def test_no_module_reads_the_environment():
+    # a variable read at run time would be a switch that no option lists
+    names = ("environ", "environb", "getenv")
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "dcots").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in names for alias in node.names)]
+    assert reads == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
