@@ -66,11 +66,6 @@ def load_instance(path: str):
     return net
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(rel_gap=args.gap, time_limit_s=args.time_limit,
-                        strengthen_rounds=args.rounds, cycle_mode=args.mode)
-
-
 _EXIT_BY_STATUS = {"optimal-within-gap": 0, "infeasible": 2,
                    "feasible-time-limit": 3, "infeasible-unknown": 3,
                    "numerical-error": 5, "lazy-rows-stalled": 5}
@@ -78,7 +73,7 @@ _EXIT_BY_STATUS = {"optimal-within-gap": 0, "infeasible": 2,
 
 def cmd_solve(args) -> int:
     net = load_instance(args.instance)
-    res = solve_ots(net, args.config, n_off=args.max_off)
+    res = solve_ots(net, args.configs[0], n_off=args.max_off)
     doc = result_to_doc(res, instance=Path(args.instance).name, mode=args.mode)
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
@@ -202,7 +197,7 @@ def cmd_budget_sweep(args) -> int:
     n_values = args.n_values or range(sum(ln.switchable for ln in net.lines) + 1)
     rows = []
     for n_off in n_values:
-        res = solve_ots(net, args.config, n_off=n_off)
+        res = solve_ots(net, args.configs[0], n_off=n_off)
         # without a value, the status says why: only ``infeasible`` is a proof
         rows.append([n_off, *(f"{v:.10g}" if v is not None else res.status
                               for v in (res.objective, res.root_lp_values[0]))])
@@ -239,8 +234,6 @@ def _add_solver_flags(p):
     p.add_argument("--mode", choices=CYCLE_MODES, default=_DEFAULT.cycle_mode,
                    help="root cycle-cut selection")
     _add_limit_flags(p)
-    p.add_argument("--rounds", type=int, default=_DEFAULT.strengthen_rounds,
-                   help="root separation rounds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.negative_controls:
+    if args.command == "verify":
+        if args.negative_controls and args.suites:
+            parser.error("--negative-controls runs no suites; name none with it")
         unknown = [s for s in args.suites if s not in VERIFY_SUITES]
         if unknown:
             parser.error(f"unknown suite(s): {', '.join(unknown)}")
@@ -320,14 +315,15 @@ def main(argv=None) -> int:
         parser.error("--max-off must be nonnegative")
     if args.command == "budget-sweep" and args.n_values and min(args.n_values) < 0:
         parser.error("--n-values must be nonnegative")
-    try:
-        if args.command in ("solve", "budget-sweep"):
-            args.config = _config_from_args(args)
-        elif args.command == "bench":
+    if args.command in ("solve", "budget-sweep", "bench"):
+        modes = sorted(args.modes.split(",")) if args.command == "bench" else [args.mode]
+        if len(set(modes)) < len(modes):
+            parser.error(f"--modes names a mode twice: {args.modes}")
+        try:
             args.configs = [SolverConfig(rel_gap=args.gap, time_limit_s=args.time_limit,
-                                         cycle_mode=m) for m in sorted(args.modes.split(","))]
-    except ValueError as exc:
-        parser.error(str(exc))  # a solver setting out of range
+                                         cycle_mode=m) for m in modes]
+        except ValueError as exc:
+            parser.error(str(exc))  # a solver setting out of range
     try:
         return args.func(args)
     except InstanceError as exc:

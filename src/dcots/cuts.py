@@ -17,9 +17,12 @@ violated and every separator returns nothing.
 ``SeparationTable`` is the solve path's separator: it runs that closed
 form over a whole cycle set in one array pass per round.
 ``make_context`` and ``separate_closed_form`` run it on one cycle in
-plain Python; they are the reference the oracle and the tests check the
-table against, float for float.  ``separate_all`` lists every violated
-subset and serves only the oracle and the tests.
+plain Python; they are the reference the tests check the table against,
+float for float, and the oracle's separation check runs them.
+``separate_all`` lists every violated subset; only the tests, demo 03
+and the benchmark's traced run call it.  Every separator returns
+``CycleInequality`` records, and ``inequality_row`` alone writes their
+LP rows.
 """
 
 from __future__ import annotations
@@ -97,11 +100,12 @@ def make_context(cycle: Cycle, f_hat: Mapping[int, float],
     return SeparationContext(cycle, tuple(w), tuple(g), tuple(x), k_value(x))
 
 
-def _emit(ctx: SeparationContext, side: str, positions, viol: float) -> CycleInequality:
-    ids = frozenset(ctx.cycle.members[a][0].id for a in positions)
-    d = delta(tuple(positions), ctx.w)
+def _emit(cycle: Cycle, side: str, positions, viol: float) -> CycleInequality:
+    """The cut of ``side`` whose S holds the members of ``cycle`` at ``positions``."""
+    members = cycle.members
+    d = delta(positions, [ln.w for ln, _ in members])
     assert d > 0.0
-    return CycleInequality(ctx.cycle, side, ids, d, viol)
+    return CycleInequality(cycle, side, frozenset(members[a][0].id for a in positions), d, viol)
 
 
 def separate_closed_form(ctx: SeparationContext) -> list[CycleInequality]:
@@ -122,7 +126,7 @@ def separate_closed_form(ctx: SeparationContext) -> list[CycleInequality]:
         star = [a for a, va in enumerate(v) if va >= 0.0]
         viol = sum(v[a] for a in star) - wc * kc
         if viol > VIOL_TOL and sum(ctx.w[a] for a in star) > 0.5 * wc:
-            out.append(_emit(ctx, side, star, viol))
+            out.append(_emit(ctx.cycle, side, star, viol))
     return out
 
 
@@ -150,7 +154,7 @@ def separate_all(ctx: SeparationContext) -> list[CycleInequality]:
                 return
             viol = vs - wc * kc
             if viol > VIOL_TOL and sum(ctx.w[a] for a in s) > 0.5 * wc:
-                out.append(_emit(ctx, side, s, viol))
+                out.append(_emit(ctx.cycle, side, s, viol))
             for l in range(k, len(rest)):
                 recurse(s + [rest[l]], l + 1)
 
@@ -208,23 +212,12 @@ class SeparationTable:
         self.wc = np.add.accumulate(self.w, axis=1)[:, -1] if p else np.zeros(0)
 
     def rows(self, x) -> list:
-        """LP rows of ``cuts(x)``, as ``inequality_row`` makes them."""
-        flow, on = self.vmap.flow, self.vmap.x
-        out = []
-        for i, side, star, d, _ in self.cuts(x):
-            sign, coeffs = (1.0, -1.0)[side], []
-            for (ln, s), in_s in zip(self.cycles[i].members, star):
-                if in_s:
-                    coeffs += ((flow[ln.id], sign * s / ln.susceptance), (on[ln.id], d - ln.w))
-                else:
-                    coeffs.append((on[ln.id], d))
-            out.append((coeffs, "<=", d * (len(star) - 1.0)))
-        return out
+        """LP rows of ``cuts(x)``."""
+        return [inequality_row(cut, self.vmap) for cut in self.cuts(x)]
 
-    def cuts(self, x) -> list[tuple[int, int, list[bool], float, float]]:
-        """The most violated cut per side of every cycle at ``x``: its cycle's
-        index, its side (0 right, 1 left), which members are in S, Delta(S)
-        and the violation, as ``separate_closed_form`` finds them."""
+    def cuts(self, x) -> list[CycleInequality]:
+        """The most violated cut per side of every cycle at ``x``, as
+        ``separate_closed_form`` finds them, in cycle order, right before left."""
         if not self.cycles:
             return []
         fx = x[self.cols]
@@ -248,11 +241,10 @@ class SeparationTable:
                 if not viol > VIOL_TOL:
                     continue
                 vl = v.tolist() if vl is None else vl
-                members = self.cycles[i].members
-                star = [va >= 0.0 for va in vl[side][k][:len(members)]]
-                ws = sum(ln.w for (ln, _), in_s in zip(members, star) if in_s)
-                if ws > 0.5 * wck:
-                    out.append((i, side, star, 2.0 * ws - wck, viol))
+                cyc = self.cycles[i]
+                star = [a for a, va in enumerate(vl[side][k][:len(cyc)]) if va >= 0.0]
+                if sum(cyc.members[a][0].w for a in star) > 0.5 * wck:
+                    out.append(_emit(cyc, ("right", "left")[side], star, viol))
         return out
 
 

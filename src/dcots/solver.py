@@ -105,17 +105,17 @@ class SolverConfig:
 
     rel_gap: float = 0.001
     time_limit_s: float = 3600.0
-    strengthen_rounds: int = 5
     cycle_mode: str = "default"
-    # a constant, not a field: perfbench/run.py and baseline.py read it
+    # constants, not fields: perfbench/run.py and baseline.py read them
+    strengthen_rounds: ClassVar[int] = 5
     expansion_k: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.cycle_mode not in CYCLE_MODES:
             raise ValueError(f"cycle_mode must be one of {CYCLE_MODES}")
         # written as `not x >= 0` so that NaN is rejected too
-        if not (self.rel_gap >= 0 and self.strengthen_rounds >= 0):
-            raise ValueError("rel_gap and strengthen_rounds must be nonnegative")
+        if not self.rel_gap >= 0:
+            raise ValueError("rel_gap must be nonnegative")
         if not self.time_limit_s >= 0:
             raise ValueError("time_limit_s must be nonnegative")
 

@@ -350,8 +350,8 @@ def test_csv_schema_is_stable():
 
 @pytest.mark.parametrize("argv, says", [
     (["solve", "{net}", "--gap", "-1"], "nonnegative"),
-    (["solve", "{net}", "--rounds", "-2"], "nonnegative"),
-    (["solve", "{net}", "--gap", "nan"], "rel_gap and strengthen_rounds"),
+    (["bench", "{dir}", "--modes", "basic,more,basic"], "--modes names a mode twice"),
+    (["solve", "{net}", "--gap", "nan"], "rel_gap"),
     (["budget-sweep", "{net}", "--gap", "-1"], "nonnegative"),
     (["budget-sweep", "{net}", "--n-values", "x"], "comma-separated integers"),
     (["bench", "{dir}", "--modes", "bogus"], "cycle_mode must be one of"),
@@ -363,6 +363,8 @@ def test_csv_schema_is_stable():
     (["bench", "{dir}", "--jobs", "0"], "--jobs must be at least 1"),
     (["solve", "{net}", "--max-off", "-1"], "--max-off must be nonnegative"),
     (["budget-sweep", "{net}", "--n-values", "0,-2"], "--n-values must be nonnegative"),
+    # the controls replace the suites, so a named suite would go unrun
+    (["verify", "hull", "--negative-controls"], "--negative-controls runs no suites"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

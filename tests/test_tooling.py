@@ -4,11 +4,13 @@ rather than in ``perfbench/run.py --trace 1``, and a rename must not leave
 a stale name in a module's ``__all__``.  The declared dependencies must
 cover what ``src/dcots`` imports, importing the command line must not
 load networkx, which only the tests use, the oracle must not run the code
-it checks, the solver must reach the LP through one interface, no module
-may read the environment, every demo must run, and every command line
-that README shows must parse."""
+it checks, the solver must reach the LP through one interface, one
+function must write every cut row, the solver's settings must stay the
+three it has, no module may read the environment, every demo must run,
+and every command line that README shows must parse."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from dcots.cli import build_parser
+from dcots.solver import SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
@@ -124,6 +127,21 @@ def test_the_solver_uses_one_lp_interface():
     assert taken == {"SimplexError", "add_rows", "solve"}
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                 and any(alias.name.startswith("dcots.lp") for alias in node.names)]
+
+
+def test_one_function_writes_the_cut_rows():
+    # a second row writer could drift from the cut record it writes
+    tree = ast.parse((SRC / "dcots" / "cuts.py").read_text())
+    writers = [(getattr(top, "name", None), node.lineno) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Constant) and node.value == "<="]
+    assert [name for name, _ in writers] == ["inequality_row"], writers
+
+
+def test_the_solver_settings_are_three_fields():
+    # a setting that only one value ever uses is a constant, not a field
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "rel_gap", "time_limit_s", "cycle_mode"]
+    assert SolverConfig().strengthen_rounds == 5
 
 
 def test_no_module_reads_the_environment():
