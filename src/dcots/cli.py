@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
         checks = ((f"negative-control {name}", detected, detail)
                   for name, detected, detail in negative_controls())
     else:
-        checks = ((name, *VERIFY_SUITES[name](args.seed))
+        checks = ((name, *VERIFY_SUITES[name](args.seed or 0))
                   for name in args.suites or sorted(VERIFY_SUITES))
     ok_all = True
     for name, ok, detail in checks:
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subset of {sorted(VERIFY_SUITES)} (default all)")
     p.add_argument("--negative-controls", action="store_true",
                    help="run tampered checks and require their detection")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="the suites' random seed (default 0); the negative controls are fixed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="solve a directory of instances")
@@ -299,8 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        if args.negative_controls and args.suites:
-            parser.error("--negative-controls runs no suites; name none with it")
+        if args.negative_controls and (args.suites or args.seed is not None):
+            parser.error("--negative-controls runs no suites and takes no --seed")
         unknown = [s for s in args.suites if s not in VERIFY_SUITES]
         if unknown:
             parser.error(f"unknown suite(s): {', '.join(unknown)}")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class SolveStats:
     added at tree nodes and lazy KVL rows added at integral ones; and the
     node (counted from 1 in the order the search takes them) and the
     seconds since the solve started at which the first incumbent was
-    found, None until one is."""
+    found, None until one is; ``_counted_solve`` keeps the first four."""
 
     lp_calls: int = 0
     strong_branch_solves: int = 0
@@ -142,12 +142,6 @@ class SolveStats:
     lazy_rows: int = 0
     first_incumbent_node: int | None = None
     first_incumbent_s: float | None = None
-
-    def count(self, sol) -> None:
-        """Count the work of an LP solve that returned ``sol``."""
-        self.simplex_iterations += sol.iterations
-        self.cold_starts += sol.cold_start
-        self.refactorizations += sol.refactorizations
 
 
 @dataclass
@@ -178,6 +172,16 @@ class RootRelaxationError(RuntimeError):
         self.z_lp = z_lp
 
 
+def _counted_solve(lp, stats: SolveStats, warm=None):
+    """``solve(lp, warm)``, counted in ``stats``: every LP solve runs here."""
+    stats.lp_calls += 1
+    sol = solve(lp, warm=warm)
+    stats.simplex_iterations += sol.iterations
+    stats.cold_starts += sol.cold_start
+    stats.refactorizations += sol.refactorizations
+    return sol
+
+
 def strengthen_root(model: MilpModel, cycles: tuple[Cycle, ...], rounds: int,
                     deadline: float | None = None, stats: SolveStats | None = None):
     """Add separated cycle inequalities to the root until none violate.
@@ -196,9 +200,7 @@ def strengthen_root(model: MilpModel, cycles: tuple[Cycle, ...], rounds: int,
     """
     stats = SolveStats() if stats is None else stats
     lp = model.lp
-    stats.lp_calls += 1
-    sol = solve(lp)
-    stats.count(sol)
+    sol = _counted_solve(lp, stats)
     if sol.status != "optimal":
         raise RootRelaxationError(sol.status)
     z_lp = sol.obj
@@ -212,9 +214,7 @@ def strengthen_root(model: MilpModel, cycles: tuple[Cycle, ...], rounds: int,
             break
         lp = add_rows(lp, new_rows)
         n_cuts += len(new_rows)
-        stats.lp_calls += 1
-        sol = solve(lp, warm=sol.basis)
-        stats.count(sol)
+        sol = _counted_solve(lp, stats, warm=sol.basis)
         if sol.status != "optimal":
             raise RootRelaxationError(sol.status, z_lp)
     return replace(model, lp=lp, warm=sol.basis), z_lp, sol.obj, n_cuts
@@ -353,13 +353,11 @@ def _reliability_branch(lp, sol, int_cols, x_int, pseudo: _Pseudocosts, cut_off,
             if out_of_time():
                 return None
             lp.set_bounds(col, float(d), float(d))
-            stats.lp_calls += 1
             stats.strong_branch_solves += 1
             try:
-                child = solve(lp, warm=sol.basis)
+                child = _counted_solve(lp, stats, warm=sol.basis)
             finally:
                 lp.set_bounds(col, *bounds)
-            stats.count(child)
             if child.status == "optimal" and not cut_off(child.obj):
                 pseudo.observe(d, k, max(child.obj - sol.obj, 0.0) / dist[d][k])
                 children.append((d, child))
@@ -379,6 +377,17 @@ def _reliability_branch(lp, sol, int_cols, x_int, pseudo: _Pseudocosts, cut_off,
     return k, list(enumerate(solved.get(k, (None, None))))
 
 
+class _Node(NamedTuple):
+    """An open node, its own heap entry: the unique counter ends every comparison."""
+
+    bound: float
+    counter: int
+    branchings: tuple[tuple[int, int], ...]  # (index into int_cols, value), root first
+    basis: object  # the lp.Basis its first solve starts from, or None
+    parent_obj: float | None  # None at the root
+    change: float | None  # the change in the last branched line's value; None at the root
+
+
 def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                      t0: float | None = None, stats: SolveStats | None = None) -> SolveResult:
     """Deterministic best-bound search over the binary line variables.
@@ -386,19 +395,19 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     The search works on one copy of ``model.lp``: each node sets on it
     the integer-column bounds that differ from the previous node's, and
     rows are appended to it in place, so they hold at every later node.
-    A node loops: solve, prune, then either add rows and solve again,
-    branch, or take the incumbent.  A fractional node at most
-    ``TREE_DEPTH`` branchings deep gets up to ``TREE_ROUNDS`` rounds of
-    rows from closed-form separation over ``lp_guided_cycles``; when
-    those are spent or find nothing, it branches on the line that
-    ``_reliability_branch`` chooses.  A child that strong branching
-    solved enters the heap with its own objective as bound and its own
-    basis as warm start, one that it proved infeasible or cut off is not
-    pushed, and the rest start from their parent's.  Pseudocosts are
-    observed by strong branching and by the first solve of every child
-    that ends optimal.  An integral node passes through ``lazy_source``,
-    and a returned cycle contributes its two big-M rows instead of an
-    incumbent.
+    Open nodes wait on a heap of ``_Node`` records.  A node loops: solve,
+    prune, then either add rows and solve again, branch, or take the
+    incumbent.  A fractional node at most ``TREE_DEPTH`` branchings deep
+    gets up to ``TREE_ROUNDS`` rounds of rows from closed-form separation
+    over ``lp_guided_cycles``; when those are spent or find nothing, it
+    branches on the line that ``_reliability_branch`` chooses.  A child
+    that strong branching solved enters the heap with its own objective
+    as bound and its own basis as warm start, one that it proved
+    infeasible or cut off is not pushed, and the rest start from their
+    parent's.  Pseudocosts are observed by strong branching and by the
+    first solve of every child that ends optimal.  An integral node
+    passes through ``lazy_source``, and a returned cycle contributes its
+    two big-M rows instead of an incumbent.
 
     Besides ``optimal-within-gap`` and ``infeasible``, the search ends
     early with ``unbounded`` when a node LP is unbounded (only the first
@@ -408,10 +417,10 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     not counted there), or a time-limit status.  The time limit is
     checked before each node, before each strong-branching solve, after
     each batch of rows, and after each node while nodes remain.  The
-    first node's LP starts from ``model.warm``, if set.  LP solves and added rows are counted in
-    ``stats`` (a new counter if None), which the result carries.  The
-    result carries no angles, and ``cuts_added`` counts the rows the
-    search added.
+    first node's LP starts from ``model.warm``, if set.  LP solves and
+    added rows are counted in ``stats`` (a new counter if None), which the
+    result carries.  The result carries no angles, and ``cuts_added``
+    counts the rows the search added.
     """
     start = time.monotonic() if t0 is None else t0
     stats = SolveStats() if stats is None else stats
@@ -422,16 +431,13 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
     int_idx = np.array(int_cols, dtype=np.int64)
     pseudo = _Pseudocosts(len(int_cols))
     root_bounds = {c: (lp.lo[c], lp.hi[c]) for c in int_cols}
-    overridden = {}  # the previous node's overrides: column -> (lo, hi)
+    overridden = {}  # the previous node's branchings: column -> (lo, hi)
     lazy_cap = 10 * max(1, len(model.net.lines))
 
     incumbent = None
     inc_obj = float("inf")
     nodes = cuts = counter = 0
-    # (bound, counter, branchings, warm basis, origin); origin is the
-    # parent's objective, the index of the branched line, the direction
-    # and the change in x, or None at the root
-    heap = [(-float("inf"), counter, (), model.warm, None)]
+    heap = [_Node(-float("inf"), counter, (), model.warm, None, None)]
     status = None
     best_bound = -float("inf")
 
@@ -445,15 +451,15 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         return incumbent is not None and bound >= inc_obj - _GAP_EPS * (1.0 + abs(inc_obj))
 
     while heap and status is None:
-        bound, _, overrides, warm, origin = heapq.heappop(heap)
-        best_bound = bound
+        node = heapq.heappop(heap)
+        best_bound = bound = node.bound
         if incumbent is not None and (_gap(inc_obj, bound) <= config.rel_gap or pruned(bound)):
             break
         status = time_limit_status()
         if status is not None:
             break
 
-        node_bounds = {col: (lo, hi) for col, lo, hi in overrides}
+        node_bounds = {int_cols[k]: (float(d), float(d)) for k, d in node.branchings}
         for col in overridden.keys() | node_bounds.keys():
             lo, hi = node_bounds.get(col, root_bounds[col])
             if (lp.lo[col], lp.hi[col]) != (lo, hi):
@@ -461,18 +467,17 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
         overridden = node_bounds
         nodes += 1
         lazy_rounds = tree_rounds = 0
+        warm, parent_obj = node.basis, node.parent_obj  # parent_obj: None after the first solve
         while status is None:
-            stats.lp_calls += 1
             try:
-                sol = solve(lp, warm=warm)
+                sol = _counted_solve(lp, stats, warm=warm)
             except SimplexError:
                 status = "numerical-error"
                 break
-            stats.count(sol)
-            if origin is not None and sol.status == "optimal":
-                parent_obj, k, d, change = origin
-                pseudo.observe(d, k, max(sol.obj - parent_obj, 0.0) / change)
-            origin = None
+            if parent_obj is not None and sol.status == "optimal":
+                k, d = node.branchings[-1]
+                pseudo.observe(d, k, max(sol.obj - parent_obj, 0.0) / node.change)
+            parent_obj = None
             if sol.status == "unbounded":
                 status = "unbounded"
                 break
@@ -482,7 +487,7 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
             frac = np.abs(x_int - np.round(x_int))
             if frac.size and frac.max() > _INT_TOL:
                 rows = []
-                if len(overrides) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
+                if len(node.branchings) <= TREE_DEPTH and tree_rounds < TREE_ROUNDS:
                     tree_rounds += 1
                     x_hat = {lid: sol.x[col] for lid, col in vmap.x.items()}
                     rows = SeparationTable(lp_guided_cycles(model.net, x_hat), vmap).rows(sol.x)
@@ -502,10 +507,8 @@ def branch_and_bound(model: MilpModel, config: SolverConfig, lazy_source,
                     for d, child in children:
                         counter += 1
                         seed = sol if child is None else child
-                        heapq.heappush(heap, (seed.obj, counter,
-                                              overrides + ((int_cols[k], float(d), float(d)),),
-                                              seed.basis,
-                                              (sol.obj, k, d, abs(d - float(x_int[k])))))
+                        heapq.heappush(heap, _Node(seed.obj, counter, node.branchings + ((k, d),),
+                                                   seed.basis, sol.obj, abs(d - float(x_int[k]))))
                     break
             else:
                 x_hat = {lid: float(round(sol.x[col])) for lid, col in vmap.x.items()}

@@ -365,6 +365,8 @@ def test_csv_schema_is_stable():
     (["budget-sweep", "{net}", "--n-values", "0,-2"], "--n-values must be nonnegative"),
     # the controls replace the suites, so a named suite would go unrun
     (["verify", "hull", "--negative-controls"], "--negative-controls runs no suites"),
+    # the controls are fixed, so a seed given with them would go unused
+    (["verify", "--negative-controls", "--seed", "3"], "takes no --seed"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

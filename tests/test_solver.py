@@ -747,21 +747,30 @@ def test_a_child_that_strong_branching_proved_is_never_pushed(monkeypatch, name)
     log = _watch_strong_branching(monkeypatch)
     pushed = []
 
-    def pushing(heap, item):
-        pushed.append(item[2])  # the node's branchings: (column, lo, hi)
-        heapq.heappush(heap, item)
+    def pushing(heap, node):
+        pushed.append(node.branchings)
+        heapq.heappush(heap, node)
 
     monkeypatch.setattr("dcots.solver.heapq", SimpleNamespace(heappop=heapq.heappop,
                                                               heappush=pushing))
     res = solve_ots(STRONG_NETS[name]())
     assert res.status in ("optimal-within-gap", "infeasible")
     children = set()
-    for overrides in pushed:
+    for branchings in pushed:
         node = dict(zip(log["cols"], log["root"]))
-        node.update({col: (lo, hi) for col, lo, hi in overrides})
+        node.update({log["cols"][k]: (float(d), float(d)) for k, d in branchings})
         children.add(tuple(node[col] for col in log["cols"]))
     assert log["proven"] and children
     assert not log["proven"] & children
+
+
+def test_nodes_of_equal_bound_pop_in_counter_order_without_comparing_a_basis():
+    # a basis is not orderable, so heap order must be settled by bound and counter
+    heap = []
+    for counter in (2, 3, 1):
+        heapq.heappush(heap, dcots_solver._Node(5.0, counter, ((0, 1),), object(), 4.0, 0.5))
+    heapq.heappush(heap, dcots_solver._Node(4.5, 4, ((1, 0),), object(), 4.0, 0.25))
+    assert [heapq.heappop(heap).counter for _ in range(4)] == [4, 1, 2, 3]
 
 
 @pytest.mark.parametrize("name", STRONG_NETS)

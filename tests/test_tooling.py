@@ -137,6 +137,22 @@ def test_one_function_writes_the_cut_rows():
     assert [name for name, _ in writers] == ["inequality_row"], writers
 
 
+def _enclosing_functions(tree, match):
+    return [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if match(node)]
+
+
+def test_one_function_solves_and_counts_the_lps():
+    # an LP solve outside the counted helper would be missing from stats
+    tree = ast.parse((SRC / "dcots" / "solver.py").read_text())
+    solves = _enclosing_functions(tree, lambda node: isinstance(node, ast.Call)
+                                  and isinstance(node.func, ast.Name) and node.func.id == "solve")
+    counts = _enclosing_functions(tree, lambda node: isinstance(node, ast.AugAssign)
+                                  and isinstance(node.target, ast.Attribute)
+                                  and node.target.attr == "lp_calls")
+    assert solves == counts == ["_counted_solve"], (solves, counts)
+
+
 def test_the_solver_settings_are_three_fields():
     # a setting that only one value ever uses is a constant, not a field
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
