@@ -5,13 +5,14 @@ Every command reads instances from disk (native JSON, or a MATPOWER
 and writes machine-readable output.  The solver is deterministic, and
 ``gen`` and ``verify`` take their randomness from an explicit ``--seed``,
 so runs are reproducible byte for byte.  The checks behind ``verify``
-live in ``dcots.oracle``.
+live in ``dcots.oracle``, which only ``verify`` and ``gen subset-sum``
+import, when they run: the solve path starts without the oracle and the
+scipy modules it loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -27,12 +28,6 @@ from dcots.network import (
     relocate_generators,
     serialize_native,
     validate,
-)
-from dcots.oracle import (
-    VERIFY_SUITES,
-    SubsetSumInstance,
-    negative_controls,
-    reduce_subset_sum,
 )
 from dcots.solver import (
     CSV_HEADER,
@@ -84,6 +79,7 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.recipe == "subset-sum":
+        from dcots.oracle import SubsetSumInstance, reduce_subset_sum
         terms = tuple(int(v) for v in args.a.split(","))
         net = reduce_subset_sum(SubsetSumInstance(terms, args.b))
     else:
@@ -103,6 +99,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from dcots.oracle import VERIFY_SUITES, negative_controls
     if args.negative_controls:
         checks = ((f"negative-control {name}", detected, detail)
                   for name, detected, detail in negative_controls())
@@ -166,6 +163,7 @@ def _bench_one(name: str, net, config: SolverConfig):
 
 
 def cmd_bench(args) -> int:
+    import concurrent.futures
     paths = sorted(p for p in Path(args.instance_dir).iterdir()
                    if p.suffix in (".json", ".m"))
     if not paths:
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*",
-                   help=f"subset of {sorted(VERIFY_SUITES)} (default all)")
+                   help="subset of the suites (default all)")
     p.add_argument("--negative-controls", action="store_true",
                    help="run tampered checks and require their detection")
     p.add_argument("--seed", type=int, default=None,
@@ -302,9 +300,11 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.negative_controls and (args.suites or args.seed is not None):
             parser.error("--negative-controls runs no suites and takes no --seed")
+        from dcots.oracle import VERIFY_SUITES
         unknown = [s for s in args.suites if s not in VERIFY_SUITES]
         if unknown:
-            parser.error(f"unknown suite(s): {', '.join(unknown)}")
+            parser.error(f"unknown suite(s): {', '.join(unknown)}; "
+                         f"the suites are {', '.join(sorted(VERIFY_SUITES))}")
     if args.command == "gen":
         if args.recipe == "subset-sum" and (args.a is None or args.b is None):
             parser.error("subset-sum requires --a and --b")
@@ -316,6 +316,14 @@ def main(argv=None) -> int:
         parser.error("--max-off must be nonnegative")
     if args.command == "budget-sweep" and args.n_values and min(args.n_values) < 0:
         parser.error("--n-values must be nonnegative")
+    if args.command == "bench" and not Path(args.instance_dir).is_dir():
+        parser.error(f"{args.instance_dir} is not a directory")
+    for flag in ("out", "profile"):  # checked now, not after the solves
+        target = getattr(args, flag, None)
+        if target and Path(target).is_dir():
+            parser.error(f"--{flag}: {target} is a directory")
+        if target and not Path(target).parent.is_dir():
+            parser.error(f"--{flag}: {Path(target).parent} is not a directory")
     if args.command in ("solve", "budget-sweep", "bench"):
         modes = sorted(args.modes.split(",")) if args.command == "bench" else [args.mode]
         if len(set(modes)) < len(modes):

@@ -280,6 +280,17 @@ class Basis(NamedTuple):
 
 @dataclass(frozen=True)
 class LpSolution:
+    """The outcome of one ``solve``.
+
+    ``farkas`` is set only on an infeasibility that the dual simplex
+    proved: the row ``y`` of the basis inverse at the leaving variable
+    that no nonbasic variable could move towards its bound.  Every ``z``
+    with ``[A | I] z = b`` has ``y @ [A | I] z = y @ b``, and over the
+    variable and slack bounds ``y @ [A | I] z`` cannot reach ``y @ b``.
+    It is None on an optimal or unbounded result and on an infeasibility
+    found by primal phase 1.
+    """
+
     status: str                      # 'optimal' | 'infeasible' | 'unbounded'
     obj: float | None
     x: np.ndarray | None             # structural variable values
@@ -287,6 +298,7 @@ class LpSolution:
     iterations: int
     cold_start: bool                 # ran from a slack basis: no warm basis, or a fallback
     refactorizations: int            # inverses computed afresh, a failed warm start's included
+    farkas: np.ndarray | None = None  # one multiplier per row, see above
 
 
 def add_rows(lp: LinearProgram, rows) -> LinearProgram:
@@ -633,16 +645,18 @@ class _Engine:
     # -- dual simplex -------------------------------------------------------
 
     def dual(self, x: np.ndarray, viol: np.ndarray,
-             d: np.ndarray) -> tuple[str, np.ndarray]:
+             d: np.ndarray) -> tuple[str, np.ndarray, np.ndarray | None]:
         """Restore primal feasibility from a dual-feasible basis whose
         ``values()`` are ``x``, with ``violation()`` ``viol``, and whose
         reduced costs are ``d``.
 
         Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
-        caller should fall back to a cold primal solve), and the values
-        it ends at.  ``xb`` and ``d`` are carried through each step, with
-        ``x`` None; before a status is returned they are evaluated
-        afresh, and the status decided on them.
+        caller should fall back to a cold primal solve), the values it
+        ends at and, on 'infeasible', a copy of the row of the inverse
+        whose leaving variable nothing could move (see
+        ``LpSolution.farkas``), else None.  ``xb`` and ``d`` are carried
+        through each step, with ``x`` None; before a status is returned
+        they are evaluated afresh, and the status decided on them.
         """
         best = _INF
         stall = 0
@@ -670,7 +684,7 @@ class _Engine:
                     status = "infeasible"
             if status is not None:
                 if x is not None:
-                    return status, x
+                    return status, x, (self.binv[r].copy() if status == "infeasible" else None)
                 x, d = self.values(), None
                 viol = self.violation()
                 continue
@@ -717,12 +731,14 @@ class _Engine:
 
 
 def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
-            cold: bool = False) -> LpSolution:
+            cold: bool = False, farkas: np.ndarray | None = None) -> LpSolution:
     """The solution at the engine's final state, whose values are ``x``,
-    reached from a slack basis if ``cold``.  The engine is done, so its
+    reached from a slack basis if ``cold``, with the dual simplex's
+    ``farkas`` row on its infeasibility.  The engine is done, so its
     arrays go into the basis."""
     if status != "optimal":
-        return LpSolution(status, None, None, None, eng.iterations, cold, eng.refactorizations)
+        return LpSolution(status, None, None, None, eng.iterations, cold, eng.refactorizations,
+                          farkas)
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
     obj = float(eng.c[:eng.n] @ x[:eng.n])
@@ -751,7 +767,8 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
     Returns
     -------
     LpSolution
-        With status 'optimal' (x and basis filled), 'infeasible', or
+        With status 'optimal' (x and basis filled), 'infeasible' (with
+        ``farkas`` filled when the dual simplex proved it), or
         'unbounded'.
     """
     eng = _Engine(lp)
@@ -761,11 +778,11 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
             viol = eng.violation()
             if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
                 return _finish(eng, *eng.primal(x))
-            status, x = eng.dual(x, viol, d)
+            status, x, farkas = eng.dual(x, viol, d)
             if status == "optimal":
                 return _finish(eng, *eng.primal(x))
             if status == "infeasible":
-                return _finish(eng, "infeasible")
+                return _finish(eng, "infeasible", farkas=farkas)
             # stalled: fall through to the cold start below
     except (SimplexError, FloatingPointError):
         pass

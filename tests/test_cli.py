@@ -238,7 +238,8 @@ def test_verify_suites_pass_and_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "unknown suite(s): nonsense" in err and "facets" in err
 
 
 def test_verify_negative_controls_are_detected(capsys):
@@ -290,7 +291,7 @@ def test_bench_starts_no_more_workers_than_solves(tmp_path, capsys, monkeypatch,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("dcots.cli.concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     inst_dir = tmp_path / "insts"
     inst_dir.mkdir()
     for seed in (1, 2):
@@ -367,6 +368,16 @@ def test_csv_schema_is_stable():
     (["verify", "hull", "--negative-controls"], "--negative-controls runs no suites"),
     # the controls are fixed, so a seed given with them would go unused
     (["verify", "--negative-controls", "--seed", "3"], "takes no --seed"),
+    # paths that would fail at the write, for solve and bench after every solve
+    (["solve", "{net}", "--out", "{dir}/missing/r.json"], "--out: "),
+    (["gen", "perturb", "--base", "{net}", "--out", "{dir}/missing/g.json"], "--out: "),
+    (["budget-sweep", "{net}", "--out", "{dir}/missing/s.csv"], "--out: "),
+    (["bench", "{dir}", "--out", "{dir}/missing/r.csv"], "--out: "),
+    (["bench", "{dir}", "--profile", "{dir}/missing/p.csv"], "--profile: "),
+    (["solve", "{net}", "--out", "{net}/r.json"], "is not a directory"),
+    (["bench", "{dir}", "--out", "{dir}"], "is a directory"),
+    (["bench", "{net}"], "is not a directory"),
+    (["bench", "{dir}/missing"], "is not a directory"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

@@ -59,7 +59,8 @@ def test_unbounded():
     x1 = lp.add_col(cost=1.0)
     x2 = lp.add_col(cost=1.0)
     lp.add_row([(x1, 1.0), (x2, -1.0)], "==", 1.0)
-    assert solve(lp).status == "unbounded"
+    sol = solve(lp)
+    assert sol.status == "unbounded" and sol.farkas is None
 
 
 def test_infeasible():
@@ -808,6 +809,47 @@ def test_children_of_one_basis_solve_as_from_fresh_bases(inversions):
         assert not inversions
         _close_solve(got, solve(child), child)
         assert got.iterations > 0 and not got.cold_start
+
+
+def _farkas_margin(lp, y):
+    """How far ``y @ b`` lies outside the range of ``y @ [A | I] z`` over the
+    variable and slack bounds; negative if inside.  A coefficient within
+    PIVOT_TOL of zero is rounding on a basic column, zero in exact
+    arithmetic, and is dropped: times an infinite bound it would widen
+    the range without end."""
+    d = lp.dense()
+    coef = np.concatenate([y @ d.a, y])
+    keep = np.abs(coef) > PIVOT_TOL
+    coef = coef[keep]
+    lo = np.concatenate([lp.lo, d.slack[:, 0]])[keep]
+    hi = np.concatenate([lp.hi, d.slack[:, 1]])[keep]
+    low = np.where(coef > 0, coef * lo, coef * hi).sum()
+    high = np.where(coef > 0, coef * hi, coef * lo).sum()
+    rhs = y @ d.b
+    return max(low - rhs, rhs - high)
+
+
+def test_a_dual_simplex_infeasibility_carries_a_farkas_certificate():
+    lp, root, _ = _switching_root()
+    lines = sorted(_switching_model().integer_cols)
+    assert root.farkas is None
+    proved = 0
+    for pair in zip(lines, lines[1:] + lines[:1]):
+        for fix in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+            child = lp.copy()
+            for c, v in zip(pair, fix):
+                child.set_bounds(c, v, v)
+            sol = solve(child, warm=root.basis)
+            if sol.status != "infeasible":
+                assert sol.farkas is None
+                continue
+            assert not sol.cold_start and sol.farkas.shape == (child.n_rows,)
+            assert _farkas_margin(child, sol.farkas) > FEAS_TOL
+            # primal phase 1 proves the same infeasibility without one
+            cold = solve(child)
+            assert cold.status == "infeasible" and cold.farkas is None
+            proved += 1
+    assert proved >= 5
 
 
 def test_a_stored_basis_meets_bounds_that_no_longer_allow_its_statuses():

@@ -3,7 +3,8 @@
 rather than in ``perfbench/run.py --trace 1``, and a rename must not leave
 a stale name in a module's ``__all__``.  The declared dependencies must
 cover what ``src/dcots`` imports, importing the command line must not
-load networkx, which only the tests use, the oracle must not run the code
+load networkx, which only the tests use, nor the oracle and the scipy
+modules that only the oracle imports, the oracle must not run the code
 it checks, the solver must reach the LP through one interface, one
 function must write every cut row, the solver's settings must stay the
 three it has, no module may read the environment, every demo must run,
@@ -70,11 +71,39 @@ def _env_with_src():
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
+ON_DEMAND = ("networkx", "dcots.oracle", "scipy.optimize", "scipy.sparse")
+
+
 def test_the_cli_does_not_load_networkx():
+    # nor the oracle, which only verify and gen subset-sum run, and what it loads
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dcots.cli; print('networkx' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, dcots.cli; print([m for m in {ON_DEMAND!r} if m in sys.modules])"],
         env=_env_with_src(), capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def _imported_modules(node):
+    """The modules the import statements under ``node`` name; ``from a
+    import b`` names both ``a`` and ``a.b``."""
+    for imp in ast.walk(node):
+        if isinstance(imp, ast.Import):
+            yield from (alias.name for alias in imp.names)
+        elif isinstance(imp, ast.ImportFrom) and imp.level == 0:
+            yield imp.module
+            yield from (f"{imp.module}.{alias.name}" for alias in imp.names)
+
+
+def test_only_the_oracle_imports_scipy_optimize_and_sparse():
+    # and the cli imports the oracle only inside the commands that run it
+    found = set()
+    for path in sorted((SRC / "dcots").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            deferred = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            found |= {(path.stem, name, deferred) for name in _imported_modules(top)
+                      if name in ON_DEMAND}
+    assert found == {("oracle", "scipy.optimize", False), ("oracle", "scipy.sparse", False),
+                     ("cli", "dcots.oracle", True)}, sorted(found)
 
 
 def _linprog_calls(node):
