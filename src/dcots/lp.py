@@ -295,7 +295,7 @@ class LpSolution:
     obj: float | None
     x: np.ndarray | None             # structural variable values
     basis: Basis | None
-    iterations: int
+    iterations: int                  # pivots and bound flips, a failed warm start's included
     cold_start: bool                 # ran from a slack basis: no warm basis, or a fallback
     refactorizations: int            # inverses computed afresh, a failed warm start's included
     farkas: np.ndarray | None = None  # one multiplier per row, see above
@@ -334,6 +334,7 @@ class _Engine:
         self.movable, self.natural, self.finite_hi = v.movable, v.natural, v.finite_hi
         self.any_free = v.any_free
         self.iterations = 0
+        self.budget_start = 0  # the iteration at which the current attempt began
         self.refactorizations = 0
         self.degenerate_run = 0
         self.bland = False
@@ -361,7 +362,7 @@ class _Engine:
         self.set_basis(np.arange(self.n, self.N), stat)
         self.binv = np.eye(self.m)
         self.pivots_since_refactor = 0
-        self.iterations = 0  # a cold fallback after a failed warm start counts afresh
+        self.budget_start = self.iterations  # a cold fallback gets a budget of its own
         self.degenerate_run = 0
         self.bland = False
 
@@ -403,7 +404,8 @@ class _Engine:
         if a is self.A:
             return self.m
         k = a.shape[0]
-        if a.shape[1] != self.n or k > self.m or not (a == self.A[:k]).all():
+        if (a.shape[1] != self.n or k > self.m
+                or not np.logical_and.reduce(a == self.A[:k], axis=None)):
             return -1
         return k
 
@@ -432,7 +434,7 @@ class _Engine:
                 return False
             binv[np.ix_(s_pos, r_rows)] = minv
             binv[np.ix_(t_pos, r_rows)] = -(self.A[np.ix_(t_rows, cols)] @ minv)
-        if not np.all(np.isfinite(binv)):
+        if not np.logical_and.reduce(np.isfinite(binv), axis=None):
             return False
         self.binv = binv
         self.pivots_since_refactor = 0
@@ -464,8 +466,9 @@ class _Engine:
                 - (self.xb < self.lob - FEAS_TOL))
 
     def violation(self) -> np.ndarray:
-        """How far each basic variable lies outside its bounds."""
-        return np.maximum(self.lob - self.xb, 0.0) + np.maximum(self.xb - self.hib, 0.0)
+        """How far each basic variable lies outside its bounds: as
+        ``lob <= hib``, at most one of the two differences is positive."""
+        return np.maximum(np.maximum(self.lob - self.xb, self.xb - self.hib), 0.0)
 
     def reduced(self, cost: np.ndarray) -> np.ndarray:
         return cost - self.row(cost[self.basic] @ self.binv)
@@ -555,7 +558,7 @@ class _Engine:
             self.bland = False
 
     def check_budget(self) -> None:
-        if self.iterations > 20000 + 100 * (self.m + self.N):
+        if self.iterations - self.budget_start > 20000 + 100 * (self.m + self.N):
             raise SimplexError(f"iteration limit exceeded ({self.iterations})")
 
     # -- primal simplex (composite phase 1 + phase 2) -----------------------
@@ -572,13 +575,14 @@ class _Engine:
         while True:
             self.check_budget()
             side = self.sides()
-            feasible = not side.any()
+            feasible = not np.logical_or.reduce(side)
             if feasible:
-                cost = self.c
+                d = self.reduced(self.c)
             else:
-                cost = np.zeros(self.N)
-                cost[self.basic] = side
-            d = self.reduced(cost)
+                # the phase-1 cost is ``side`` on the basic variables, zero elsewhere
+                d = np.zeros(self.N)
+                d[self.basic] = side
+                d -= self.row(side @ self.binv)
             j = self.price(d)
             if j >= 0:
                 up = self.stat[j] == _LOWER or (self.stat[j] == _FREE and d[j] < 0)
@@ -603,12 +607,9 @@ class _Engine:
         if self.any_free:
             free = self.stat == _FREE
             score[free] = np.maximum(np.abs(d[free]) - OPT_TOL, 0.0)
-        elig = (score > 0).nonzero()[0]
-        if elig.size == 0:
-            return -1
-        if self.bland:
-            return int(elig[0])
-        return int(elig[np.argmax(score[elig])])
+        # the first positive score in Bland mode, else the first largest
+        j = int((score > 0.0).argmax() if self.bland else score.argmax())
+        return j if score[j] > 0.0 else -1
 
     def ratio(self, j: int, delta: float, w: np.ndarray, side: np.ndarray):
         """Largest step for entering j: (t, blocking row, leaving status).
@@ -624,22 +625,25 @@ class _Engine:
         """
         rate = -delta * w
         rows = ((np.abs(rate) > PIVOT_TOL) & (side * rate <= 0.0)).nonzero()[0]
+        t_flip = (self.hi[j] - self.lo[j]) if self.stat[j] != _FREE else _INF
+        if rows.size == 0:
+            return t_flip, -1, 0
         rate = rate[rows]
         # rising from within, or falling from above, ends at the upper bound
         upper = (rate > 0.0) == (side[rows] == 0.0)
         t = np.maximum((np.where(upper, self.hib[rows], self.lob[rows]) - self.xb[rows]) / rate,
                        0.0)
-        t_row_min = float(t.min()) if t.size else _INF
-        t_flip = (self.hi[j] - self.lo[j]) if self.stat[j] != _FREE else _INF
+        k = int(t.argmin())
+        t_row_min = float(t[k])
         if t_flip == _INF and t_row_min == _INF:
             return _INF, -1, 0
         if t_flip < t_row_min - PIVOT_TOL:
             return t_flip, -1, 0
-        ties = (t <= t_row_min + PIVOT_TOL).nonzero()[0]
-        if self.bland:
-            k = ties[np.argmin(self.basic[rows[ties]])]
-        else:
-            k = ties[np.argmax(np.abs(rate[ties]))]
+        if rows.size > 1:
+            ties = (t <= t_row_min + PIVOT_TOL).nonzero()[0]
+            if ties.size > 1:
+                k = int(ties[self.basic[rows[ties]].argmin() if self.bland
+                             else np.abs(rate[ties]).argmax()])
         return float(t[k]), int(rows[k]), _UPPER if upper[k] else _LOWER
 
     # -- dual simplex -------------------------------------------------------
@@ -650,31 +654,29 @@ class _Engine:
         ``values()`` are ``x``, with ``violation()`` ``viol``, and whose
         reduced costs are ``d``.
 
-        Returns 'optimal', 'infeasible', or 'stalled' (no progress; the
-        caller should fall back to a cold primal solve), the values it
-        ends at and, on 'infeasible', a copy of the row of the inverse
-        whose leaving variable nothing could move (see
-        ``LpSolution.farkas``), else None.  ``xb`` and ``d`` are carried
-        through each step, with ``x`` None; before a status is returned
-        they are evaluated afresh, and the status decided on them.
+        Returns 'optimal', 'infeasible', or 'stalled', the values it ends
+        at and, on 'infeasible', a copy of the row of the inverse whose
+        leaving variable nothing could move (see ``LpSolution.farkas``),
+        else None.  ``xb`` and ``d`` are carried through each step, with
+        ``x`` None; before a status is returned they are evaluated afresh,
+        and the status decided on them.
+
+        'stalled' ends the attempt after ``m`` consecutive dual-degenerate
+        steps, whose ratio ``|d_q / alpha_q|`` is at most ``OPT_TOL``: the
+        dual objective did not move.  Only such steps can cycle, and on
+        these programs, where only generator columns carry a cost, long
+        degenerate runs occur; the caller falls back to a cold solve.
         """
-        best = _INF
-        stall = 0
+        degenerate = 0
         while True:
             self.check_budget()
             status = None
-            total = float(viol.sum())
             r = int(viol.argmax())
-            if float(viol[r]) <= FEAS_TOL:
+            if viol[r] <= FEAS_TOL:
                 status = "optimal"
-            elif total < best - FEAS_TOL:
-                best = total
-                stall = 0
+            elif degenerate >= self.m:
+                status = "stalled"
             else:
-                stall += 1
-                if stall > 2 * (self.m + self.N):
-                    status = "stalled"
-            if status is None:
                 going_up = self.xb[r] < self.lob[r]
                 alpha = self.row(self.binv[r])
                 if d is None:
@@ -695,6 +697,7 @@ class _Engine:
             bound = self.lob[r] if going_up else self.hib[r]
             theta = (self.xb[r] - bound) / alpha[jcol]
             ratio = d[jcol] / alpha[jcol]
+            degenerate = degenerate + 1 if abs(ratio) <= OPT_TOL else 0
             d -= ratio * alpha
             d[self.basic[r]], d[jcol] = -ratio, 0.0
             x = None
@@ -715,11 +718,13 @@ class _Engine:
         if self.any_free:
             elig |= (self.stat == _FREE) & (np.abs(alpha) > PIVOT_TOL)
         cand = elig.nonzero()[0]
-        if cand.size == 0:
-            return -1
+        if cand.size <= 1:
+            return int(cand[0]) if cand.size else -1
         abs_alpha = np.abs(alpha[cand])
         ratios = np.abs(d[cand]) / abs_alpha
-        ties = (ratios <= float(ratios.min()) + OPT_TOL).nonzero()[0]
+        ties = (ratios <= ratios[ratios.argmin()] + OPT_TOL).nonzero()[0]
+        if ties.size == 1:
+            return int(cand[ties[0]])
         return int(cand[ties[abs_alpha[ties].argmax()]])
 
     def dual_feasible(self, d: np.ndarray) -> bool:
@@ -727,7 +732,7 @@ class _Engine:
         bad = self.sgn * d < -10 * OPT_TOL
         if self.any_free:
             bad |= (self.stat == _FREE) & (np.abs(d) > 10 * OPT_TOL)
-        return not bool(bad.any())
+        return not np.logical_or.reduce(bad)
 
 
 def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
@@ -742,7 +747,7 @@ def _finish(eng: _Engine, status: str, x: np.ndarray | None = None,
     for arr in (eng.binv, eng.basic, eng.stat):
         arr.flags.writeable = False
     obj = float(eng.c[:eng.n] @ x[:eng.n])
-    if not np.isfinite(obj):
+    if not math.isfinite(obj):
         raise SimplexError(f"objective {obj} is not finite")
     basis = Basis(eng.A, eng.binv, eng.basic, eng.stat, eng.pivots_since_refactor)
     return LpSolution("optimal", obj, x[:eng.n].copy(), basis, eng.iterations, cold,
@@ -776,7 +781,8 @@ def solve(lp: LinearProgram, warm: Basis | None = None) -> LpSolution:
         if warm is not None and eng.install(warm):
             x = eng.values()
             viol = eng.violation()
-            if (viol <= FEAS_TOL).all() or not eng.dual_feasible(d := eng.reduced(eng.c)):
+            feasible = np.logical_and.reduce(viol <= FEAS_TOL)
+            if feasible or not eng.dual_feasible(d := eng.reduced(eng.c)):
                 return _finish(eng, *eng.primal(x))
             status, x, farkas = eng.dual(x, viol, d)
             if status == "optimal":

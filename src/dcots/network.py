@@ -22,6 +22,7 @@ __all__ = [
     "Line",
     "PowerNetwork",
     "ValidationReport",
+    "MAX_MAGNITUDE",
     "build_network",
     "parse_native",
     "parse_matpower",
@@ -435,12 +436,23 @@ def _duplicates(ids) -> list[int]:
     return sorted(i for i, k in Counter(ids).items() if k > 1)
 
 
+# The largest magnitude of a per-unit load, generator bound, cost, capacity
+# or susceptance, and the inverse of the smallest susceptance, that
+# ``validate`` accepts.  Within it every big-M constant (at most twice the
+# largest susceptance times the sum of capacity over susceptance) and every
+# objective term stays finite by far; a capacity of 1e308 overflows them.
+MAX_MAGNITUDE = 1e12
+
+
 def validate(net: PowerNetwork) -> ValidationReport:
     """Check structural soundness of a network.
 
     Verifies unique ids, existing endpoints, no self-loops, positive
     susceptances and capacities, generator bus references, ordered
-    generator bounds, finite generator costs, and connectivity.
+    generator bounds, finite generator costs, and connectivity; and that
+    every per-unit load, generator bound, cost, capacity and susceptance
+    is at most ``MAX_MAGNITUDE`` in magnitude, and every susceptance at
+    least its inverse.
 
     Returns
     -------
@@ -457,6 +469,8 @@ def validate(net: PowerNetwork) -> ValidationReport:
     for b in net.buses:
         if not math.isfinite(b.load):
             problems.append(f"bus {b.id}: non-finite load")
+        elif abs(b.load) > MAX_MAGNITUDE:
+            problems.append(f"bus {b.id}: load {b.load:g} per unit exceeds {MAX_MAGNITUDE:g}")
     if dup := _duplicates(ln.id for ln in net.lines):
         problems.append(f"duplicate line ids: {dup}")
     for ln in net.lines:
@@ -468,17 +482,29 @@ def validate(net: PowerNetwork) -> ValidationReport:
         if not (ln.susceptance > 0 and math.isfinite(ln.susceptance)):
             problems.append(f"line {ln.id}: susceptance must be positive, "
                             f"got {ln.susceptance}")
+        elif not 1.0 / MAX_MAGNITUDE <= ln.susceptance <= MAX_MAGNITUDE:
+            problems.append(f"line {ln.id}: susceptance {ln.susceptance:g} per unit is outside "
+                            f"[{1.0 / MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}]")
         if not (ln.capacity > 0 and math.isfinite(ln.capacity)):
             problems.append(f"line {ln.id}: capacity must be positive, "
                             f"got {ln.capacity}")
+        elif ln.capacity > MAX_MAGNITUDE:
+            problems.append(f"line {ln.id}: capacity {ln.capacity:g} per unit "
+                            f"exceeds {MAX_MAGNITUDE:g}")
     for g in net.generators:
         if g.bus not in id_set:
             problems.append(f"generator at unknown bus {g.bus}")
         if not (0 <= g.p_min <= g.p_max):
             problems.append(f"generator at bus {g.bus}: "
                             f"need 0 <= p_min <= p_max, got [{g.p_min}, {g.p_max}]")
+        elif g.p_max > MAX_MAGNITUDE:
+            problems.append(f"generator at bus {g.bus}: p_max {g.p_max:g} per unit "
+                            f"exceeds {MAX_MAGNITUDE:g}")
         if not math.isfinite(g.cost):
             problems.append(f"generator at bus {g.bus}: cost must be finite, got {g.cost}")
+        elif abs(g.cost) > MAX_MAGNITUDE:
+            problems.append(f"generator at bus {g.bus}: cost {g.cost:g} per unit "
+                            f"exceeds {MAX_MAGNITUDE:g}")
     if net.buses and not problems:
         find, union = union_find(id_set)
         for ln in net.lines:

@@ -124,18 +124,21 @@ class SolverConfig:
 class SolveStats:
     """Counters of one solve, over the root and the search: LP solves
     started, the strong-branching ones among them, simplex iterations of
-    those that returned, how many of them ran from a slack basis (first
-    solves and warm starts that fell back) and the basis inverses they
+    those that returned (an abandoned warm attempt's included), how many
+    of them ran from a slack basis (first solves and warm starts that fell
+    back), the warm starts that fell back, and the basis inverses they
     computed afresh, bus cover rows added before the search, cut rows
     added at tree nodes and lazy KVL rows added at integral ones; and the
     node (counted from 1 in the order the search takes them) and the
     seconds since the solve started at which the first incumbent was
-    found, None until one is; ``_counted_solve`` keeps the first four."""
+    found, None until one is.  ``_counted_solve`` keeps every LP counter
+    but ``strong_branch_solves``."""
 
     lp_calls: int = 0
     strong_branch_solves: int = 0
     simplex_iterations: int = 0
     cold_starts: int = 0
+    warm_fallbacks: int = 0
     refactorizations: int = 0
     cover_rows: int = 0
     tree_cuts: int = 0
@@ -178,6 +181,7 @@ def _counted_solve(lp, stats: SolveStats, warm=None):
     sol = solve(lp, warm=warm)
     stats.simplex_iterations += sol.iterations
     stats.cold_starts += sol.cold_start
+    stats.warm_fallbacks += warm is not None and sol.cold_start
     stats.refactorizations += sol.refactorizations
     return sol
 

@@ -82,8 +82,9 @@ def test_solve_writes_the_result_file(tmp_path, capsys):
     assert doc["status"] == "optimal-within-gap"
     assert all(v == 1.0 for v in doc["x"].values())
     assert set(doc["stats"]) == {"lp_calls", "strong_branch_solves", "simplex_iterations",
-                                 "cold_starts", "refactorizations", "cover_rows", "tree_cuts",
-                                 "lazy_rows", "first_incumbent_node", "first_incumbent_s"}
+                                 "cold_starts", "warm_fallbacks", "refactorizations",
+                                 "cover_rows", "tree_cuts", "lazy_rows",
+                                 "first_incumbent_node", "first_incumbent_s"}
     assert doc["stats"]["lp_calls"] >= 1
     assert 1 <= doc["stats"]["first_incumbent_node"] <= doc["nodes"]
     assert 0.0 <= doc["stats"]["first_incumbent_s"] <= doc["wall_time_s"]
@@ -206,13 +207,18 @@ def test_a_generator_cost_that_is_not_finite_is_exit_4(tmp_path, capsys, cost):
         assert "Traceback" not in captured.err
 
 
-def test_a_capacity_of_1e308_ends_in_a_status_not_a_traceback(tmp_path, capsys):
+def test_a_capacity_of_1e308_is_rejected_at_load(tmp_path, capsys):
+    # solved, it would overflow and end in numerical-error
     doc = json.loads(serialize_native(random_connected_network(0)))
     doc["lines"][0]["capacity_mw"] = 1e308
+    line = doc["lines"][0]["id"]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    assert main(["solve", str(path)]) in (0, 5)
-    assert "Traceback" not in capsys.readouterr().err
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"huge.json: line {line}: capacity 1e+308 per unit exceeds 1e+12" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("key, value, says", [

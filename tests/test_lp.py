@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -10,10 +11,12 @@ import pytest
 from scipy.optimize import linprog
 
 import dcots.lp
+from dcots import cyclebasis
 from dcots.formulations import build_ots_angle
-from dcots.lp import (FEAS_TOL, PIVOT_TOL, _BASIC, _FREE, _LOWER, _UPPER, LinearProgram,
+from dcots.lp import (FEAS_TOL, OPT_TOL, PIVOT_TOL, _BASIC, _FREE, _LOWER, _UPPER, LinearProgram,
                       SimplexError, _Engine, add_rows, solve)
 from dcots.network import parse_native, random_connected_network
+from dcots.solver import SolverConfig, strengthen_root
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import ladder  # noqa: E402
@@ -343,7 +346,7 @@ def test_the_state_carried_by_row_follows_the_basis(monkeypatch, carried_by_row,
 
         def note_step(self, t):
             real_note_step(self, t)
-            self.bland |= self.iterations <= 40
+            self.bland |= self.iterations - self.budget_start <= 40  # of this attempt
         monkeypatch.setattr(_Engine, "note_step", note_step)
     rng = np.random.default_rng(48)
     for _ in range(3):
@@ -363,7 +366,8 @@ def test_the_state_carried_by_row_follows_the_basis(monkeypatch, carried_by_row,
     monkeypatch.setattr(_Engine, "check_budget", check_budget)
     fallback = solve(bigger, warm=sol.basis)
     assert fallback.cold_start and not failures
-    _same_solve(fallback, solve(bigger))
+    # the three abandoned dual steps count among the fallback's iterations
+    _same_solve(dataclasses.replace(fallback, iterations=fallback.iterations - 3), solve(bigger))
     seen = carried_by_row
     assert seen["steps"] > 300 and seen["flips"] > 0 and seen["extended"] >= 2
     assert seen["fallbacks"] == 1
@@ -462,6 +466,95 @@ def test_the_ratio_test_matches_a_row_by_row_reference():
              "above" if x[v] > eng.hi[v] + FEAS_TOL else "within"] += 1
         if r != ties[0][1]:  # a tie the rule breaks away from the first tied row
             seen["Bland ties" if eng.bland else "ties on |w|"] += 1
+    assert all(seen.values()), seen
+
+
+def _price_by_row(eng, d):
+    """``_Engine.price`` one variable at a time: the first variable whose
+    reduced cost improves by more than OPT_TOL in Bland mode, else the
+    first of the largest scores, -1 if none improves; and the scores."""
+    scores = [max(abs(d[v]) - OPT_TOL, 0.0) if eng.stat[v] == _FREE
+              else max(-(eng.sgn[v] * d[v]) - OPT_TOL, 0.0) for v in range(eng.N)]
+    best, pick = 0.0, -1
+    for v, score in enumerate(scores):
+        if score > 0.0 and eng.bland:
+            return v, scores
+        if score > best:
+            best, pick = score, v
+    return pick, scores
+
+
+def _dual_ratio_by_row(eng, alpha, d, going_up):
+    """``_Engine.dual_ratio`` one variable at a time: among the variables
+    that move the leaving one towards its violated bound, the smallest
+    ``|d| / |alpha|``, ties within OPT_TOL to the largest ``|alpha|`` and
+    then the first variable; also the number of candidates and of ties."""
+    cands = []
+    for v in range(eng.N):
+        if eng.stat[v] == _FREE:
+            moves = abs(alpha[v]) > PIVOT_TOL
+        else:
+            step = eng.sgn[v] * alpha[v]
+            moves = step < -PIVOT_TOL if going_up else step > PIVOT_TOL
+        if moves:
+            cands.append((abs(d[v]) / abs(alpha[v]), v))
+    if not cands:
+        return -1, 0, 0
+    t_min = min(t for t, _ in cands)
+    ties = [v for t, v in cands if t <= t_min + OPT_TOL]
+    return max(ties, key=lambda v: (abs(alpha[v]), -v)), len(cands), len(ties)
+
+
+def _signed_choice(rng, values, size):
+    return rng.choice(values, size=size) * rng.choice([-1.0, 1.0], size=size)
+
+
+def test_pricing_matches_a_row_by_row_reference():
+    lp = LinearProgram([0.0] * 10, [0.0] * 10, [1.0] * 10,
+                       [([(c, 1.0)], "<=", 1.0) for c in range(8)])
+    eng = _Engine(lp)
+    rng = np.random.default_rng(2015)
+    seen = dict.fromkeys(("none", "Bland", "tie to the first", "free"), 0)
+    for _ in range(3000):
+        _ratio_state(eng, rng)
+        eng.any_free = bool((eng.stat == _FREE).any())
+        # few distinct magnitudes, so that scores tie; some within OPT_TOL
+        d = _signed_choice(rng, [0.0, 0.5 * OPT_TOL, 1.0, 2.0], eng.N)
+        got = eng.price(d)
+        want, scores = _price_by_row(eng, d)
+        assert got == want and type(got) is int
+        if got < 0:
+            seen["none"] += 1
+        elif eng.bland:
+            seen["Bland"] += 1
+        elif eng.stat[got] == _FREE:
+            seen["free"] += 1
+        elif scores.count(scores[got]) > 1:
+            seen["tie to the first"] += 1
+    assert all(seen.values()), seen
+
+
+def test_the_dual_ratio_test_matches_a_row_by_row_reference():
+    lp = LinearProgram([0.0] * 10, [0.0] * 10, [1.0] * 10,
+                       [([(c, 1.0)], "<=", 1.0) for c in range(8)])
+    eng = _Engine(lp)
+    rng = np.random.default_rng(2016)
+    seen = dict.fromkeys(("none", "one candidate", "one tie", "ties on |alpha|", "free"), 0)
+    for _ in range(3000):
+        _ratio_state(eng, rng)
+        eng.any_free = bool((eng.stat == _FREE).any())
+        alpha = _signed_choice(rng, [0.0, 0.5 * PIVOT_TOL, 0.5, 1.0, 2.0], eng.N)
+        d = _signed_choice(rng, [0.0, 0.5 * OPT_TOL, 0.5, 1.0], eng.N)
+        going_up = bool(rng.random() < 0.5)
+        got = eng.dual_ratio(alpha, d, going_up)
+        want, n_cands, n_ties = _dual_ratio_by_row(eng, alpha, d, going_up)
+        assert got == want and type(got) is int
+        if got < 0:
+            seen["none"] += 1
+            continue
+        seen["free"] += eng.stat[got] == _FREE
+        seen["one candidate" if n_cands == 1 else "one tie" if n_ties == 1
+             else "ties on |alpha|"] += 1
     assert all(seen.values()), seen
 
 
@@ -809,6 +902,46 @@ def test_children_of_one_basis_solve_as_from_fresh_bases(inversions):
         assert not inversions
         _close_solve(got, solve(child), child)
         assert got.iterations > 0 and not got.cold_start
+
+
+def test_a_degenerate_dual_run_falls_back_after_m_steps(monkeypatch):
+    # the 4x4-7 root, cycle basis expanded twice: one re-solve of its cut
+    # rounds is a long run of dual steps that leave the dual objective
+    # where it is, which ends in the cold solve's result either way
+    net = parse_native(ladder.to_native(ladder.grid_instance(4, 4, 7)))
+    cycles = cyclebasis.cycle_basis(net)
+    for _ in range(2):
+        cycles = cyclebasis.expand_cycle_set(cycles)
+    calls = []
+
+    def recording(lp, warm=None):
+        calls.append((lp, warm))
+        return solve(lp, warm=warm)
+    monkeypatch.setattr("dcots.solver.solve", recording)
+    strengthen_root(build_ots_angle(net), cycles, SolverConfig().strengthen_rounds)
+    abandoned = []
+    real_slack_start = _Engine.slack_start
+
+    def slack_start(self):
+        abandoned.append(self.iterations)  # the dual steps of the warm attempt
+        real_slack_start(self)
+    monkeypatch.setattr(_Engine, "slack_start", slack_start)
+    stalled = 0
+    for lp, warm in calls:
+        if warm is None:
+            continue
+        abandoned.clear()
+        got = solve(lp, warm=warm)
+        if not got.cold_start:
+            continue
+        stalled += 1
+        steps = abandoned[0]
+        assert 0 < steps <= lp.n_rows + 1
+        cold = solve(lp)
+        assert (got.status, got.obj) == (cold.status, cold.obj)
+        assert np.array_equal(got.x, cold.x)
+        assert got.iterations == steps + cold.iterations  # the abandoned steps count
+    assert stalled == 1
 
 
 def _farkas_margin(lp, y):

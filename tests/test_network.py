@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dcots.cli import main
 from dcots.network import (
+    MAX_MAGNITUDE,
     augment_with_cycle,
     build_network,
     parse_matpower,
@@ -306,6 +307,42 @@ def test_validate_flags_a_generator_cost_that_is_not_finite(cost):
     )
     report = validate(net)
     assert report.problems == (f"generator at bus 2: cost must be finite, got {cost}",)
+
+
+@pytest.mark.parametrize("field, says", [
+    ("load", "bus 2: load 1e+13 per unit exceeds 1e+12"),
+    ("p_max", "generator at bus 0: p_max 1e+13 per unit exceeds 1e+12"),
+    ("cost", "generator at bus 0: cost -1e+13 per unit exceeds 1e+12"),
+    ("capacity", "line 1: capacity 1e+308 per unit exceeds 1e+12"),
+    ("susceptance", "line 1: susceptance 1e+13 per unit is outside [1e-12, 1e+12]"),
+    ("reactance", "line 1: susceptance 1e-13 per unit is outside [1e-12, 1e+12]"),
+])
+def test_validate_flags_a_magnitude_beyond_the_bound(field, says):
+    # such magnitudes overflow the big-M constants and objective terms
+    load, p_max, cost, susceptance, capacity = 1.0, 2.0, 1.0, 1.0, 1.0
+    if field == "load":
+        load = 1e13
+    elif field == "p_max":
+        p_max = 1e13
+    elif field == "cost":
+        cost = -1e13
+    elif field == "capacity":
+        capacity = 1e308
+    else:
+        susceptance = 1e13 if field == "susceptance" else 1e-13
+    edge = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, load)],
+        generators=[(0, 0.0, p_max, cost)],
+        lines=[(0, 0, 1, 1.0, 1.0), (1, 1, 2, susceptance, capacity), (2, 0, 2, 1.0, 1.0)],
+    )
+    assert validate(edge).problems == (says,)
+    within = build_network(
+        buses=[(0, 0.0), (1, 0.0), (2, MAX_MAGNITUDE)],
+        generators=[(0, 0.0, MAX_MAGNITUDE, -MAX_MAGNITUDE)],
+        lines=[(0, 0, 1, MAX_MAGNITUDE, MAX_MAGNITUDE), (1, 1, 2, 1.0 / MAX_MAGNITUDE, 1.0),
+               (2, 0, 2, 1.0, 1.0)],
+    )
+    assert validate(within).ok
 
 
 def test_validate_flags_disconnected():

@@ -430,13 +430,14 @@ def test_time_limit_ends_the_lazy_rows_of_a_node(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["default", "basic"])
 def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode):
-    counted = {"calls": 0, "iterations": 0, "cold": 0, "refactorizations": 0}
+    counted = {"calls": 0, "iterations": 0, "cold": 0, "fallbacks": 0, "refactorizations": 0}
 
     def counting(lp, warm=None):
         sol = lp_solve(lp, warm=warm)
         counted["calls"] += 1
         counted["iterations"] += sol.iterations
         counted["cold"] += sol.cold_start
+        counted["fallbacks"] += warm is not None and sol.cold_start
         counted["refactorizations"] += sol.refactorizations
         return sol
 
@@ -451,7 +452,8 @@ def test_stats_count_every_lp_solve_of_the_root_and_the_search(monkeypatch, mode
     assert result_to_doc(res)["stats"] == {
         "lp_calls": counted["calls"], "strong_branch_solves": res.stats.strong_branch_solves,
         "simplex_iterations": counted["iterations"],
-        "cold_starts": 1, "refactorizations": counted["refactorizations"],
+        "cold_starts": 1, "warm_fallbacks": counted["fallbacks"],
+        "refactorizations": counted["refactorizations"],
         "cover_rows": res.stats.cover_rows, "tree_cuts": res.stats.tree_cuts, "lazy_rows": res.stats.lazy_rows,
         "first_incumbent_node": res.stats.first_incumbent_node,
         "first_incumbent_s": res.stats.first_incumbent_s}

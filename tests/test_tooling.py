@@ -6,7 +6,8 @@ cover what ``src/dcots`` imports, importing the command line must not
 load networkx, which only the tests use, nor the oracle and the scipy
 modules that only the oracle imports, the oracle must not run the code
 it checks, the solver must reach the LP through one interface, one
-function must write every cut row, the solver's settings must stay the
+function must write every cut row, the simplex engine must call no numpy
+reduction through a Python wrapper, the solver's settings must stay the
 three it has, no module may read the environment, every demo must run,
 and every command line that README shows must parse."""
 
@@ -180,6 +181,21 @@ def test_one_function_solves_and_counts_the_lps():
                                   and isinstance(node.target, ast.Attribute)
                                   and node.target.attr == "lp_calls")
     assert solves == counts == ["_counted_solve"], (solves, counts)
+
+
+def test_the_simplex_engine_calls_no_python_level_numpy_wrappers():
+    # ndarray.sum/min/max/any/all and np.argmax/np.argmin run through
+    # Python wrappers in numpy; in the pivot loops that call overhead is
+    # most of a step's cost, so the engine calls the C reductions directly
+    tree = ast.parse((SRC / "dcots" / "lp.py").read_text())
+    engine = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "_Engine")
+    calls = [(node.func.attr, node.lineno) for node in ast.walk(engine)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and (node.func.attr in ("sum", "min", "max", "any", "all")
+                  or node.func.attr in ("argmax", "argmin")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")]
+    assert not calls, calls
 
 
 def test_the_solver_settings_are_three_fields():
