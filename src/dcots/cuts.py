@@ -17,8 +17,9 @@ violated and every separator returns nothing.
 ``SeparationTable`` is the solve path's separator: it runs that closed
 form over a whole cycle set in one array pass per round.
 ``make_context`` and ``separate_closed_form`` run it on one cycle in
-plain Python; they are the reference the tests check the table against,
-float for float, and the oracle's separation check runs them.
+plain Python; they are the reference the tests and the oracle's
+separation check compare the table against, float for float, and that
+check also compares them with every subset.
 ``separate_all`` lists every violated subset; only the tests, demo 03
 and the benchmark's traced run call it.  Every separator returns
 ``CycleInequality`` records, and ``inequality_row`` alone writes their

@@ -21,6 +21,7 @@ __all__ = [
     "Cycle",
     "spanning_forest",
     "cycle_basis",
+    "tree_parents",
     "cycle_of_chord",
     "combine_cycles",
     "expand_cycle_set",
@@ -103,38 +104,36 @@ def cycle_basis(net: PowerNetwork) -> tuple[Cycle, ...]:
     if len(tree) < len(net.buses) - 1:
         raise ValueError(f"spanning forest has {len(tree)} lines < |B| - 1; "
                          "network disconnected")
-    parent = _tree_parents(net, tree)
-    return tuple(Cycle(_from_lowest(_chord_walk(parent, ch))) for ch in chords)
+    parent = tree_parents(net, tree)
+    return tuple(Cycle(_from_lowest(cycle_of_chord(parent, ch).members)) for ch in chords)
 
 
-def _from_lowest(walk: list[tuple[Line, int]]) -> tuple[tuple[Line, int], ...]:
+def _from_lowest(walk: tuple[tuple[Line, int], ...]) -> tuple[tuple[Line, int], ...]:
     """Rotate an oriented closed walk to start at its lowest line id,
     reversed if need be so that line is crossed forward; this is the order
     ``_orient_cycle`` gives the same lines."""
     i = min(range(len(walk)), key=lambda k: walk[k][0].id)
     walk = walk[i:] + walk[:i]
     if walk[0][1] == -1:
-        walk = [(ln, -s) for ln, s in walk[:1] + walk[:0:-1]]
-    return tuple(walk)
+        walk = tuple((ln, -s) for ln, s in walk[:1] + walk[:0:-1])
+    return walk
 
 
-def _tree_parents(net: PowerNetwork, tree) -> dict[int, Line | None]:
+def tree_parents(net: PowerNetwork, tree) -> dict[int, Line | None]:
     """Parent line of every bus in the forest ``tree``, found breadth first
-    from each tree's first bus (its root, whose parent is None)."""
-    adj: dict[int, list[Line]] = {b.id: [] for b in net.buses}
-    for ln in tree:
-        adj[ln.from_bus].append(ln)
-        adj[ln.to_bus].append(ln)
+    over ``net.incident`` from each tree's lowest bus id (its root, whose
+    parent is None).  The map lists every bus after its parent's bus."""
+    in_tree = {ln.id for ln in tree}
     parent: dict[int, Line | None] = {}
-    for root in adj:
+    for root in sorted(net.incident):
         if root in parent:
             continue
         parent[root] = None
         order = [root]
         for u in order:
-            for ln in adj[u]:
+            for ln in net.incident[u]:
                 v = ln.to_bus if ln.from_bus == u else ln.from_bus
-                if v not in parent:
+                if v not in parent and ln.id in in_tree:
                     parent[v] = ln
                     order.append(v)
     return parent
@@ -149,25 +148,15 @@ def _climb(parent, bus: int) -> list[tuple[Line, int]]:
     return steps
 
 
-def _chord_walk(parent, chord: Line) -> list[tuple[Line, int]]:
-    """The chord forward, then the tree path from its to bus back to its from bus."""
+def cycle_of_chord(parent, chord: Line) -> Cycle:
+    """The cycle closed by ``chord`` against the forest of ``parent``, a
+    ``tree_parents`` map with a path between the chord's endpoints: the
+    chord forward, then the tree path from its to bus back to its from bus."""
     up, down = _climb(parent, chord.to_bus), _climb(parent, chord.from_bus)
     while up and down and up[-1][0] is down[-1][0]:  # above the common ancestor
         up.pop()
         down.pop()
-    return [(chord, 1)] + up + [(ln, -s) for ln, s in reversed(down)]
-
-
-def cycle_of_chord(net: PowerNetwork, tree_line_ids, chord: Line) -> Cycle:
-    """The cycle closed by ``chord`` against a spanning forest.
-
-    ``tree_line_ids`` must describe a forest containing a path between the
-    chord's endpoints.  The cycle traverses the chord forward and returns
-    through the unique tree path.
-    """
-    tree_ids = set(tree_line_ids)
-    tree = [ln for ln in net.lines if ln.id in tree_ids]
-    return Cycle(tuple(_chord_walk(_tree_parents(net, tree), chord)))
+    return Cycle(((chord, 1), *up, *((ln, -s) for ln, s in reversed(down))))
 
 
 def combine_cycles(c1: Cycle, c2: Cycle) -> Cycle | None:
@@ -227,17 +216,13 @@ def lp_guided_cycles(net: PowerNetwork, x_hat) -> tuple[Cycle, ...]:
     ``net.lines`` that reaches it.
     """
     weight = {ln.id: 1.0 - min(1.0, max(0.0, x_hat[ln.id])) for ln in net.lines}
-    adj: dict[int, list[Line]] = {b.id: [] for b in net.buses}
-    for ln in net.lines:
-        adj[ln.from_bus].append(ln)
-        adj[ln.to_bus].append(ln)
     seen: set[frozenset[int]] = set()
     out = []
     for line in net.lines:
         cutoff = 1.0 - weight[line.id]  # the path may weigh less than this
         if cutoff <= 0.0:
             continue
-        path = _shortest_path(adj, weight, line, cutoff)
+        path = _shortest_path(net.incident, weight, line, cutoff)
         if path is None:
             continue
         cyc = Cycle(((line, 1),) + path)

@@ -28,10 +28,7 @@ from dcots.network import PowerNetwork
 
 __all__ = [
     "VariableMap",
-    "BigMConfig",
     "MilpModel",
-    "compute_big_m",
-    "cycle_big_m",
     "build_opf_angle",
     "build_opf_cycle",
     "build_ots_angle",
@@ -61,18 +58,6 @@ class VariableMap:
     x: dict[int, int]
 
 
-@dataclass(frozen=True)
-class BigMConfig:
-    """Big-M data for the switching formulations.
-
-    ``theta_bound`` bounds every angle from the reference bus; the
-    per-line constants deactivate the angle rows of open lines.
-    """
-
-    theta_bound: float
-    m_line: dict[int, float]  # line id -> M
-
-
 @dataclass
 class MilpModel:
     """A built model: the LP relaxation plus integrality marks, and the
@@ -84,24 +69,6 @@ class MilpModel:
     integer_cols: tuple[int, ...]
     net: PowerNetwork
     warm: Basis | None = None
-
-
-def compute_big_m(net: PowerNetwork) -> BigMConfig:
-    """Big-M constants from the total capacity/susceptance weight.
-
-    With one bus fixed at angle zero, any angle in a connected active
-    topology is bounded by Theta = sum of capacity/susceptance over all
-    lines; a line's constant 2 B Theta + capacity then covers the largest
-    possible angle difference its relaxed rows must absorb.
-    """
-    theta = sum(ln.w for ln in net.lines)
-    return BigMConfig(theta, {ln.id: 2.0 * ln.susceptance * theta + ln.capacity
-                              for ln in net.lines})
-
-
-def cycle_big_m(cycle: Cycle) -> float:
-    """Big-M for a cycle's flow-sum rows: the cycle weight itself."""
-    return cycle.weight
 
 
 def _base_columns(lp: LinearProgram, net: PowerNetwork, with_theta: bool,
@@ -130,11 +97,8 @@ def _balance_rows(lp: LinearProgram, net: PowerNetwork, vmap: VariableMap) -> No
         gens_at.setdefault(g.bus, []).append(i)
     for b in net.buses:
         coeffs = [(vmap.pg[i], 1.0) for i in gens_at.get(b.id, ())]
-        for ln in net.lines:
-            if ln.from_bus == b.id:
-                coeffs.append((vmap.flow[ln.id], -1.0))
-            elif ln.to_bus == b.id:
-                coeffs.append((vmap.flow[ln.id], 1.0))
+        coeffs += [(vmap.flow[ln.id], -1.0 if ln.from_bus == b.id else 1.0)
+                   for ln in net.incident[b.id]]
         lp.add_row(coeffs, "==", b.load)
 
 
@@ -177,17 +141,19 @@ def build_opf_cycle(net: PowerNetwork,
 def build_ots_angle(net: PowerNetwork) -> MilpModel:
     """Angle-based switching MILP with big-M deactivation.
 
-    Open lines carry no flow; closed lines obey the angle rows.  Angles
-    live in [-Theta, Theta] with the lowest-indexed bus fixed at zero,
-    which keeps the big-M rows valid for every on/off pattern.
+    Open lines carry no flow; closed lines obey the angle rows.  With the
+    lowest-indexed bus fixed at zero, every angle of a connected active
+    topology lies in [-Theta, Theta], Theta the sum of capacity over
+    susceptance over all lines, and a line's M = 2 B Theta + capacity
+    covers the largest angle difference its relaxed rows must absorb, so
+    the big-M rows are valid for every on/off pattern.
     """
-    bigm = compute_big_m(net)
+    theta = sum(ln.w for ln in net.lines)
     lp = LinearProgram()
-    vmap = _base_columns(lp, net, with_theta=True, with_x=True,
-                         theta_bound=bigm.theta_bound)
+    vmap = _base_columns(lp, net, with_theta=True, with_x=True, theta_bound=theta)
     _balance_rows(lp, net, vmap)
     for ln in net.lines:
-        m = bigm.m_line[ln.id]
+        m = 2.0 * ln.susceptance * theta + ln.capacity
         fcol, xcol = vmap.flow[ln.id], vmap.x[ln.id]
         ohm = [(fcol, 1.0), (vmap.theta[ln.from_bus], -ln.susceptance),
                (vmap.theta[ln.to_bus], ln.susceptance)]
@@ -222,9 +188,9 @@ def cycle_cut_rows(cycle: Cycle, vmap: VariableMap):
 
     With every line of the cycle closed the signed flows over
     susceptance must cancel exactly; each open line relaxes the pair by
-    the cycle weight.
+    the cycle weight, its big-M.
     """
-    m = cycle_big_m(cycle)
+    m = cycle.weight
     k = len(cycle.members)
     fpart = [(vmap.flow[ln.id], s / ln.susceptance) for ln, s in cycle.members]
     xpart_up = [(vmap.x[ln.id], m) for ln, _ in cycle.members]
@@ -257,18 +223,14 @@ def bus_cover_rows(model: MilpModel):
     (1 + deficit).  A row is kept only when k(b) exceeds the number of
     b's non-switchable lines by 2 or more; a bus whose lines cannot carry
     the deficit at all gets none, as the relaxation is then infeasible
-    already.  One pass over the buses and
-    lines; each bus sorts only its own capacities.
+    already.  Each bus reads its lines from ``net.incident`` and sorts
+    only their capacities.
     """
     net = model.net
     supply = {b.id: [0.0, 0.0] for b in net.buses}  # bus -> [sum p_min, sum p_max]
     for g in net.generators:
         supply[g.bus][0] += g.p_min
         supply[g.bus][1] += g.p_max
-    incident: dict[int, list] = {b.id: [] for b in net.buses}
-    for ln in net.lines:
-        incident[ln.from_bus].append(ln)
-        incident[ln.to_bus].append(ln)
     rows = []
     for b in net.buses:
         p_min, p_max = supply[b.id]
@@ -276,7 +238,7 @@ def bus_cover_rows(model: MilpModel):
         need = deficit - _COVER_TOL * (1.0 + deficit)
         if need <= 0.0:
             continue
-        lines = incident[b.id]
+        lines = net.incident[b.id]
         k, reach = 0, 0.0
         for cap in sorted((ln.capacity for ln in lines), reverse=True):
             if reach >= need:

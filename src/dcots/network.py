@@ -13,6 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,20 @@ class PowerNetwork:
 
     def total_load(self) -> float:
         return sum(b.load for b in self.buses)
+
+    @cached_property
+    def incident(self) -> dict[int, tuple[Line, ...]]:
+        """Bus id -> the lines at that bus, in line order.
+
+        Keyed in bus order, then by any line end that names no bus.  Built
+        once per network: ``replace`` makes a new one, and equality and
+        hashing see only the fields.
+        """
+        at: dict[int, list[Line]] = {b.id: [] for b in self.buses}
+        for ln in self.lines:
+            at.setdefault(ln.from_bus, []).append(ln)
+            at.setdefault(ln.to_bus, []).append(ln)
+        return {bus: tuple(lines) for bus, lines in at.items()}
 
 
 @dataclass(frozen=True)
@@ -426,11 +441,9 @@ def union_find(bus_ids):
 
 
 def _neighbours(net: PowerNetwork) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {b.id: set() for b in net.buses}
-    for ln in net.lines:
-        adj.setdefault(ln.from_bus, set()).add(ln.to_bus)
-        adj.setdefault(ln.to_bus, set()).add(ln.from_bus)
-    return adj
+    return {bus: {ln.to_bus if ln.from_bus == bus else ln.from_bus for ln in lines}
+            for bus, lines in net.incident.items()}
+
 
 def _duplicates(ids) -> list[int]:
     return sorted(i for i, k in Counter(ids).items() if k > 1)

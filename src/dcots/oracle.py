@@ -33,12 +33,13 @@ from scipy.optimize import linprog
 
 from dcots.cuts import (
     VIOL_TOL,
+    SeparationTable,
     delta,
     make_context,
     separate_closed_form,
 )
 from dcots.cyclebasis import cycle_basis
-from dcots.formulations import build_opf_angle, build_opf_cycle
+from dcots.formulations import VariableMap, build_opf_angle, build_opf_cycle
 from dcots.lp import LinearProgram
 from dcots.network import PowerNetwork, build_network, random_connected_network
 
@@ -964,7 +965,9 @@ def _ring_cycle(weights):
 
 
 def _context_on_ring(rng, n):
-    """A separation context with |g| <= w x on a fresh n-line ring."""
+    """A separation context with |g| <= w x on a fresh n-line ring, and
+    the point it came from as one vector: the flows, then the on/off
+    values, both in member order."""
     cycle = _ring_cycle(np.round(rng.uniform(0.2, 3.0, size=n), 4))
     x = [1.0 if rng.uniform() < 0.4 else float(np.round(rng.uniform(), 4))
          for _ in range(n)]
@@ -973,7 +976,8 @@ def _context_on_ring(rng, n):
     for pos, (ln, s) in enumerate(cycle.members):
         f_hat[ln.id] = s * float(u[pos]) * ln.w * x[pos] * ln.susceptance
         x_hat[ln.id] = x[pos]
-    return make_context(cycle, f_hat, x_hat)
+    point = np.array([f_hat[ln.id] for ln, _ in cycle.members] + x)
+    return make_context(cycle, f_hat, x_hat), point
 
 
 def _exhaustive_best_violation(ctx) -> float:
@@ -993,17 +997,24 @@ def _exhaustive_best_violation(ctx) -> float:
 def separation_agreement(rng, contexts: int, max_len: int):
     """Closed-form vs exhaustive separation on rings of 2..max_len lines:
     (contexts cut, disagreements), a disagreement being a cut that is not
-    the exhaustive best or no cut where the best exceeds the tolerance."""
+    the exhaustive best, no cut where the best exceeds the tolerance, or
+    cuts of the solver's ``SeparationTable`` that differ from the closed
+    form's."""
     emitted = disagreements = 0
     for _ in range(contexts):
-        ctx = _context_on_ring(rng, int(rng.integers(2, max_len + 1)))
+        ctx, point = _context_on_ring(rng, int(rng.integers(2, max_len + 1)))
         cuts = separate_closed_form(ctx)
+        n = len(ctx.w)
+        ids = [ln.id for ln, _ in ctx.cycle.members]
+        vmap = VariableMap({}, dict(zip(ids, range(n))), {}, dict(zip(ids, range(n, 2 * n))))
+        table_differs = SeparationTable([ctx.cycle], vmap).cuts(point) != cuts
         best = _exhaustive_best_violation(ctx)
         if cuts:
             emitted += 1
-            disagreements += abs(max(c.violation_found for c in cuts) - best) > 1e-9
+            wrong = abs(max(c.violation_found for c in cuts) - best) > 1e-9
         else:
-            disagreements += best > VIOL_TOL + 1e-9
+            wrong = best > VIOL_TOL + 1e-9
+        disagreements += wrong or table_differs
     return emitted, disagreements
 
 
@@ -1015,7 +1026,7 @@ def cuts_under_nonpositive_k(rng, contexts: int, max_len: int) -> int:
     exceptions = 0
     for _ in range(contexts):
         n = int(rng.integers(2, max_len + 1))
-        ctx = _context_on_ring(rng, n)
+        ctx, _ = _context_on_ring(rng, n)
         if ctx.k_value > 0.0:
             # open one line completely; K_C drops to at most zero
             victim = int(rng.integers(n))

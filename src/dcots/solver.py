@@ -50,6 +50,7 @@ from dcots.cyclebasis import (
     expand_cycle_set,
     lp_guided_cycles,
     spanning_forest,
+    tree_parents,
 )
 from dcots.formulations import (
     MilpModel,
@@ -224,23 +225,18 @@ def strengthen_root(model: MilpModel, cycles: tuple[Cycle, ...], rounds: int,
     return replace(model, lp=lp, warm=sol.basis), z_lp, sol.obj, n_cuts
 
 
-def _forest_angles(net: PowerNetwork, tree, f):
-    adj: dict[int, list] = {b.id: [] for b in net.buses}
-    for ln in tree:
-        adj[ln.from_bus].append((ln.to_bus, -f[ln.id] / ln.susceptance))
-        adj[ln.to_bus].append((ln.from_bus, f[ln.id] / ln.susceptance))
+def _forest_angles(parent, f):
+    """Angles down the forest of a ``tree_parents`` map: zero at each root,
+    and at each other bus its parent bus's angle minus the flow over
+    susceptance on the line between them, signed from the parent."""
     theta: dict[int, float] = {}
-    for root in sorted(adj):
-        if root in theta:
-            continue
-        theta[root] = 0.0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, step in adj[u]:
-                if v not in theta:
-                    theta[v] = theta[u] + step
-                    stack.append(v)
+    for v, ln in parent.items():
+        if ln is None:
+            theta[v] = 0.0
+        elif ln.to_bus == v:
+            theta[v] = theta[ln.from_bus] - f[ln.id] / ln.susceptance
+        else:
+            theta[v] = theta[ln.to_bus] + f[ln.id] / ln.susceptance
     return theta
 
 
@@ -255,7 +251,8 @@ def lazy_kvl_check(net: PowerNetwork, x, f) -> Cycle | None:
     tree, chords = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
     if not chords:
         return None
-    theta = _forest_angles(net, tree, f)
+    parent = tree_parents(net, tree)
+    theta = _forest_angles(parent, f)
     worst, worst_r = None, KVL_TOL
     for ln in chords:
         r = abs(theta[ln.from_bus] - theta[ln.to_bus] - f[ln.id] / ln.susceptance)
@@ -263,22 +260,22 @@ def lazy_kvl_check(net: PowerNetwork, x, f) -> Cycle | None:
             worst, worst_r = ln, r
     if worst is None:
         return None
-    return cycle_of_chord(net, [ln.id for ln in tree], worst)
+    return cycle_of_chord(parent, worst)
 
 
 def recover_angles(net: PowerNetwork, x, f):
     """Angles consistent with the active flows, zero at each component's
     lowest-indexed bus; valid once lazy_kvl_check finds nothing."""
     tree, _ = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
-    return _forest_angles(net, tree, f)
+    return _forest_angles(tree_parents(net, tree), f)
 
 
 def repair_connected(net: PowerNetwork, x, f, p):
-    """Close the cheapest set of forest edges joining active components.
+    """Close off lines, in line order, that join two active components.
 
-    Scans off lines in id order and turns one on, carrying zero flow,
-    whenever it joins two components; no cycle among active lines is
-    created, so flow consistency and the objective are untouched.
+    Each line closed carries zero flow.  No cycle among active lines is
+    created, and the dispatch ``p`` is kept, so flow consistency and the
+    objective are untouched.
     """
     find, union = union_find(b.id for b in net.buses)
     for ln in net.lines:

@@ -15,6 +15,7 @@ from dcots.cyclebasis import (
     expand_cycle_set,
     lp_guided_cycles,
     spanning_forest,
+    tree_parents,
 )
 from dcots.network import build_network, random_connected_network
 from dcots.oracle import incidence_matrix
@@ -129,7 +130,7 @@ def test_cycle_basis_random_multigraphs():
 
 def test_cycle_of_chord_triangle():
     net = triangle()
-    cyc = cycle_of_chord(net, {0, 1}, net.lines[2])
+    cyc = cycle_of_chord(tree_parents(net, net.lines[:2]), net.lines[2])
     assert [(ln.id, s) for ln, s in cyc.members] == [(2, 1), (1, -1), (0, -1)]
 
 
@@ -281,7 +282,7 @@ def test_lazy_kvl_check_uses_the_forest_of_the_active_lines():
     bad = chords[1]
     f[bad.id] += 1.0
     cyc = lazy_kvl_check(net, x, f)
-    assert cyc == cycle_of_chord(net, [ln.id for ln in tree], bad)
+    assert cyc == cycle_of_chord(tree_parents(net, tree), bad)
     assert cyc.edge_ids - {ln.id for ln in tree} == {bad.id}
 
 

@@ -9,8 +9,6 @@ from dcots.formulations import (
     build_ots_angle,
     build_ots_cycle,
     bus_cover_rows,
-    compute_big_m,
-    cycle_big_m,
     cycle_cut_rows,
 )
 from dcots.lp import solve
@@ -106,20 +104,57 @@ def test_opf_angle_and_cycle_agree_on_random_networks():
     assert n_optimal >= 10
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_angle_big_m_rows_carry_theta_and_m(seed):
+    # Theta = sum cap/B bounds every angle; M = 2 B Theta + cap on each
+    # line's two angle rows
+    net = _random_net(seed)
+    model = build_ots_angle(net)
+    lp, vmap = model.lp, model.vmap
+    theta = sum(ln.capacity / ln.susceptance for ln in net.lines)
+    ref = min(vmap.theta)
+    for bus, col in vmap.theta.items():
+        bounds = (0.0, 0.0) if bus == ref else (-theta, theta)
+        assert (lp.lo[col], lp.hi[col]) == pytest.approx(bounds, rel=1e-12)
+    rows = lp.rows[len(net.buses):]
+    for i, ln in enumerate(net.lines):
+        m = 2.0 * ln.susceptance * theta + ln.capacity
+        up, down = rows[4 * i], rows[4 * i + 1]
+        assert dict(up[0])[vmap.x[ln.id]] == pytest.approx(m, rel=1e-12)
+        assert up[1:] == ("<=", pytest.approx(m, rel=1e-12))
+        assert dict(down[0])[vmap.x[ln.id]] == pytest.approx(-m, rel=1e-12)
+        assert down[1:] == (">=", pytest.approx(-m, rel=1e-12))
+
+
 def test_big_m_constants_on_triangle():
     net = triangle()
-    bigm = compute_big_m(net)
-    assert bigm.theta_bound == pytest.approx(3.0)
-    for ln in net.lines:
-        assert bigm.m_line[ln.id] == pytest.approx(7.0)
+    rows = build_ots_angle(net).lp.rows
+    assert [r[2] for r in rows[3:]] == [7.0, -7.0, 0.0, 0.0] * 3
     (cyc,) = cycle_basis(net)
-    assert cycle_big_m(cyc) == pytest.approx(3.0)
+    vmap = build_ots_cycle(net).vmap
+    (up, _, rhs_up), (down, _, rhs_dn) = cycle_cut_rows(cyc, vmap)
+    assert [v for c, v in up if c in vmap.x.values()] == [3.0] * 3
+    assert [v for c, v in down if c in vmap.x.values()] == [-3.0] * 3
+    assert (rhs_up, rhs_dn) == (9.0, -9.0)
 
 
-def test_big_m_missing_line_raises():
-    bigm = compute_big_m(triangle())
-    with pytest.raises(KeyError):
-        bigm.m_line[99]
+def test_a_cycle_rows_big_m_is_its_weight():
+    checked = 0
+    for seed in range(12):
+        net = _random_net(seed)
+        vmap = build_ots_cycle(net).vmap
+        on = {col: lid for lid, col in vmap.x.items()}
+        for cyc in cycle_basis(net):
+            m = sum(ln.capacity / ln.susceptance for ln, _ in cyc.members)
+            k = len(cyc.members)
+            up, down = cycle_cut_rows(cyc, vmap)
+            assert {on[c]: v for c, v in up[0] if c in on} == pytest.approx(
+                {ln.id: m for ln, _ in cyc.members}, rel=1e-12)
+            assert {on[c]: v for c, v in down[0] if c in on} == pytest.approx(
+                {ln.id: -m for ln, _ in cyc.members}, rel=1e-12)
+            assert (up[2], down[2]) == pytest.approx((m * k, -m * k), rel=1e-12)
+            checked += 1
+    assert checked >= 5
 
 
 def test_ots_angle_shape_and_bounds():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -354,6 +355,27 @@ def test_validate_flags_disconnected():
     report = validate(net)
     assert not report.ok
     assert any("not connected" in p for p in report.problems)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_incident_lists_each_line_once_at_both_ends_in_line_order(seed):
+    net = random_connected_network(seed, max_buses=9, max_extra_lines=4)
+    assert list(net.incident) == [b.id for b in net.buses]
+    for b in net.buses:
+        assert net.incident[b.id] == tuple(ln for ln in net.lines
+                                           if b.id in (ln.from_bus, ln.to_bus))
+    assert sum(map(len, net.incident.values())) == 2 * len(net.lines)
+
+
+def test_replace_gets_a_fresh_incident_map_and_equality_ignores_it():
+    net = triangle()
+    assert net.incident[2] == (net.lines[1], net.lines[2])
+    cut = replace(net, lines=net.lines[:2])
+    assert cut.incident[2] == (net.lines[1],)
+    assert net.incident[2] == (net.lines[1], net.lines[2])
+    twin = triangle()
+    assert "incident" in vars(net) and "incident" not in vars(twin)
+    assert twin == net and hash(twin) == hash(net)
 
 
 def test_perturb_loads_deterministic_and_bounded():

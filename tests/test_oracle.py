@@ -543,3 +543,18 @@ def test_a_batch_without_an_optimum_raises_with_the_highs_status():
     with pytest.raises(HighsStatusError, match="HiGHS status 2") as err:
         oracle._solve_blocks(lp, np.ones((3, 2)))
     assert err.value.status == 2
+
+
+def test_separation_agreement_counts_a_separation_table_that_differs(monkeypatch):
+    # the solver runs SeparationTable, so criterion 3 checks it against
+    # the closed form too: a table that drops its last cut must be caught
+    assert oracle.separation_agreement(np.random.default_rng(7), 300, max_len=6)[1] == 0
+
+    class DropsLastCut(oracle.SeparationTable):
+        def cuts(self, x):
+            return super().cuts(x)[:-1]
+
+    monkeypatch.setattr(oracle, "SeparationTable", DropsLastCut)
+    emitted, disagreements = oracle.separation_agreement(np.random.default_rng(7), 300,
+                                                         max_len=6)
+    assert emitted > 0 and disagreements == emitted

@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import dcots.solver as dcots_solver
 from dcots.cuts import CycleInequality, SeparationTable, inequality_row
-from dcots.cyclebasis import cycle_basis, lp_guided_cycles
+from dcots.cyclebasis import cycle_basis, lp_guided_cycles, spanning_forest
 from dcots.formulations import build_ots_angle, build_ots_cycle, bus_cover_rows
 from dcots.lp import SimplexError, add_rows
 from dcots.lp import solve as lp_solve
@@ -222,6 +223,59 @@ def test_recover_angles_matches_hand_solution():
     assert theta[2] == pytest.approx(-2 / 3, abs=1e-12)
     zero = recover_angles(net, {0: 1.0, 1: 1.0, 2: 1.0}, {0: 0.0, 1: 0.0, 2: 0.0})
     assert zero == {0: 0.0, 1: 0.0, 2: 0.0}
+
+
+def _reference_forest_angles(net, tree, f):
+    """Angles by a depth-first walk of ``tree`` from each component's
+    lowest bus id, as the solver computed them before its forest walk
+    became ``tree_parents``."""
+    adj = {b.id: [] for b in net.buses}
+    for ln in tree:
+        adj[ln.from_bus].append((ln.to_bus, -f[ln.id] / ln.susceptance))
+        adj[ln.to_bus].append((ln.from_bus, f[ln.id] / ln.susceptance))
+    theta = {}
+    for root in sorted(adj):
+        if root in theta:
+            continue
+        theta[root] = 0.0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, step in adj[u]:
+                if v not in theta:
+                    theta[v] = theta[u] + step
+                    stack.append(v)
+    return theta
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_forest_walk_matches_a_reference_dfs_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    net = random_connected_network(seed, max_buses=9, max_extra_lines=4)
+    order = rng.permutation(len(net.buses))
+    net = replace(net, buses=tuple(net.buses[i] for i in order))  # out of id order
+    x = {ln.id: float(rng.uniform() < 0.8) for ln in net.lines}
+    angle = {b.id: float(rng.uniform(-1.0, 1.0)) for b in net.buses}
+    f = {ln.id: ln.susceptance * (angle[ln.from_bus] - angle[ln.to_bus]) for ln in net.lines}
+    for ln in net.lines:
+        if rng.uniform() < 0.3:
+            f[ln.id] += float(rng.uniform(-0.5, 0.5))
+    tree, chords = spanning_forest(net, [ln for ln in net.lines if x[ln.id] >= 0.5])
+    theta = _reference_forest_angles(net, tree, f)
+    assert recover_angles(net, x, f) == theta
+    residual = {ln.id: abs(theta[ln.from_bus] - theta[ln.to_bus] - f[ln.id] / ln.susceptance)
+                for ln in chords}
+    cyc = lazy_kvl_check(net, x, f)
+    if not residual or max(residual.values()) <= dcots_solver.KVL_TOL:
+        assert cyc is None
+        return
+    worst = max(chords, key=lambda ln: (residual[ln.id], -chords.index(ln)))
+    g = nx.Graph()
+    g.add_edges_from((ln.from_bus, ln.to_bus, {"id": ln.id}) for ln in tree)
+    path = nx.shortest_path(g, worst.to_bus, worst.from_bus)
+    assert cyc.members[0] == (worst, 1)
+    assert [ln.id for ln, _ in cyc.members[1:]] == [g.edges[u, v]["id"]
+                                                    for u, v in zip(path, path[1:])]
 
 
 def test_repair_connected_joins_components():

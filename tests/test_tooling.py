@@ -8,7 +8,8 @@ modules that only the oracle imports, the oracle must not run the code
 it checks, the solver must reach the LP through one interface, one
 function must write every cut row, the simplex engine must call no numpy
 reduction through a Python wrapper, the solver's settings must stay the
-three it has, no module may read the environment, every demo must run,
+three it has, only the network and the oracle may build a map of the
+lines at each bus, no module may read the environment, every demo must run,
 and every command line that README shows must parse."""
 
 import ast
@@ -181,6 +182,31 @@ def test_one_function_solves_and_counts_the_lps():
                                   and isinstance(node.target, ast.Attribute)
                                   and node.target.attr == "lp_calls")
     assert solves == counts == ["_counted_solve"], (solves, counts)
+
+
+def _builds_a_per_bus_map_of_lines(func) -> bool:
+    """An empty list or set per bus (``{b.id: [] for b in net.buses}``)
+    and an append or add at a line's ``from_bus`` or ``to_bus``."""
+    empty_per_bus = any(isinstance(node, ast.DictComp) and ast.unparse(node.value) in ("[]", "set()")
+                        and any(isinstance(gen.iter, ast.Attribute) and gen.iter.attr == "buses"
+                                for gen in node.generators)
+                        for node in ast.walk(func))
+    fills_at_ends = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("append", "add")
+                        and any(isinstance(sub, ast.Attribute) and sub.attr in ("from_bus", "to_bus")
+                                for sub in ast.walk(node.func.value))
+                        for node in ast.walk(func))
+    return empty_per_bus and fills_at_ends
+
+
+def test_only_the_network_and_the_oracle_build_a_map_of_the_lines_at_each_bus():
+    # every other module reads PowerNetwork.incident; the oracle keeps its
+    # own structures, as it must not run the code it checks
+    builders = {(path.stem, func.name) for path in sorted((SRC / "dcots").glob("*.py"))
+                for func in ast.walk(ast.parse(path.read_text()))
+                if isinstance(func, ast.FunctionDef) and _builds_a_per_bus_map_of_lines(func)}
+    assert ("network", "incident") in builders
+    assert {module for module, _ in builders} <= {"network", "oracle"}, sorted(builders)
 
 
 def test_the_simplex_engine_calls_no_python_level_numpy_wrappers():
