@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative-controls", action="store_true",
                    help="run tampered checks and require their detection")
     p.add_argument("--seed", type=int, default=None,
-                   help="the suites' random seed (default 0); the negative controls are fixed")
+                   help="the suites' random seed, nonnegative (default 0); "
+                        "the negative controls are fixed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="solve a directory of instances")
@@ -300,6 +301,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.negative_controls and (args.suites or args.seed is not None):
             parser.error("--negative-controls runs no suites and takes no --seed")
+        if args.seed is not None and args.seed < 0:
+            parser.error("--seed must be nonnegative")
         from dcots.oracle import VERIFY_SUITES
         unknown = [s for s in args.suites if s not in VERIFY_SUITES]
         if unknown:
@@ -310,12 +313,17 @@ def main(argv=None) -> int:
             parser.error("subset-sum requires --a and --b")
         if args.recipe != "subset-sum" and not args.base:
             parser.error(f"{args.recipe} requires --base")
+        if args.recipe == "add-cycle" and args.count < 0:
+            parser.error("--count must be nonnegative")
     if args.command == "bench" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.command == "solve" and args.max_off is not None and args.max_off < 0:
         parser.error("--max-off must be nonnegative")
-    if args.command == "budget-sweep" and args.n_values and min(args.n_values) < 0:
-        parser.error("--n-values must be nonnegative")
+    if args.command == "budget-sweep" and args.n_values:
+        if min(args.n_values) < 0:
+            parser.error("--n-values must be nonnegative")
+        if len(set(args.n_values)) < len(args.n_values):  # it would solve one budget twice
+            parser.error(f"--n-values names a budget twice: {','.join(map(str, args.n_values))}")
     if args.command == "bench" and not Path(args.instance_dir).is_dir():
         parser.error(f"{args.instance_dir} is not a directory")
     for flag in ("out", "profile"):  # checked now, not after the solves

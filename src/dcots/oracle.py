@@ -31,13 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from dcots.cuts import (
-    VIOL_TOL,
-    SeparationTable,
-    delta,
-    make_context,
-    separate_closed_form,
-)
+from dcots.cuts import VIOL_TOL, SeparationTable, make_context, separate_closed_form
 from dcots.cyclebasis import cycle_basis
 from dcots.formulations import VariableMap, build_opf_angle, build_opf_cycle
 from dcots.lp import LinearProgram
@@ -58,7 +52,6 @@ __all__ = [
     "check_projection_prop4",
     "check_facets",
     "reduce_subset_sum",
-    "subset_sum_brute",
     "subset_sum_witness",
     "reduction_ots_feasible",
     "reduction_witness_angles",
@@ -151,6 +144,11 @@ def _solve_blocks(lp: _Template, costs, lo=None, hi=None) -> np.ndarray:
             raise HighsStatusError(res.status, res.message)
         x[blk] = res.x.reshape(size, n)
     return x
+
+
+def _maxima(lp: _Template, objectives) -> np.ndarray:
+    """Max of each row of ``objectives`` over ``lp``."""
+    return (objectives * _solve_blocks(lp, -objectives)).sum(axis=1)
 
 
 def _chunks(items, size: int):
@@ -268,44 +266,50 @@ def _integer_rank(mat: list[list[int]]) -> int:
 # the single-cycle relaxation S_C, in normalized (g, x) coordinates
 
 
-def _positive_delta_subsets(w):
-    n = len(w)
-    for mask in range(1, 1 << n):
-        s = tuple(a for a in range(n) if mask >> a & 1)
-        if delta(s, w) > 0.0:
-            yield s
+def _heavy_subsets(w):
+    """The heavy subsets S of a cycle's lines, those with Delta(S) =
+    2 w(S) - w(C) > 0, in mask order: (member, d), one 0/1 row of
+    ``member`` and one Delta in ``d`` per subset.
+
+    Delta is computed here, not by the cuts it checks, summing w(S) and
+    w(C) line by line in index order as a Python ``sum`` would.
+    """
+    w = np.asarray(w, dtype=float)
+    member = (np.arange(1, 1 << len(w))[:, None] >> np.arange(len(w))) & 1
+    # cumsum adds in index order, and a non-member's 0.0 changes no sum
+    d = 2.0 * np.cumsum(member * w, axis=1)[:, -1] - sum(w)
+    heavy = d > 0.0
+    return member[heavy], d[heavy]
+
+
+def _interleave(*blocks) -> np.ndarray:
+    """The rows of equal-shaped blocks in turn: the first row of each
+    block, then the second row of each, and so on."""
+    return np.stack(blocks, axis=1).reshape(-1, blocks[0].shape[1])
 
 
 def hull_rows(w, drop=None):
     """Inequality description of conv(S_C): both cut sides per heavy
     subset plus the capacity rows, as (A_ub, b_ub) over [g, x].
 
-    ``drop`` removes one (side, subset) row for negative controls.
+    Rows 2k and 2k + 1 are the + and - sides of heavy subset k, then
+    come the + and - capacity rows of each line.  ``drop`` removes one
+    (side, subset) row for negative controls.
     """
     n = len(w)
-    rows, rhs = [], []
-    for s in _positive_delta_subsets(w):
-        d = delta(s, w)
-        for side in (1.0, -1.0):
-            if drop is not None and drop == (side, frozenset(s)):
-                continue
-            row = np.zeros(2 * n)
-            for a in s:
-                row[a] = side
-                row[n + a] = d - w[a]
-            for a in range(n):
-                if a not in s:
-                    row[n + a] = d
-            rows.append(row)
-            rhs.append(d * (n - 1))
-    for a in range(n):
-        for side in (1.0, -1.0):
-            row = np.zeros(2 * n)
-            row[a] = side
-            row[n + a] = -w[a]
-            rows.append(row)
-            rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    w = np.asarray(w, dtype=float)
+    member, d = _heavy_subsets(w)
+    x_cut = np.where(member, d[:, None] - w, d[:, None])
+    eye, x_cap = np.eye(n), np.diag(-w)
+    rows = np.vstack([_interleave(np.hstack([member, x_cut]), np.hstack([-member, x_cut])),
+                      _interleave(np.hstack([eye, x_cap]), np.hstack([-eye, x_cap]))])
+    rhs = np.concatenate([np.repeat(d * (n - 1), 2), np.zeros(2 * n)])
+    if drop is not None:
+        side, subset = drop
+        at = [2 * k + j for k, row in enumerate(member) if set(np.flatnonzero(row)) == subset
+              for j, s in enumerate((1.0, -1.0)) if s == side]
+        rows, rhs = np.delete(rows, at, axis=0), np.delete(rhs, at)
+    return rows, rhs
 
 
 def enumerate_S_C_vertices(w) -> np.ndarray:
@@ -345,13 +349,12 @@ class HullCheckReport:
     max_gap: float
 
 
-def _description_maxima(w, objectives, drop=None) -> np.ndarray:
-    """Max of each objective row over the inequality description."""
+def _hull_system(w, drop=None) -> _Template:
+    """``hull_rows`` within the box |g| <= w, 0 <= x <= 1."""
     n = len(w)
     a_ub, b_ub = hull_rows(w, drop=drop)
-    box = _Template(a_ub, b_ub, None, None, np.concatenate([-np.asarray(w), np.zeros(n)]),
-                    np.concatenate([w, np.ones(n)]))
-    return (objectives * _solve_blocks(box, -objectives)).sum(axis=1)
+    return _Template(a_ub, b_ub, None, None, np.concatenate([-np.asarray(w), np.zeros(n)]),
+                     np.concatenate([w, np.ones(n)]))
 
 
 def check_hull_equality(w, trials: int = 200, seed: int = 0) -> HullCheckReport:
@@ -360,31 +363,31 @@ def check_hull_equality(w, trials: int = 200, seed: int = 0) -> HullCheckReport:
     that the description is exactly the convex hull."""
     objectives = np.random.default_rng(seed).standard_normal((trials, 2 * len(w)))
     vertex_best = (enumerate_S_C_vertices(w) @ objectives.T).max(axis=0)
-    return HullCheckReport(float(np.abs(_description_maxima(w, objectives)
+    return HullCheckReport(float(np.abs(_maxima(_hull_system(w), objectives)
                                         - vertex_best).max()))
 
 
 def directional_gap(w, objective, drop=None) -> float:
     """Description max minus vertex max along one objective."""
     c = np.asarray(objective, dtype=float)[None, :]
-    return float(_description_maxima(w, c, drop=drop)[0]
+    return float(_maxima(_hull_system(w, drop=drop), c)[0]
                  - (enumerate_S_C_vertices(w) @ c[0]).max())
 
 
 def membership_extended(g, x, w) -> bool:
     """Hull membership decided by the extended system's feasibility.
 
-    The extended system of ``_projection_systems`` with g and x fixed
-    through their bounds; the closed-side flows f1 and the cycle
-    indicator y stay free.  |g| <= w x and 0 <= x <= 1 are checked first
-    to 1e-9, far tighter than HiGHS's feasibility tolerance of 1e-7.
+    ``_extended_system`` with g and x fixed through their bounds; the
+    closed-side flows f1 and the cycle indicator y stay free.  |g| <= w x
+    and 0 <= x <= 1 are checked first to 1e-9, far tighter than HiGHS's
+    feasibility tolerance of 1e-7.
     """
     n = len(w)
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
     if (np.abs(g) > w * x + 1e-9).any() or (x < -1e-9).any() or (x > 1 + 1e-9).any():
         return False
-    ext, _ = _projection_systems(w)
+    ext = _extended_system(w)
     lo, hi = ext.lo.copy(), ext.hi.copy()
     # columns: g (n), f1 (n), x (n), y
     lo[:n] = hi[:n] = g
@@ -399,76 +402,58 @@ def membership_extended(g, x, w) -> bool:
 def check_projection_prop4(w, trials: int = 200, seed: int = 0) -> float:
     """Max objective gap between the extended system and its claimed
     projection onto (g, x, y); zero certifies the projection formula."""
-    objectives = np.random.default_rng(seed).standard_normal((trials, 2 * len(w) + 1))
-    extended, projected = _projection_maxima(w, objectives)
+    n = len(w)
+    objectives = np.random.default_rng(seed).standard_normal((trials, 2 * n + 1))
+    # the extended system's f1 columns carry no cost
+    extended = _maxima(_extended_system(w), np.insert(objectives, [n] * n, 0.0, axis=1))
+    projected = _maxima(_projected_system(w), objectives)
     return float(np.max(np.abs(extended - projected), initial=0.0))
 
 
-def _projection_maxima(w, objectives):
-    """Max of each objective row over (g, x, y) under the extended system,
-    whose f1 columns carry no cost, and under the claimed projection."""
-    ext, prj = _projection_systems(w)
-    n = len(w)
-    c_ext = np.insert(objectives, [n] * n, 0.0, axis=1)
-    return ((c_ext * _solve_blocks(ext, -c_ext)).sum(axis=1),
-            (objectives * _solve_blocks(prj, -objectives)).sum(axis=1))
+def _extended_system(w) -> _Template:
+    """The extended formulation of S_C over (g, f1, x, y), f1 being the
+    flows of the closed cycle (y = 1), which sum to zero.
 
-
-def _projection_systems(w) -> tuple[_Template, _Template]:
-    """The extended system over (g, f1, x, y) and its claimed projection
-    onto (g, x, y)."""
+    Per line, in turn: |f1| <= w y, |g - f1| <= w (x - y), y <= x and
+    |g| <= w x; then sum x - y <= n - 1.
+    """
     n = len(w)
     w = np.asarray(w, dtype=float)
-    # extended variables: g (n), f1 (n), x (n), y
-    ext_rows, ext_rhs = [], []
+    eye, zero, x_cap = np.eye(n), np.zeros((n, n)), np.diag(-w)
+    y_cap, no_y = w[:, None], np.zeros((n, 1))
+    rows = np.vstack([
+        _interleave(np.hstack([zero, eye, zero, -y_cap]), np.hstack([zero, -eye, zero, -y_cap]),
+                    np.hstack([eye, -eye, x_cap, y_cap]), np.hstack([-eye, eye, x_cap, y_cap]),
+                    np.hstack([zero, zero, -eye, np.ones((n, 1))]),
+                    np.hstack([eye, zero, x_cap, no_y]), np.hstack([-eye, zero, x_cap, no_y])),
+        np.concatenate([np.zeros(2 * n), np.ones(n), [-1.0]])])
+    rhs = np.zeros(len(rows))
+    rhs[-1] = n - 1
+    flow_sum = np.concatenate([np.zeros(n), np.ones(n), np.zeros(n + 1)])[None, :]
+    return _Template(rows, rhs, flow_sum, np.zeros(1), np.concatenate([-w, -w, np.zeros(n + 1)]),
+                     np.concatenate([w, w, np.ones(n + 1)]))
 
-    def ext(gc, f1c, xc, yc, rhs):
-        ext_rows.append(np.concatenate([gc, f1c, xc, [yc]]))
-        ext_rhs.append(rhs)
 
-    zeros = np.zeros(n)
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        ext(zeros, e, zeros, -w[a], 0.0)            # f1 <= w y
-        ext(zeros, -e, zeros, -w[a], 0.0)
-        ext(e, -e, -w[a] * e, w[a], 0.0)            # g - f1 - w x + w y <= 0
-        ext(-e, e, -w[a] * e, w[a], 0.0)
-        ext(zeros, zeros, -e, 1.0, 0.0)             # y <= x_a
-        ext(e, zeros, -w[a] * e, 0.0, 0.0)          # g <= w x
-        ext(-e, zeros, -w[a] * e, 0.0, 0.0)
-    ext(zeros, zeros, np.ones(n), -1.0, n - 1.0)    # sum x - y <= n - 1
-    ext_eq = np.concatenate([zeros, np.ones(n), zeros, [0.0]])[None, :]
-    ones = np.ones(n + 1)
-    extended = _Template(np.array(ext_rows), np.array(ext_rhs), ext_eq, np.zeros(1),
-                         np.concatenate([-w, -w, np.zeros(n + 1)]), np.concatenate([w, w, ones]))
+def _projected_system(w) -> _Template:
+    """The claimed projection of ``_extended_system`` onto (g, x, y).
 
-    # projected variables: g (n), x (n), y
-    prj_rows, prj_rhs = [], []
-
-    def prj(gc, xc, yc, rhs):
-        prj_rows.append(np.concatenate([gc, xc, [yc]]))
-        prj_rhs.append(rhs)
-
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        prj(e, -w[a] * e, 0.0, 0.0)
-        prj(-e, -w[a] * e, 0.0, 0.0)
-        prj(zeros, -e, 1.0, 0.0)
-    for s in _positive_delta_subsets(tuple(w)):
-        d = delta(s, tuple(w))
-        gc = np.zeros(n)
-        xc = np.zeros(n)
-        for a in s:
-            gc[a] = 1.0
-            xc[a] = -w[a]
-        prj(gc, xc, d, 0.0)
-        prj(-gc, xc, d, 0.0)
-    prj(zeros, np.ones(n), -1.0, n - 1.0)
-    projected = _Template(np.array(prj_rows), np.array(prj_rhs), None, None,
-                          np.concatenate([-w, np.zeros(n + 1)]), np.concatenate([w, ones]))
-    return extended, projected
+    Per line, in turn: |g| <= w x and y <= x; per heavy subset S, both
+    sides of +-g(S) - sum_S w x + Delta(S) y <= 0; then sum x - y <= n - 1.
+    """
+    n = len(w)
+    w = np.asarray(w, dtype=float)
+    member, d = _heavy_subsets(w)
+    eye, x_cap, no_y = np.eye(n), np.diag(-w), np.zeros((n, 1))
+    x_cut = np.where(member, -w, 0.0)
+    rows = np.vstack([
+        _interleave(np.hstack([eye, x_cap, no_y]), np.hstack([-eye, x_cap, no_y]),
+                    np.hstack([np.zeros((n, n)), -eye, np.ones((n, 1))])),
+        _interleave(np.column_stack([member, x_cut, d]), np.column_stack([-member, x_cut, d])),
+        np.concatenate([np.zeros(n), np.ones(n), [-1.0]])])
+    rhs = np.zeros(len(rows))
+    rhs[-1] = n - 1
+    return _Template(rows, rhs, None, None, np.concatenate([-w, np.zeros(n + 1)]),
+                     np.concatenate([w, np.ones(n + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +579,6 @@ def reduce_subset_sum(inst: SubsetSumInstance) -> PowerNetwork:
     lines.append((len(lines), n + 1, n + 2, 1.0, 1.0))
     lines.append((len(lines), 0, n + 2, inst.b / (inst.b + 1), 1.0))
     return build_network(buses=buses, generators=gens, lines=lines, base_mva=1.0)
-
-
-def subset_sum_brute(inst: SubsetSumInstance) -> bool:
-    reachable = {0}
-    for v in inst.a:
-        reachable |= {r + v for r in reachable}
-    return inst.b in reachable
 
 
 def subset_sum_witness(inst: SubsetSumInstance) -> tuple[int, ...] | None:
@@ -950,7 +928,8 @@ def facet_certificates(rng, sizes, draws: int):
         weight_vectors = [tuple([1.0] * n)] + [
             tuple(np.round(rng.uniform(0.3, 2.5, size=n), 3)) for _ in range(draws)]
         for w in weight_vectors:
-            for subset in _positive_delta_subsets(w):
+            for row in _heavy_subsets(w)[0]:
+                subset = tuple(np.flatnonzero(row).tolist())
                 if not check_facets(w, subset):
                     return certified, (w, subset)
                 certified += 1
@@ -982,16 +961,11 @@ def _context_on_ring(rng, n):
 
 def _exhaustive_best_violation(ctx) -> float:
     """Largest violation over every heavy subset and both sides, or 0."""
-    n = len(ctx.w)
+    member, d = _heavy_subsets(ctx.w)
     w, g, x = np.array(ctx.w), np.array(ctx.g_hat), np.array(ctx.x_hat)
-    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
-    d = 2.0 * member @ w - w.sum()
-    heavy = d > 0.0
-    if not heavy.any():
-        return 0.0
     base = member @ (-w * x) + d * ctx.k_value
-    return max(0.0, (member @ g + base)[heavy].max(),
-               (member @ (-g) + base)[heavy].max())
+    # the larger of the two sides of subset S is |g(S)| + base
+    return max(0.0, float((np.abs(member @ g) + base).max()))
 
 
 def separation_agreement(rng, contexts: int, max_len: int):
@@ -1070,11 +1044,10 @@ def reduction_agreement(rng, instances: int, max_terms: int):
         n = int(rng.integers(1, max_terms + 1))
         inst = SubsetSumInstance(tuple(int(v) for v in rng.integers(1, 10, size=n)),
                                  int(rng.integers(1, 26)))
-        if reduction_ots_feasible(inst) != subset_sum_brute(inst):
-            disagreements += 1
-            continue
         wit = subset_sum_witness(inst)
-        if wit is not None:
+        if reduction_ots_feasible(inst) != (wit is not None):
+            disagreements += 1
+        elif wit is not None:
             theta = reduction_witness_angles(inst, wit)
             if theta is not None and theta[0] == Fraction(inst.b + 1, inst.b):
                 exact += 1

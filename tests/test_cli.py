@@ -384,6 +384,10 @@ def test_csv_schema_is_stable():
     (["bench", "{dir}", "--out", "{dir}"], "is a directory"),
     (["bench", "{net}"], "is not a directory"),
     (["bench", "{dir}/missing"], "is not a directory"),
+    (["verify", "hull", "--seed", "-1"], "--seed must be nonnegative"),
+    # a repeated budget would be solved twice and written as two equal rows
+    (["budget-sweep", "{net}", "--n-values", "1,1"], "--n-values names a budget twice"),
+    (["gen", "add-cycle", "--base", "{net}", "--count", "-1"], "--count must be nonnegative"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

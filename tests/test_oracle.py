@@ -1,6 +1,7 @@
 """Tests for the brute-force polyhedral and switching oracles."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 from test_acceptance import switching_prone_network
 
 from dcots import oracle
+from dcots.cuts import delta
 from dcots.formulations import build_opf_angle
 from dcots.lp import LinearProgram
 from dcots.lp import solve as lp_solve
@@ -35,7 +37,6 @@ from dcots.oracle import (
     reduction_ots_feasible,
     reduction_witness_angles,
     solve_lp_reference,
-    subset_sum_brute,
     subset_sum_witness,
 )
 from dcots.solver import SolverConfig, solve_ots
@@ -117,11 +118,95 @@ def test_membership_checks_the_capacity_box_tighter_than_highs():
     assert not membership_extended(raised, x, w)
     # the extended system alone accepts it: its rows g <= w x and
     # sum(f1) = 0 miss by 1e-8, inside HiGHS's 1e-7 feasibility tolerance
-    ext, _ = oracle._projection_systems(w)
+    ext = oracle._extended_system(w)
     lo, hi = ext.lo.copy(), ext.hi.copy()
     lo[:3] = hi[:3] = raised
     lo[6:9] = hi[6:9] = x
     oracle._solve_blocks(ext, np.zeros(10), lo, hi)
+
+
+def _heavy_by_mask(w):
+    n = len(w)
+    for mask in range(1, 1 << n):
+        s = tuple(a for a in range(n) if mask >> a & 1)
+        if delta(s, w) > 0.0:
+            yield s
+
+
+def _reference_hull_rows(w, drop=None):
+    """hull_rows one coefficient at a time, with the cuts' Delta."""
+    n = len(w)
+    rows, rhs = [], []
+    for s in _heavy_by_mask(w):
+        d = delta(s, w)
+        for side in (1.0, -1.0):
+            if drop is not None and drop == (side, frozenset(s)):
+                continue
+            row = np.zeros(2 * n)
+            for a in range(n):
+                row[a] = side if a in s else 0.0
+                row[n + a] = d - w[a] if a in s else d
+            rows.append(row)
+            rhs.append(d * (n - 1))
+    for a in range(n):
+        for side in (1.0, -1.0):
+            row = np.zeros(2 * n)
+            row[a], row[n + a] = side, -w[a]
+            rows.append(row)
+            rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def _reference_projection_templates(w):
+    """(A_ub, b_ub) of the extended system over (g, f1, x, y) and of its
+    projection over (g, x, y), one row at a time."""
+    n = len(w)
+    ext, prj = [], []
+
+    def unit(a, scale=1.0):
+        e = np.zeros(n)
+        e[a] = scale
+        return e
+
+    zero = np.zeros(n)
+    for a in range(n):
+        e, wx = unit(a), unit(a, -w[a])
+        ext += [(zero, e, zero, -w[a], 0.0), (zero, -e, zero, -w[a], 0.0),
+                (e, -e, wx, w[a], 0.0), (-e, e, wx, w[a], 0.0), (zero, zero, -e, 1.0, 0.0),
+                (e, zero, wx, 0.0, 0.0), (-e, zero, wx, 0.0, 0.0)]
+        prj += [(e, wx, 0.0, 0.0), (-e, wx, 0.0, 0.0), (zero, -e, 1.0, 0.0)]
+    ext.append((zero, zero, np.ones(n), -1.0, n - 1.0))
+    for s in _heavy_by_mask(w):
+        g = sum(unit(a) for a in s)
+        x = sum(unit(a, -w[a]) for a in s)
+        prj += [(g, x, delta(s, w), 0.0), (-g, x, delta(s, w), 0.0)]
+    prj.append((zero, np.ones(n), -1.0, n - 1.0))
+    return [(np.array([np.concatenate([*row[:-2], [row[-2]]]) for row in rows]),
+             np.array([row[-1] for row in rows])) for rows in (ext, prj)]
+
+
+def test_rows_match_the_coefficient_by_coefficient_reference():
+    # the oracle computes Delta itself; this ties it to the cuts' value for value
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            w = tuple(float(v) for v in rng.uniform(0.3, 2.5, size=n))
+            for got, want in [(hull_rows(w), _reference_hull_rows(w))] + [
+                    (hull_rows(w, drop=(side, s)), _reference_hull_rows(w, drop=(side, s)))
+                    for s in map(frozenset, _heavy_by_mask(w)) for side in (1.0, -1.0)]:
+                assert all(np.array_equal(u, v) and u.shape == v.shape
+                           for u, v in zip(got, want)), (w, got, want)
+            for system, (a_ub, b_ub) in zip((oracle._extended_system(w),
+                                              oracle._projected_system(w)),
+                                             _reference_projection_templates(w)):
+                assert np.array_equal(system.a_ub, a_ub) and np.array_equal(system.b_ub, b_ub)
+                assert system.a_ub.shape == a_ub.shape
+            ext, prj = oracle._extended_system(w), oracle._projected_system(w)
+            assert np.array_equal(ext.a_eq, [[0.0] * n + [1.0] * n + [0.0] * (n + 1)])
+            assert np.array_equal(ext.lo, [-v for v in w] * 2 + [0.0] * (n + 1))
+            assert np.array_equal(ext.hi, list(w) * 2 + [1.0] * (n + 1))
+            assert np.array_equal(prj.lo, [-v for v in w] + [0.0] * (n + 1))
+            assert np.array_equal(prj.hi, list(w) + [1.0] * (n + 1))
 
 
 def test_projection_of_extended_formulation_matches_explicit_rows():
@@ -156,7 +241,8 @@ def test_facet_certificates_on_the_benchmark_weights():
             draw = base.uniform(0.3, 2.5, size=n)
             for k in range(-2, 3):
                 w = tuple(float(v) for v in draw * 2.0 ** k)
-                for subset in oracle._positive_delta_subsets(w):
+                for row in oracle._heavy_subsets(w)[0]:
+                    subset = set(np.flatnonzero(row).tolist())
                     assert check_facets(w, subset), (w, subset)
 
 
@@ -293,7 +379,7 @@ def test_reduction_feasibility_matches_subset_sum_exhaustively():
             for b in (1, 2, 3, 4):
                 cases.append(SubsetSumInstance((a1, a2), b))
     for inst in cases:
-        assert reduction_ots_feasible(inst) == subset_sum_brute(inst)
+        assert reduction_ots_feasible(inst) == (subset_sum_witness(inst) is not None)
 
 
 def test_reduction_class_enumeration_agrees_with_raw_enumeration():
@@ -327,7 +413,7 @@ def test_subset_sum_witness_found_iff_reachable():
         b = int(rng.integers(1, 26))
         inst = SubsetSumInstance(a, b)
         wit = subset_sum_witness(inst)
-        if subset_sum_brute(inst):
+        if any(sum(pick) == b for k in range(len(a) + 1) for pick in combinations(a, k)):
             assert wit is not None and sum(a[i] for i in wit) == b
         else:
             assert wit is None
@@ -505,9 +591,10 @@ def test_brute_force_builds_one_dispatch_template(monkeypatch):
 
 def test_projection_equals_one_linprog_per_trial():
     w = (0.7, 1.3, 2.2)
-    ext, prj = oracle._projection_systems(w)
+    ext, prj = oracle._extended_system(w), oracle._projected_system(w)
     objectives = np.random.default_rng(8).standard_normal((40, 7))
-    got_ext, got_prj = oracle._projection_maxima(w, objectives)
+    got_ext = oracle._maxima(ext, np.insert(objectives, [3] * 3, 0.0, axis=1))
+    got_prj = oracle._maxima(prj, objectives)
     for c, ge, gp in zip(objectives, got_ext, got_prj):
         c_ext = np.concatenate([c[:3], np.zeros(3), c[3:]])
         r1 = linprog(-c_ext, A_ub=ext.a_ub, b_ub=ext.b_ub, A_eq=ext.a_eq, b_eq=ext.b_eq,
@@ -530,9 +617,10 @@ def test_blocks_across_a_batch_boundary_match_single_solves(monkeypatch, k):
     w = (1.1, 0.6, 1.8)
     objectives = np.random.default_rng(k).standard_normal((k, 6))
     calls = count_linprog(monkeypatch)
-    batched = oracle._description_maxima(w, objectives)
+    box = oracle._hull_system(w)
+    batched = oracle._maxima(box, objectives)
     assert calls[0] == ceil(k / BATCH)
-    single = [oracle._description_maxima(w, c[None, :])[0] for c in objectives]
+    single = [oracle._maxima(box, c[None, :])[0] for c in objectives]
     np.testing.assert_allclose(batched, single, rtol=1e-9, atol=1e-9)
 
 

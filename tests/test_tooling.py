@@ -5,8 +5,9 @@ a stale name in a module's ``__all__``.  The declared dependencies must
 cover what ``src/dcots`` imports, importing the command line must not
 load networkx, which only the tests use, nor the oracle and the scipy
 modules that only the oracle imports, the oracle must not run the code
-it checks, the solver must reach the LP through one interface, one
-function must write every cut row, the simplex engine must call no numpy
+it checks and may take from the cuts only the names it checks, the
+solver must reach the LP through one interface, one function must write
+every cut row, the simplex engine must call no numpy
 reduction through a Python wrapper, the solver's settings must stay the
 three it has, only the network and the oracle may build a map of the
 lines at each bus, no module may read the environment, every demo must run,
@@ -148,6 +149,18 @@ def test_criterion_4_does_not_run_the_separators_it_checks():
     names = set(_names(check))
     assert "_exhaustive_best_violation" in names
     assert not [name for name in names if name.startswith("separate_")]
+
+
+def test_the_oracle_imports_from_the_cuts_only_what_it_checks():
+    # Delta, for one, the oracle computes itself, so a wrong Delta in the
+    # cuts cannot also shape the rows they are checked against
+    tree = ast.parse((SRC / "dcots" / "oracle.py").read_text())
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dcots.cuts"
+             for alias in node.names}
+    assert taken == {"VIOL_TOL", "SeparationTable", "make_context", "separate_closed_form"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("dcots.cuts") for alias in node.names)]
 
 
 def test_the_solver_uses_one_lp_interface():
