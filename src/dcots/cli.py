@@ -218,6 +218,15 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 _DEFAULT = SolverConfig()
 
 
@@ -249,20 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("recipe",
-                   choices=("perturb", "add-cycle", "relocate-gens", "subset-sum"))
-    p.add_argument("--base", help="input instance for transforming recipes")
-    p.add_argument("--low", type=int, default=0, help="perturb: min added MW")
-    p.add_argument("--high", type=int, default=15, help="perturb: max added MW")
-    p.add_argument("--cycle-len", type=int, default=3,
-                   help="add-cycle: length of each closed cycle")
-    p.add_argument("--count", type=int, default=1,
-                   help="add-cycle: number of lines to add")
-    p.add_argument("--a", default=None, help="subset-sum: comma-separated terms")
-    p.add_argument("--b", type=int, default=None, help="subset-sum: target")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
+    recipes = p.add_subparsers(dest="recipe", required=True)
+    p = recipes.add_parser("subset-sum", help="the network of a subset-sum query")
+    p.add_argument("--a", required=True, help="comma-separated terms")
+    p.add_argument("--b", type=int, required=True, help="target")
+    for name, text in (("perturb", "add a random number of MW to every load"),
+                       ("add-cycle", "add lines that each close a cycle"),
+                       ("relocate-gens", "move generators to neighbouring buses")):
+        p = recipes.add_parser(name, help=text)
+        p.add_argument("--base", required=True, help="input instance")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+    p = recipes.choices["perturb"]
+    p.add_argument("--low", type=int, default=0, help="min added MW")
+    p.add_argument("--high", type=int, default=15, help="max added MW")
+    p = recipes.choices["add-cycle"]
+    p.add_argument("--cycle-len", type=int, default=3, help="length of each closed cycle")
+    p.add_argument("--count", type=_nonnegative_int, default=1, help="number of lines to add")
+    for p in recipes.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*",
@@ -308,13 +322,6 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"unknown suite(s): {', '.join(unknown)}; "
                          f"the suites are {', '.join(sorted(VERIFY_SUITES))}")
-    if args.command == "gen":
-        if args.recipe == "subset-sum" and (args.a is None or args.b is None):
-            parser.error("subset-sum requires --a and --b")
-        if args.recipe != "subset-sum" and not args.base:
-            parser.error(f"{args.recipe} requires --base")
-        if args.recipe == "add-cycle" and args.count < 0:
-            parser.error("--count must be nonnegative")
     if args.command == "bench" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.command == "solve" and args.max_off is not None and args.max_off < 0:

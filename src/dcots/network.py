@@ -233,6 +233,21 @@ def _list_at(doc: dict, key: str) -> list:
     return doc[key]
 
 
+def _per_unit_network(base: float, buses, generators, lines) -> PowerNetwork:
+    """A network from MW-denominated tuples, converted to per unit on the
+    MVA base ``base``: buses (id, load_mw), generators (bus, pmin_mw,
+    pmax_mw, cost_per_mwh) and lines (id, from, to, susceptance,
+    capacity_mw, switchable).  Raises ValueError unless the base is
+    positive and finite."""
+    if not (base > 0 and math.isfinite(base)):
+        raise ValueError(f"base MVA must be positive and finite, got {base!r}")
+    return PowerNetwork(
+        base, tuple(Bus(bid, load / base, load) for bid, load in buses),
+        tuple(Generator(bus, lo / base, hi / base, cost * base, lo, hi, cost)
+              for bus, lo, hi, cost in generators),
+        tuple(Line(lid, u, v, sus, cap / base, cap, sw) for lid, u, v, sus, cap, sw in lines))
+
+
 def parse_native(doc: str | dict) -> PowerNetwork:
     """Parse the native JSON network format.
 
@@ -249,38 +264,38 @@ def parse_native(doc: str | dict) -> PowerNetwork:
     Raises
     ------
     ValueError
-        On a value of the wrong JSON type (an id, bus or line end that is
-        not an integer, a ``switchable`` that is not a boolean, a numeric
-        field that is a string, a boolean or null) or missing/unknown
-        keys, naming the offending element.
+        On text that is not JSON or nests too deeply to decode, a value of
+        the wrong JSON type (an id, bus or line end that is not an integer,
+        a ``switchable`` that is not a boolean, a numeric field that is a
+        string, a boolean or null), missing/unknown keys, naming the
+        offending element, or a base that is not positive and finite.
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError("JSON nested too deeply to decode") from None
     _check_keys(doc, {"base_mva", "buses", "generators", "lines"}, "document")
     base = _number(doc, "base_mva", "document")
-    if not (base > 0 and math.isfinite(base)):
-        raise ValueError(f"base_mva must be positive and finite, got {doc['base_mva']!r}")
     buses = []
     for i, b in enumerate(_list_at(doc, "buses")):
         what = f"buses[{i}]"
         _check_keys(b, _BUS_KEYS, what)
-        bid, load = _typed(b, "id", what, int), _number(b, "load_mw", what)
-        buses.append(Bus(bid, load / base, load))
+        buses.append((_typed(b, "id", what, int), _number(b, "load_mw", what)))
     gens = []
     for i, g in enumerate(_list_at(doc, "generators")):
         what = f"generators[{i}]"
         _check_keys(g, _GEN_KEYS, what)
-        bus = _typed(g, "bus", what, int)
-        lo, hi, cost = (_number(g, key, what) for key in ("pmin_mw", "pmax_mw", "cost_per_mwh"))
-        gens.append(Generator(bus, lo / base, hi / base, cost * base, lo, hi, cost))
+        gens.append((_typed(g, "bus", what, int),
+                     *(_number(g, key, what) for key in ("pmin_mw", "pmax_mw", "cost_per_mwh"))))
     lines = []
     for i, ln in enumerate(_list_at(doc, "lines")):
         what = f"lines[{i}]"
         _check_keys(ln, _LINE_KEYS, what)
-        lid, u, v = (_typed(ln, key, what, int) for key in ("id", "from", "to"))
-        sus, cap = (_number(ln, key, what) for key in ("susceptance_pu", "capacity_mw"))
-        lines.append(Line(lid, u, v, sus, cap / base, cap, _typed(ln, "switchable", what, bool)))
-    return PowerNetwork(base, tuple(buses), tuple(gens), tuple(lines))
+        lines.append((*(_typed(ln, key, what, int) for key in ("id", "from", "to")),
+                      *(_number(ln, key, what) for key in ("susceptance_pu", "capacity_mw")),
+                      _typed(ln, "switchable", what, bool)))
+    return _per_unit_network(base, buses, gens, lines)
 
 
 def serialize_native(net: PowerNetwork) -> str:
@@ -330,6 +345,14 @@ def _need_columns(name: str, i: int, row: list[float], need: int) -> None:
         raise ValueError(f"{name}[{i}]: needs at least {need} columns, got {len(row)}")
 
 
+def _integer(name: str, i: int, row: list[float], col: int, column: str) -> int:
+    """Column ``col`` of ``name[i]``, named ``column``, as an int; it must
+    hold a whole number, not a fraction, an infinity or NaN."""
+    if not row[col].is_integer():
+        raise ValueError(f"{name}[{i}]: {column} must be an integer, got {row[col]}")
+    return int(row[col])
+
+
 def parse_matpower(text: str) -> PowerNetwork:
     """Parse the supported subset of a MATPOWER case file.
 
@@ -347,8 +370,11 @@ def parse_matpower(text: str) -> PowerNetwork:
     ------
     ValueError
         On missing tables, a row with too few columns (bus 3, gen 10,
-        branch 11, gencost 4 + NCOST), non-positive reactance, zero RATE_A,
-        a nonzero phase shift (SHIFT), or genuinely quadratic cost rows.
+        branch 11, gencost 4 + NCOST), a BUS_I, GEN_BUS, F_BUS, T_BUS,
+        BR_STATUS, MODEL or NCOST that is not a whole number, non-positive
+        reactance (BR_X, or BR_X * TAP), zero RATE_A, a nonzero phase
+        shift (SHIFT), genuinely quadratic cost rows, or a baseMVA that is
+        not positive and finite.
     """
     text = re.sub(r"%.*", "", text)
     base_m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
@@ -366,7 +392,7 @@ def parse_matpower(text: str) -> PowerNetwork:
                              ("branch", branch_rows, 11)):
         for i, r in enumerate(rows):
             _need_columns(name, i, r, need)
-    buses = [Bus(int(r[0]), r[2] / base, r[2]) for r in bus_rows]
+    buses = [(_integer("bus", i, r, 0, "BUS_I"), r[2]) for i, r in enumerate(bus_rows)]
 
     in_service = [i for i, r in enumerate(gen_rows) if r[7] > 0]
     costs = dict.fromkeys(in_service, 0.0)
@@ -376,7 +402,8 @@ def parse_matpower(text: str) -> PowerNetwork:
         for i in [*in_service, *range(len(gen_rows), len(cost_rows))]:
             r = cost_rows[i]
             _need_columns("gencost", i, r, 4)
-            model, ncost = int(r[0]), int(r[3])
+            model, ncost = (_integer("gencost", i, r, col, column)
+                            for col, column in ((0, "MODEL"), (3, "NCOST")))
             _need_columns("gencost", i, r, 4 + ncost)
             if model != 2:
                 raise ValueError(f"gencost[{i}]: only polynomial cost (MODEL=2) supported")
@@ -384,32 +411,28 @@ def parse_matpower(text: str) -> PowerNetwork:
             if any(abs(c) > 0 for c in coeffs[:-2]):
                 raise ValueError(f"gencost[{i}]: cost is not linear")
             costs[i] = coeffs[-2] if ncost >= 2 else 0.0
-
-    gens = []
-    for i in in_service:
-        r = gen_rows[i]
-        gbus, pmax, pmin = int(r[0]), r[8], r[9]
-        gens.append(Generator(gbus, pmin / base, pmax / base, costs[i] * base,
-                              pmin, pmax, costs[i]))
+    # (GEN_BUS, PMIN, PMAX, cost per MWh) of each in-service generator
+    gens = [(_integer("gen", i, gen_rows[i], 0, "GEN_BUS"), gen_rows[i][9], gen_rows[i][8],
+             costs[i]) for i in in_service]
 
     lines = []
-    lid = 0
     for i, r in enumerate(branch_rows):
-        fbus, tbus, x, rate_a = int(r[0]), int(r[1]), r[3], r[5]
-        tap, shift, status = r[8], r[9], int(r[10])
-        if status == 0:
+        if _integer("branch", i, r, 10, "BR_STATUS") == 0:
             continue
+        fbus, tbus = _integer("branch", i, r, 0, "F_BUS"), _integer("branch", i, r, 1, "T_BUS")
+        x, rate_a, tap, shift = r[3], r[5], r[8], r[9]
         if x <= 0:
             raise ValueError(f"branch[{i}]: BR_X must be positive, got {x}")
         if rate_a == 0:
             raise ValueError(f"branch[{i}]: RATE_A of 0 (unlimited) is not supported")
         if shift != 0:
             raise ValueError(f"branch[{i}]: phase shift SHIFT={shift} is not supported")
-        lines.append(Line(lid, fbus, tbus, 1.0 / (x * tap if tap != 0 else x),
-                          rate_a / base, rate_a, True))
-        lid += 1
+        reactance = x * tap if tap != 0 else x
+        if reactance <= 0:  # a negative TAP, or a product that underflows to 0
+            raise ValueError(f"branch[{i}]: BR_X * TAP must be positive, got {x} * {tap}")
+        lines.append((len(lines), fbus, tbus, 1.0 / reactance, rate_a, True))
 
-    return PowerNetwork(base, tuple(buses), tuple(gens), tuple(lines))
+    return _per_unit_network(base, buses, gens, lines)
 
 
 # ---------------------------------------------------------------------------

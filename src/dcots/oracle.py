@@ -315,33 +315,24 @@ def hull_rows(w, drop=None):
 def enumerate_S_C_vertices(w) -> np.ndarray:
     """All vertices of the pieces of S_C, rows [g | x], de-duplicated.
 
-    A fully closed cycle contributes the vertices of the capacity box
-    cut by the zero-flow-sum hyperplane; any other on/off pattern
-    contributes the corners of its restricted box.
+    Every sign vector s in {-1, 0, +1}^n with a zero is a corner g = s w,
+    x = |s| of an on/off pattern's restricted box.  The fully closed cycle
+    contributes the vertices of the capacity box cut by the zero-flow-sum
+    hyperplane: each s whose only zero is at one free line, that line's
+    flow set to balance the others' where it stays within its capacity.
     """
     n = len(w)
     w = np.asarray(w, dtype=float)
-    points = []
-    for bits in itertools.product((0.0, 1.0), repeat=n):
-        x = np.array(bits)
-        if all(b == 1.0 for b in bits):
-            for free in range(n):
-                others = [a for a in range(n) if a != free]
-                for signs in itertools.product((1.0, -1.0), repeat=n - 1):
-                    g = np.zeros(n)
-                    g[others] = np.array(signs) * w[others]
-                    g[free] = -g[others].sum()
-                    if abs(g[free]) <= w[free] + 1e-12:
-                        points.append(np.concatenate([g, x]))
-        else:
-            on = [a for a in range(n) if bits[a] == 1.0]
-            for signs in itertools.product((1.0, -1.0), repeat=len(on)):
-                g = np.zeros(n)
-                for a, s in zip(on, signs):
-                    g[a] = s * w[a]
-                points.append(np.concatenate([g, x]))
-    pts = np.array(points)
-    return np.unique(np.round(pts, 9), axis=0)
+    signs = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    g, x = signs * w, np.abs(signs)
+    zeros = (signs == 0.0).sum(axis=1)
+    points = [np.hstack([g[zeros > 0], x[zeros > 0]])]
+    for free in range(n):
+        closed = g[(zeros == 1) & (signs[:, free] == 0.0)]
+        closed[:, free] = -np.delete(closed, free, axis=1).sum(axis=1)
+        closed = closed[np.abs(closed[:, free]) <= w[free] + 1e-12]
+        points.append(np.hstack([closed, np.ones_like(closed)]))
+    return np.unique(np.round(np.vstack(points), 9), axis=0)
 
 
 @dataclass(frozen=True)
@@ -461,21 +452,20 @@ def _projected_system(w) -> _Template:
 
 
 def _witness_points(w, subset):
+    """The proof's witness points (f, x) for the cut of a heavy subset.
+
+    eps, the flow that the closed-cycle points shift between the subset's
+    lines, halves from min(w) / 1000 until it is within the flow bound,
+    which rho = w(C - S) / w(S) < 1 makes positive."""
     n = len(w)
     s = sorted(subset)
     comp = [a for a in range(n) if a not in subset]
-    w_s = sum(w[a] for a in s)
-    rho = sum(w[a] for a in comp) / w_s
+    rho = sum(w[a] for a in comp) / sum(w[a] for a in s)
+    # rho w_a + eps <= w_a, and rho w_a - (|S| - 1) eps >= -w_a, on each line of S
+    bound = min(w[a] for a in s) * min(1 - rho, (1 + rho) / max(len(s) - 1, 1))
     eps = min(w) / 1000
-    for _ in range(10):
-        ok = all(rho * w[a] + eps <= w[a] for a in s)
-        if len(s) > 1:
-            ok = ok and all(rho * w[a] - (len(s) - 1) * eps >= -w[a] for a in s)
-        if ok:
-            break
+    while eps > bound:
         eps /= 2
-    else:
-        raise AssertionError("no feasible epsilon for witness points")
     points = []
     for a_hat in s:  # closed-cycle points riding the face
         f = [None] * n
@@ -560,6 +550,19 @@ class SubsetSumInstance:
             raise ValueError("subset-sum terms must be positive")
 
 
+def _reduction_lines(inst: SubsetSumInstance) -> list[tuple]:
+    """The reduced network's lines as exact (from, to, susceptance,
+    capacity), in line order: term i's path is lines 2i and 2i + 1, then
+    come the corridor and the direct line."""
+    n, b = len(inst.a), inst.b
+    lines = []
+    for i, ai in enumerate(inst.a, start=1):
+        lines += [(0, i, Fraction(2 * ai), Fraction(ai, b)),
+                  (i, n + 1, Fraction(2 * ai), Fraction(ai, b))]
+    return lines + [(n + 1, n + 2, Fraction(1), Fraction(1)),
+                    (0, n + 2, Fraction(b, b + 1), Fraction(1))]
+
+
 def reduce_subset_sum(inst: SubsetSumInstance) -> PowerNetwork:
     """Network whose switching feasibility encodes a subset-sum query.
 
@@ -569,16 +572,10 @@ def reduce_subset_sum(inst: SubsetSumInstance) -> PowerNetwork:
     subset of a sums to b.
     """
     n = len(inst.a)
-    buses = [(i, 0.0) for i in range(n + 2)] + [(n + 2, 2.0)]
-    gens = [(0, 2.0, 2.0, 1.0)]
-    lines = []
-    for i, ai in enumerate(inst.a, start=1):
-        cap = ai / inst.b
-        lines.append((len(lines), 0, i, 2.0 * ai, cap))
-        lines.append((len(lines), i, n + 1, 2.0 * ai, cap))
-    lines.append((len(lines), n + 1, n + 2, 1.0, 1.0))
-    lines.append((len(lines), 0, n + 2, inst.b / (inst.b + 1), 1.0))
-    return build_network(buses=buses, generators=gens, lines=lines, base_mva=1.0)
+    return build_network(buses=[(i, 0.0) for i in range(n + 2)] + [(n + 2, 2.0)],
+                         generators=[(0, 2.0, 2.0, 1.0)],
+                         lines=[(k, u, v, float(sus), float(cap)) for k, (u, v, sus, cap)
+                                in enumerate(_reduction_lines(inst))], base_mva=1.0)
 
 
 def subset_sum_witness(inst: SubsetSumInstance) -> tuple[int, ...] | None:
@@ -602,46 +599,31 @@ def _exact_solve(a_rows, rhs):
 def reduction_witness_angles(inst: SubsetSumInstance, subset):
     """Exact angles of the reduced network once only the chosen paths
     stay closed, anchored at the load bus; None if any line overloads.
+    Raises IndexError for a subset index that names no term.
 
     Everything is rational, so a correct witness reproduces the
     construction's angle values with no rounding at all.
     """
-    n = len(inst.a)
-    subset = sorted(subset)
-    b = inst.b
-    # edges as (u, v, susceptance, capacity), buses 0..n+2, load bus last
-    edges = []
-    for i in subset:
-        ai = inst.a[i]
-        cap = Fraction(ai, b)
-        edges.append((0, i + 1, Fraction(2 * ai), cap))
-        edges.append((i + 1, n + 1, Fraction(2 * ai), cap))
-    edges.append((n + 1, n + 2, Fraction(1), Fraction(1)))
-    edges.append((0, n + 2, Fraction(b, b + 1), Fraction(1)))
-    active_buses = sorted({0, n + 1, n + 2} | {i + 1 for i in subset})
-    idx = {bus: k for k, bus in enumerate(active_buses)}
-    inj = {bus: Fraction(0) for bus in active_buses}
-    inj[0] = Fraction(2)
-    inj[n + 2] = Fraction(-2)
-    m = len(active_buses)
-    lap = [[Fraction(0)] * m for _ in range(m)]
+    n, subset = len(inst.a), set(subset)
+    if not subset <= set(range(n)):
+        raise IndexError(f"subset {sorted(subset)} names a term outside 0..{n - 1}")
+    # the chosen paths, then the corridor and the direct line
+    edges = [ln for k, ln in enumerate(_reduction_lines(inst)) if k // 2 in subset or k >= 2 * n]
+    # the Laplacian of their buses without the anchor, the load bus n + 2
+    idx = {bus: k for k, bus in
+           enumerate(sorted({bus for u, v, _, _ in edges for bus in (u, v)} - {n + 2}))}
+    lap = [[Fraction(0)] * len(idx) for _ in idx]
     for u, v, sus, _ in edges:
-        iu, iv = idx[u], idx[v]
-        lap[iu][iu] += sus
-        lap[iv][iv] += sus
-        lap[iu][iv] -= sus
-        lap[iv][iu] -= sus
-    anchor = idx[n + 2]
-    keep = [k for k in range(m) if k != anchor]
-    sub_rows = [[lap[r][c] for c in keep] for r in keep]
-    sub_rhs = [inj[active_buses[r]] for r in keep]
-    solution = _exact_solve(sub_rows, sub_rhs)
-    theta = {active_buses[anchor]: Fraction(0)}
-    for k, val in zip(keep, solution):
-        theta[active_buses[k]] = val
-    for u, v, sus, cap in edges:
-        if abs(sus * (theta[u] - theta[v])) > cap:
-            return None
+        for p, q in ((u, v), (v, u)):
+            if p in idx:
+                lap[idx[p]][idx[p]] += sus
+                if q in idx:
+                    lap[idx[p]][idx[q]] -= sus
+    # bus 0 injects the two units the load bus draws
+    solution = _exact_solve(lap, [Fraction(2 if bus == 0 else 0) for bus in idx])
+    theta = {n + 2: Fraction(0), **dict(zip(idx, solution))}
+    if any(abs(sus * (theta[u] - theta[v])) > cap for u, v, sus, cap in edges):
+        return None
     return theta
 
 

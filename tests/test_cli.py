@@ -2,12 +2,15 @@
 
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_network import MATPOWER_2BUS
 
-from dcots.cli import load_instance, main, performance_profile
+from dcots.cli import InstanceError, load_instance, main, performance_profile
 from dcots.cyclebasis import cycle_basis
 from dcots.lp import SimplexError
 from dcots.network import build_network, random_connected_network, serialize_native
@@ -120,6 +123,15 @@ def test_gen_usage_errors(tmp_path, capsys):
         main(["gen", "perturb"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # each recipe takes only the flags it reads
+    for argv in (["subset-sum", "--a", "3,5,2", "--b", "8", "--base", "missing.json",
+                  "--low", "5", "--high", "1"],
+                 ["relocate-gens", "--base", "g.json", "--a", "1,2", "--count", "7"],
+                 ["subset-sum", "--a", "1", "--b", "1", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
 
 def test_gen_requests_a_recipe_cannot_meet_are_usage_errors(tmp_path, capsys):
@@ -189,6 +201,56 @@ def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "short.m: gen[0]: needs at least 10 columns, got 9" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, says", [
+    ("zero.m", MATPOWER_2BUS.replace("baseMVA = 100;", "baseMVA = 0;"),
+     "base MVA must be positive and finite, got 0.0"),
+    ("inf.m", MATPOWER_2BUS.replace("    1 2 0.01", "    Inf 2 0.01"),
+     "branch[0]: F_BUS must be an integer, got inf"),
+    ("half.m", MATPOWER_2BUS.replace("0 0 0 0 1 -360", "0 0 0 0 0.5 -360"),
+     "branch[0]: BR_STATUS must be an integer, got 0.5"),
+    ("deep.json", "[" * 200_000 + "]" * 200_000, "JSON nested too deeply to decode"),
+], ids=["base-0", "inf-bus", "half-status", "deep-json"])
+def test_a_file_that_crashed_the_parser_is_exit_4(tmp_path, capsys, name, text, says):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name}: {says}" in captured.err and "Traceback" not in captured.err
+
+
+# values that overflow, underflow, divide by zero, or are of the wrong type
+_NASTY = ["0", "-1", "0.5", "1.5", "Inf", "-Inf", "NaN", "1e400", "1e-400", "5e-324", "1e-200",
+          "1e308", "1" + "0" * 400, "true", "null", '"1"', "[]", "{}", "", "x"]
+
+
+def test_load_instance_raises_only_instance_errors_on_mutated_files(tmp_path):
+    inst = ladder.grid_instance(2, 3, 0)
+    texts = {"g.json": ladder.to_native(inst), "g.m": ladder.to_matpower(inst, "g")}
+    rng = np.random.default_rng(31)
+    number = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+    rejected = 0
+    for _ in range(1500):
+        name = ("g.json", "g.m")[rng.integers(2)]
+        text = texts[name]
+        for _ in range(rng.integers(1, 4)):
+            matches = list(number.finditer(text))
+            if rng.uniform() < 0.8:  # a number replaced
+                m = matches[rng.integers(len(matches))]
+                text = text[:m.start()] + _NASTY[rng.integers(len(_NASTY))] + text[m.end():]
+            else:  # a few characters deleted
+                at = int(rng.integers(len(text)))
+                text = text[:at] + text[at + int(rng.integers(1, 6)):]
+        path = tmp_path / name
+        path.write_text(text)
+        try:
+            load_instance(str(path))
+        except InstanceError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            rejected += 1
+    assert rejected > 1000
 
 
 @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -float("inf")])
@@ -387,7 +449,8 @@ def test_csv_schema_is_stable():
     (["verify", "hull", "--seed", "-1"], "--seed must be nonnegative"),
     # a repeated budget would be solved twice and written as two equal rows
     (["budget-sweep", "{net}", "--n-values", "1,1"], "--n-values names a budget twice"),
-    (["gen", "add-cycle", "--base", "{net}", "--count", "-1"], "--count must be nonnegative"),
+    (["gen", "add-cycle", "--base", "{net}", "--count", "-1"],
+     "argument --count: expected a nonnegative integer"),
 ])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, argv, says):
     net = write_instance(tmp_path, "net.json", 1, max_buses=4)

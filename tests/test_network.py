@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -261,6 +262,69 @@ def test_parse_matpower_rejects_short_rows(old, new, says):
     assert old in MATPOWER_2BUS
     with pytest.raises(ValueError, match=says):
         parse_matpower(MATPOWER_2BUS.replace(old, new))
+
+
+_BUS_1 = "    2  1  150  0 0 0 1 1 0 230 1 1.1 0.9;"
+_GEN_0 = "    1 0 0 0 0 1 100 1 200 0 0 0 0 0 0 0 0 0 0 0 0;"
+_BRANCH_0 = "    1 2 0.01 0.1 0 100 0 0 0 0 1 -360 360;"
+_GENCOST_0 = "    2 0 0 2 40 0;"
+
+
+def _with_columns(row: str, values: dict[int, str]) -> str:
+    """MATPOWER_2BUS with the given columns of one of its rows replaced."""
+    tokens = row.strip().rstrip(";").split()
+    for col, value in values.items():
+        tokens[col] = value
+    return MATPOWER_2BUS.replace(row, "    " + " ".join(tokens) + ";")
+
+
+# column -> (a row holding it, its index, the row's name in messages)
+_INTEGER_COLUMNS = {"BUS_I": (_BUS_1, 0, "bus[1]"), "GEN_BUS": (_GEN_0, 0, "gen[0]"),
+                    "F_BUS": (_BRANCH_0, 0, "branch[0]"), "T_BUS": (_BRANCH_0, 1, "branch[0]"),
+                    "BR_STATUS": (_BRANCH_0, 10, "branch[0]"),
+                    "MODEL": (_GENCOST_0, 0, "gencost[0]"), "NCOST": (_GENCOST_0, 3, "gencost[0]")}
+
+
+@pytest.mark.parametrize("column, value", [
+    ("BUS_I", "1.5"), ("BUS_I", "Inf"), ("GEN_BUS", "-Inf"), ("GEN_BUS", "NaN"),
+    ("F_BUS", "Inf"), ("T_BUS", "2.5"), ("BR_STATUS", "0.5"), ("BR_STATUS", "Inf"),
+    ("MODEL", "Inf"), ("NCOST", "Inf"), ("NCOST", "2.5"),
+])
+def test_parse_matpower_rejects_integer_columns_that_are_not_whole(column, value):
+    # int() would truncate a fraction (BR_STATUS 0.5 dropped the branch) and
+    # overflow on an infinity
+    row, col, where = _INTEGER_COLUMNS[column]
+    says = rf"^{re.escape(where)}: {column} must be an integer, got {float(value)}$"
+    with pytest.raises(ValueError, match=says):
+        parse_matpower(_with_columns(row, {col: value}))
+
+
+def test_parse_matpower_takes_whole_numbers_written_as_floats():
+    text = _with_columns(_BRANCH_0, {0: "1e0", 10: "1.0"})
+    assert parse_matpower(text) == parse_matpower(MATPOWER_2BUS)
+
+
+@pytest.mark.parametrize("x, tap", [("0.1", "-1.25"), ("1e-200", "1e-200")],
+                         ids=["negative-tap", "underflow"])
+def test_parse_matpower_rejects_a_reactance_times_tap_that_is_not_positive(x, tap):
+    # 1e-200 * 1e-200 underflows to 0, and 1 / 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"^branch\[0\]: BR_X \* TAP must be positive, "
+                                         rf"got {x} \* {tap}$"):
+        parse_matpower(_with_columns(_BRANCH_0, {3: x, 8: tap}))
+
+
+@pytest.mark.parametrize("base", ["0", "-100", "1e400"])
+def test_both_parsers_reject_a_base_that_is_not_positive_and_finite(base):
+    says = rf"^base MVA must be positive and finite, got {float(base)}$"
+    with pytest.raises(ValueError, match=says):
+        parse_matpower(MATPOWER_2BUS.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};"))
+    with pytest.raises(ValueError, match=says):
+        parse_native({**NATIVE_DOC, "base_mva": float(base)})
+
+
+def test_parse_native_reports_json_nested_too_deeply():
+    with pytest.raises(ValueError, match="JSON nested too deeply to decode"):
+        parse_native("[" * 200_000 + "]" * 200_000)
 
 
 def test_parse_matpower_keeps_two_generators_at_one_bus():

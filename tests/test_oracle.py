@@ -1,7 +1,7 @@
 """Tests for the brute-force polyhedral and switching oracles."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil
 
 import numpy as np
@@ -62,6 +62,42 @@ def test_unit_triangle_closed_vertices_are_the_six_flow_rotations():
     for g in closed[:, :3]:
         assert sorted(np.abs(g)) == [0.0, 1.0, 1.0]
         assert abs(g.sum()) < 1e-12
+
+
+def _reference_vertices(w):
+    """enumerate_S_C_vertices one on/off pattern and one sign pattern at a time."""
+    n = len(w)
+    w = np.asarray(w, dtype=float)
+    points = []
+    for bits in product((0.0, 1.0), repeat=n):
+        x = np.array(bits)
+        if all(b == 1.0 for b in bits):
+            for free in range(n):
+                others = [a for a in range(n) if a != free]
+                for signs in product((1.0, -1.0), repeat=n - 1):
+                    g = np.zeros(n)
+                    g[others] = np.array(signs) * w[others]
+                    g[free] = -g[others].sum()
+                    if abs(g[free]) <= w[free] + 1e-12:
+                        points.append(np.concatenate([g, x]))
+        else:
+            on = [a for a in range(n) if bits[a] == 1.0]
+            for signs in product((1.0, -1.0), repeat=len(on)):
+                g = np.zeros(n)
+                for a, s in zip(on, signs):
+                    g[a] = s * w[a]
+                points.append(np.concatenate([g, x]))
+    return np.unique(np.round(np.array(points), 9), axis=0)
+
+
+def test_vertices_match_the_pattern_by_pattern_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        draws = [tuple(float(v) for v in rng.uniform(0.3, 2.5, size=n)) for _ in range(4)]
+        # integer weights put closed-cycle flows exactly on their capacity
+        for w in draws + [tuple(float(v) for v in rng.integers(1, 4, size=n)), (1.0,) * n]:
+            got, want = enumerate_S_C_vertices(w), _reference_vertices(w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), w
 
 
 def test_every_vertex_satisfies_every_hull_row():
@@ -228,6 +264,15 @@ def test_facet_certificates_for_every_heavy_subset():
         assert found > 0
 
 
+@pytest.mark.parametrize("w, subset", [
+    ((1.0, 1.0, 2.000000001), {2}), ((0.5, 0.5, 1 + 2**-40), {2}),
+    ((1.0, 1.0, 1.0, 3 + 1e-7), {3}), ((1.0, 1.0, 1.0, 1.5, 1.5 + 1e-9), {3, 4}),
+])
+def test_facet_certificates_for_barely_heavy_subsets(w, subset):
+    # Delta(S) is so small next to w that eps halves from min(w) / 1000 more than ten times
+    assert check_facets(w, subset)
+
+
 def test_facet_check_requires_a_heavy_subset():
     with pytest.raises(ValueError, match=r"heavy subset, got \[0\]"):
         check_facets((1.0, 1.0, 1.0), {0})
@@ -371,6 +416,19 @@ def test_reduction_network_shape_and_values():
     assert sus == pytest.approx([2.0, 2.0, 4.0, 4.0, 1.0, 0.75])
 
 
+def test_reduction_network_floats_are_the_rounded_ratios():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        a = tuple(int(v) for v in rng.integers(1, 10**6, size=int(rng.integers(1, 6))))
+        b = int(rng.integers(1, 10**7))
+        net = reduce_subset_sum(SubsetSumInstance(a, b))
+        *paths, corridor, direct = net.lines
+        assert [ln.capacity for ln in paths] == [ai / b for ai in a for _ in range(2)]
+        assert [ln.susceptance for ln in paths] == [2.0 * ai for ai in a for _ in range(2)]
+        assert (corridor.susceptance, corridor.capacity) == (1.0, 1.0)
+        assert (direct.susceptance, direct.capacity) == (b / (b + 1), 1.0)
+
+
 def test_reduction_feasibility_matches_subset_sum_exhaustively():
     cases = [SubsetSumInstance((1, 2), 3), SubsetSumInstance((2,), 3),
              SubsetSumInstance((3,), 3)]
@@ -404,6 +462,9 @@ def test_witness_angles_reject_subsets_missing_the_target():
     inst = SubsetSumInstance((1, 2), 3)
     for bad in [(), (0,), (1,)]:
         assert reduction_witness_angles(inst, bad) is None
+    for outside in [(2,), (0, 5), (-1,)]:
+        with pytest.raises(IndexError, match="names a term outside 0..1"):
+            reduction_witness_angles(inst, outside)
 
 
 def test_subset_sum_witness_found_iff_reachable():

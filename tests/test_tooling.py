@@ -277,5 +277,9 @@ def test_every_readme_command_parses():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
-    with pytest.raises(SystemExit):  # a flag the parser lacks is caught
-        parser.parse_args(["solve", "grid.json", "--seed", "1"])
+    # a flag the parser lacks is caught, and so is one that a gen recipe does not read
+    for argv in (["solve", "grid.json", "--seed", "1"],
+                 ["gen", "subset-sum", "--a", "3,5,2", "--b", "8", "--base", "grid.json"],
+                 ["gen", "relocate-gens", "--base", "grid.json", "--count", "7"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
