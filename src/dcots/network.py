@@ -370,17 +370,20 @@ def parse_matpower(text: str) -> PowerNetwork:
     ------
     ValueError
         On missing tables, a row with too few columns (bus 3, gen 10,
-        branch 11, gencost 4 + NCOST), a BUS_I, GEN_BUS, F_BUS, T_BUS,
-        BR_STATUS, MODEL or NCOST that is not a whole number, non-positive
-        reactance (BR_X, or BR_X * TAP), zero RATE_A, a nonzero phase
-        shift (SHIFT), genuinely quadratic cost rows, or a baseMVA that is
-        not positive and finite.
+        branch 11, gencost 4 + NCOST), a BUS_I, GEN_BUS, GEN_STATUS, F_BUS,
+        T_BUS, BR_STATUS, MODEL or NCOST that is not a whole number, a
+        negative NCOST, non-positive reactance (BR_X, or BR_X * TAP), zero
+        RATE_A, a nonzero phase shift (SHIFT), genuinely quadratic cost
+        rows, or a baseMVA that is not a positive and finite number.
     """
     text = re.sub(r"%.*", "", text)
-    base_m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
+    base_m = re.search(r"mpc\.baseMVA\s*=([^;\n]*);", text)
     if base_m is None:
         raise ValueError("missing mpc.baseMVA")
-    base = float(base_m.group(1))
+    try:
+        base = float(base_m.group(1))
+    except ValueError:
+        raise ValueError(f"mpc.baseMVA: not a number: {base_m.group(1).strip()!r}") from None
     bus_rows = _matpower_matrix(text, "bus")
     gen_rows = _matpower_matrix(text, "gen")
     branch_rows = _matpower_matrix(text, "branch")
@@ -394,7 +397,7 @@ def parse_matpower(text: str) -> PowerNetwork:
             _need_columns(name, i, r, need)
     buses = [(_integer("bus", i, r, 0, "BUS_I"), r[2]) for i, r in enumerate(bus_rows)]
 
-    in_service = [i for i, r in enumerate(gen_rows) if r[7] > 0]
+    in_service = [i for i, r in enumerate(gen_rows) if _integer("gen", i, r, 7, "GEN_STATUS") > 0]
     costs = dict.fromkeys(in_service, 0.0)
     if cost_rows is not None:
         if len(cost_rows) < len(gen_rows):
@@ -404,6 +407,8 @@ def parse_matpower(text: str) -> PowerNetwork:
             _need_columns("gencost", i, r, 4)
             model, ncost = (_integer("gencost", i, r, col, column)
                             for col, column in ((0, "MODEL"), (3, "NCOST")))
+            if ncost < 0:
+                raise ValueError(f"gencost[{i}]: NCOST must be nonnegative, got {ncost}")
             _need_columns("gencost", i, r, 4 + ncost)
             if model != 2:
                 raise ValueError(f"gencost[{i}]: only polynomial cost (MODEL=2) supported")

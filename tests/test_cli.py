@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_network import MATPOWER_2BUS
+from test_network import MATPOWER_2BUS, MATPOWER_FAULTS
 
 from dcots.cli import InstanceError, load_instance, main, performance_profile
 from dcots.cyclebasis import cycle_basis
@@ -201,6 +201,19 @@ def test_missing_key_is_exit_4_for_every_loading_command(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "short.m: gen[0]: needs at least 10 columns, got 9" in err
     assert "Traceback" not in err
+    m_dir = tmp_path / "cases"
+    m_dir.mkdir()
+    case = m_dir / "case.m"
+    for (old, new), says in MATPOWER_FAULTS.values():
+        case.write_text(MATPOWER_2BUS.replace(old, new))
+        for argv in (["solve", str(case)], ["gen", "perturb", "--base", str(case)],
+                     ["bench", str(m_dir), "--out", str(tmp_path / "r.csv"),
+                      "--profile", str(tmp_path / "p.csv")],
+                     ["budget-sweep", str(case)]):
+            assert main(argv) == 4, (says, argv[0])
+            err = capsys.readouterr().err
+            assert f"case.m: {says}" in err and "Traceback" not in err, (says, argv[0])
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("name, text, says", [

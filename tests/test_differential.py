@@ -7,8 +7,8 @@ status, objective and solution are checked by
 ``perfbench/check.check_solve``, and the oracle's optimum by
 ``check.close``, against the HiGHS ``milp`` reference stored in
 ``perfbench/refs.json``; neither the check nor the reference uses dcots
-code.  Cover rows are checked against ``oracle.dispatchable``, and
-budgeted optima against ``oracle.dispatch_lp`` and
+code.  Cover rows are checked against the oracle's phase 1 overload
+LP, and budgeted optima against ``oracle.dispatch_lp`` and
 ``oracle.brute_force_ots``; all three solve dispatch LPs of each
 topology with HiGHS.
 """
@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,7 +28,8 @@ import ladder  # noqa: E402
 
 from dcots.formulations import build_ots_cycle, bus_cover_rows  # noqa: E402
 from dcots.network import parse_native, random_connected_network  # noqa: E402
-from dcots.oracle import brute_force_ots, dispatch_lp, dispatchable  # noqa: E402
+from dcots import oracle  # noqa: E402
+from dcots.oracle import brute_force_ots, dispatch_lp  # noqa: E402
 from dcots.solver import SolverConfig, solve_ots  # noqa: E402
 
 REFS = json.loads((PERFBENCH / "refs.json").read_text())
@@ -96,8 +98,15 @@ def test_every_bus_cover_row_holds_at_every_feasible_topology(spec):
     cut_off = [closed for closed in _topologies(net)
                if any(sum(v for col, v in coeffs if line_of[col] in closed) < rhs
                       for coeffs, _, rhs in covers)]
+    # phase 1 itself, not ``dispatchable``, whose cut screen would answer
+    # for most of them with cut arithmetic of its own; a topology with a
+    # component that cannot balance has no phase 1 solution at all
+    dispatch = oracle._Dispatch(net)
+    closed = np.array([dispatch.closed(active) for active in cut_off
+                       if oracle._component_screen(net, active)]).reshape(-1, len(net.lines))
+    overload = dispatch.max_overload(closed)
     assert [[ln.id for ln, on in zip(net.lines, mask) if on]
-            for mask in dispatchable(net, cut_off)] == []
+            for mask, o in zip(closed, overload) if o <= oracle._OVERLOAD_TOL] == []
 
 
 def test_the_cover_sample_has_rows_that_need_two_lines():
@@ -121,12 +130,12 @@ def _budgeted_optimum(net, n_off, best, pattern):
     return min((c for c in costs if c is not None), default=None)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_solve_agrees_with_enumeration_with_and_without_a_budget(seed):
-    net = random_connected_network(seed)
+def _agrees_with_enumeration(net, budgets):
+    """solve_ots against brute force without a budget (None) and at each
+    budget n_off of ``budgets``."""
     best, pattern = brute_force_ots(net)
     config = SolverConfig()
-    for n_off in (None, 1, 2):
+    for n_off in budgets:
         want = best if n_off is None else _budgeted_optimum(net, n_off, best, pattern)
         res = solve_ots(net, config, n_off=n_off)
         if want is None:
@@ -134,3 +143,14 @@ def test_solve_agrees_with_enumeration_with_and_without_a_budget(seed):
             continue
         assert res.status == "optimal-within-gap", n_off
         assert want - 1e-6 <= res.objective <= want + config.rel_gap * abs(want) + 1e-6, n_off
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_agrees_with_enumeration_with_and_without_a_budget(seed):
+    _agrees_with_enumeration(random_connected_network(seed), (None, 1, 2))
+
+
+@pytest.mark.parametrize("seed", range(4), ids=[f"g3x3-{s}" for s in range(4)])
+def test_solve_agrees_with_enumeration_on_3x3_ladder_grids(seed):
+    # 15 lines: 2^15 topologies, most of them cut off before HiGHS
+    _agrees_with_enumeration(_grid_network(3, 3, seed), (None, 1))

@@ -322,6 +322,31 @@ def test_both_parsers_reject_a_base_that_is_not_positive_and_finite(base):
         parse_native({**NATIVE_DOC, "base_mva": float(base)})
 
 
+# (old, new) edits of MATPOWER_2BUS that once parsed without complaint, and
+# the reason each is rejected; the comments say how each was read
+MATPOWER_FAULTS = {
+    # as a cost of 0: four columns plus NCOST = -1 is three
+    "negative-ncost": (("    2 0 0 2 40 0;", "    2 0 0 -1 40 0;"),
+                       "gencost[0]: NCOST must be nonnegative, got -1"),
+    # as a case without generators: NaN > 0 is False
+    "nan-status": ((_GEN_0, _GEN_0.replace("100 1 200", "100 NaN 200")),
+                   "gen[0]: GEN_STATUS must be an integer, got nan"),
+    # as "missing mpc.baseMVA"
+    "inf-base": (("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;"),
+                 "base MVA must be positive and finite, got inf"),
+    "word-base": (("mpc.baseMVA = 100;", "mpc.baseMVA = hundred;"),
+                  "mpc.baseMVA: not a number: 'hundred'"),
+}
+
+
+@pytest.mark.parametrize("fault", MATPOWER_FAULTS)
+def test_parse_matpower_rejects_by_name_what_it_once_misread(fault):
+    (old, new), says = MATPOWER_FAULTS[fault]
+    assert old in MATPOWER_2BUS
+    with pytest.raises(ValueError, match=rf"^{re.escape(says)}$"):
+        parse_matpower(MATPOWER_2BUS.replace(old, new))
+
+
 def test_parse_native_reports_json_nested_too_deeply():
     with pytest.raises(ValueError, match="JSON nested too deeply to decode"):
         parse_native("[" * 200_000 + "]" * 200_000)

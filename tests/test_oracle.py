@@ -572,15 +572,19 @@ def count_linprog(monkeypatch):
     return calls
 
 
+def _topologies(net):
+    """Every set of closed line ids: non-switchable lines are always in it."""
+    switchable = [ln.id for ln in net.lines if ln.switchable]
+    fixed = {ln.id for ln in net.lines if not ln.switchable}
+    for mask in range(1 << len(switchable)):
+        yield fixed | {lid for i, lid in enumerate(switchable) if mask >> i & 1}
+
+
 def reference_brute_force(net):
     """The enumeration brute_force_ots batches, one dispatch LP per
     topology that passes the component screen."""
-    switchable = [ln.id for ln in net.lines if ln.switchable]
-    always_on = {ln.id for ln in net.lines if not ln.switchable}
     best_obj, best_x = None, None
-    for mask in range(1 << len(switchable)):
-        active = always_on | {switchable[i] for i in range(len(switchable))
-                              if mask >> i & 1}
+    for active in _topologies(net):
         if not oracle._component_screen(net, active):
             continue
         obj, _ = dispatch_lp(net, active)
@@ -618,12 +622,24 @@ def parallel_lines(n_lines, capacity, p_min=0.0):
 
 @pytest.mark.parametrize("n_lines, capacity", [(5, 0.15), (6, 0.15), (5, 0.19999)])
 def test_a_batch_of_only_infeasible_topologies_ends_in_none(monkeypatch, n_lines, capacity):
-    # all lines together carry 0.75, 0.9 or 0.99995 units
+    # all lines together carry 0.75, 0.9 or 0.99995 units, short of the
+    # load, so the cut screen rejects every topology before HiGHS
     net = parallel_lines(n_lines, capacity)
     assert reference_brute_force(net) == (None, None)
     calls = count_linprog(monkeypatch)
     assert brute_force_ots(net) == (None, None)
-    assert calls[0] == ceil((2 ** n_lines - 1) / BATCH)  # phase 1 alone
+    assert calls[0] == 0
+
+
+def test_a_phase_1_batch_of_only_kvl_infeasible_topologies_ends_in_none(monkeypatch):
+    # both lines closed carry 1.2 >= 1 across the cut, but KVL splits the
+    # load 0.25 / 0.75 and overloads the stiff line; one open line is short
+    net = build_network([(0, 0.0), (1, 1.0)], [(0, 0.0, 2.0, 1.0)],
+                        [(0, 0, 1, 1.0, 0.6), (1, 0, 1, 3.0, 0.6)])
+    assert reference_brute_force(net) == (None, None)
+    calls = count_linprog(monkeypatch)
+    assert brute_force_ots(net) == (None, None)
+    assert calls[0] == 1  # phase 1 on the all-closed topology alone
 
 
 def test_brute_force_solves_each_phase_in_batches(monkeypatch):
@@ -632,8 +648,10 @@ def test_brute_force_solves_each_phase_in_batches(monkeypatch):
     calls = count_linprog(monkeypatch)
     obj, x = brute_force_ots(net)
     assert obj == pytest.approx(want_obj, rel=1e-9) and x == want_x
+    # the cut screen passes exactly the feasible ones to phase 1
     feasible = sum(bin(mask).count("1") >= 4 for mask in range(1 << 6))
-    assert calls[0] == ceil(63 / BATCH) + ceil(feasible / BATCH)
+    assert feasible == 22
+    assert calls[0] == ceil(feasible / BATCH) + ceil(feasible / BATCH)
 
 
 def test_brute_force_builds_one_dispatch_template(monkeypatch):
@@ -648,6 +666,74 @@ def test_brute_force_builds_one_dispatch_template(monkeypatch):
     net = parallel_lines(6, 0.3)
     assert brute_force_ots(net)[0] is not None
     assert len(built) == 1
+
+
+def _transport_overload(model, closed):
+    """Phase 1 without KVL: with every z free, each line's angle row is
+    slack, so this is the least largest overload of a flow that only
+    balances the buses, one per row of ``closed``."""
+    k, m = closed.shape
+    lo, hi = np.tile(model.lp.lo, (k, 1)), np.tile(model.lp.hi, (k, 1))
+    f, s = slice(model.f0, model.f0 + m), slice(model.s0, model.s0 + m)
+    lo[:, f] = np.where(closed, -np.inf, 0.0)
+    hi[:, f] = np.where(closed, np.inf, 0.0)
+    hi[:, s] = np.where(closed, np.inf, 0.0)
+    x = oracle._solve_blocks(model.lp, np.tile(model.overload, (k, 1)), lo, hi)
+    return x[:, s].max(axis=1, initial=0.0)
+
+
+SCREEN_CASES = {
+    # bus 0 must export its p_min of 0.5 over two lines of 0.3
+    "p-min": build_network([(0, 0.0), (1, 0.4), (2, 0.3)],
+                           [(0, 0.5, 1.0, 1.0), (2, 0.0, 1.0, 2.0)],
+                           [(0, 0, 1, 1.0, 0.3), (1, 0, 2, 2.0, 0.3), (2, 1, 2, 1.0, 0.5)]),
+    # bus 1 has no generator and must export 0.4
+    "negative-load": build_network([(0, 0.0), (1, -0.4), (2, 0.9)], [(0, 0.0, 1.0, 1.0)],
+                                   [(0, 0, 1, 1.0, 0.25), (1, 1, 2, 1.0, 0.25),
+                                    (2, 0, 2, 1.0, 0.6), (3, 1, 2, 2.0, 0.3)]),
+    # lines 0 and 3 are closed in every topology
+    "fixed-lines": build_network([(0, 0.0), (1, 0.5), (2, 0.5)], [(0, 0.0, 2.0, 1.0)],
+                                 [(0, 0, 1, 1.0, 0.4, False), (1, 0, 1, 2.0, 0.3),
+                                  (2, 1, 2, 1.0, 0.6), (3, 0, 2, 1.0, 0.4, False),
+                                  (4, 0, 2, 1.0, 0.3)]),
+    # with line 2 open, buses 1 and 2 need 0.1 + 0.2 = 0.30000000000000004
+    # over line 0's 0.3, a shortfall that phase 1's tolerance absorbs
+    "tight": build_network([(0, 0.0), (1, 0.1), (2, 0.2)], [(0, 0.0, 1.0, 1.0)],
+                           [(0, 0, 1, 1.0, 0.3), (1, 1, 2, 1.0, 1.0), (2, 0, 2, 1.0, 0.05)]),
+}
+SCREEN_NETS = ([("random", s) for s in range(40)] + [("switching-prone", s) for s in range(20)]
+               + [(name, None) for name in SCREEN_CASES])
+
+
+@pytest.mark.parametrize("kind, seed", SCREEN_NETS,
+                         ids=[k if s is None else f"{k}-{s}" for k, s in SCREEN_NETS])
+def test_the_cut_screen_spares_phase_1_only_topologies_without_a_dispatch(monkeypatch, kind,
+                                                                          seed):
+    net = (random_connected_network(seed) if kind == "random"
+           else switching_prone_network(seed) if kind == "switching-prone"
+           else SCREEN_CASES[kind])
+    model = oracle._Dispatch(net)
+    # phase 1 on every topology that the component screen passes
+    closed = np.array([model.closed(t) for t in _topologies(net)
+                       if oracle._component_screen(net, t)]).reshape(-1, len(net.lines))
+    overload = model.max_overload(closed)
+    reached = []
+    phase_1 = oracle._Dispatch.max_overload
+
+    def recorded(self, chunk):
+        reached.extend(map(tuple, chunk))
+        return phase_1(self, chunk)
+
+    monkeypatch.setattr(oracle._Dispatch, "max_overload", recorded)
+    got = [tuple(mask) for mask in oracle.dispatchable(net, _topologies(net))]
+    assert got == [tuple(mask) for mask, o in zip(closed, overload) if o <= oracle._OVERLOAD_TOL]
+    # no topology that the cut screen keeps from phase 1 has a dispatch
+    assert all(o > oracle._OVERLOAD_TOL for mask, o in zip(closed, overload)
+               if tuple(mask) not in set(reached))
+    # and each one that it passes has a flow without KVL, so the screen
+    # counts the capacity of closed lines alone
+    assert np.all(_transport_overload(model, np.array(reached).reshape(-1, len(net.lines)))
+                  <= oracle._OVERLOAD_TOL)
 
 
 def test_projection_equals_one_linprog_per_trial():
